@@ -1,19 +1,16 @@
-// Clock-backend footprint and latency: flat arena vs sparse delta lanes
-// (ClockMode), plus the chain-decomposition reachability index as the Q1/Q2
-// oracle — the measurement behind DESIGN.md §13.
+// Vector-clock footprint and latency on wide-timeline graphs, against the
+// chain-decomposition reachability index as the alternative Q1/Q2 oracle —
+// the measurement behind DESIGN.md §13.
 //
 // The flat arena stores one dense VC row per event, so resident bytes grow
 // with events x timelines; at 10k timelines that is the dominant memory
-// term of the whole pipeline. Sparse lanes store only the components an
-// event actually heard about, delta-encoded against the timeline
-// predecessor with periodic keyframes. The acceptance bar for PR 10:
-// sparse >= 5x lower clock bytes/event at 10k timelines with Q1/Q2 p50
-// within 2x of flat.
+// term of the whole pipeline. The chain index answers the same queries from
+// timelines/positions and the merge edges alone.
 //
-// Hand-rolled main (bench_main.h JsonReport): every size runs three arms —
-// mode=flat, mode=sparse (bench/run_all.sh fails the report if either arm
-// is missing) and oracle=chain — and each row records bytes/event, assign
-// time and Q1/Q2 p50.
+// Hand-rolled main (bench_main.h JsonReport): every size runs two arms —
+// oracle=vc and oracle=chain (bench/run_all.sh fails the report if either
+// arm is missing) — over one clock assignment; the vc row records
+// bytes/event and assign time, both rows Q1/Q2 p50.
 //
 // Flags: --json <path>, --quick (smaller sizes), --seed N.
 #include <algorithm>
@@ -104,8 +101,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Wide-timeline shapes: the flat arena's worst case. Events per timeline
-  // stays small at 10k timelines so the flat arm remains runnable at all.
+  // Wide-timeline shapes: the arena's worst case. Events per timeline stays
+  // small at 10k timelines so the arena stays a few hundred MB.
   std::vector<SizeSpec> sizes;
   if (quick) {
     sizes = {{200, 10}, {1'000, 2}};
@@ -113,10 +110,8 @@ int main(int argc, char** argv) {
     sizes = {{1'000, 10}, {10'000, 2}};
   }
 
-  int status = 0;
   for (const SizeSpec& spec : sizes) {
-    // One shared graph per size; each arm re-derives clocks with its own
-    // assigner so the bytes and timings are for identical inputs.
+    // One graph per size; both arms query the same clock assignment.
     Horus setup;  // builds the graph AND the lamport index Q2 scans
     {
       auto events = gen::random_execution(
@@ -139,59 +134,44 @@ int main(int argc, char** argv) {
       b = pick(rng);
     }
 
-    double flat_bytes_per_event = 0.0;
-    double flat_q1_p50 = 0.0;
-    double flat_q2_p50 = 0.0;
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> q2_pairs;
-
-    for (const ClockMode mode : {ClockMode::kFlat, ClockMode::kSparse}) {
-      LogicalClockAssigner assigner(
-          graph, {.write_lamport_property = false, .mode = mode});
-      const auto assign_start = bench::BenchClock::now();
-      assigner.assign();
-      const double assign_ms = bench::ms_since(assign_start);
-      const ClockTable& clocks = assigner.clocks();
-      const double bytes_per_event =
-          static_cast<double>(clocks.clock_bytes()) /
-          static_cast<double>(events);
-
-      if (q2_pairs.empty()) {
-        q2_pairs = q2_endpoints(clocks, n, quick ? 8 : 16);
-      }
-
-      const auto q1 = q1_samples_ns(
-          q1_pairs, [&](graph::NodeId a, graph::NodeId b) {
-            return clocks.happens_before(a, b);
-          });
-      const double q1_p50 = percentile(q1, 0.5);
-
-      CausalQueryEngine engine(graph, clocks);
-      std::vector<double> q2_samples;
+    LogicalClockAssigner assigner(graph, {.write_lamport_property = false});
+    const auto assign_start = bench::BenchClock::now();
+    assigner.assign();
+    const double assign_ms = bench::ms_since(assign_start);
+    const ClockTable& clocks = assigner.clocks();
+    const auto q2_pairs = q2_endpoints(clocks, n, quick ? 8 : 16);
+    auto q2_p50_us = [&](const CausalQueryEngine& engine) {
+      std::vector<double> samples;
       for (const auto& [a, b] : q2_pairs) {
         const auto start = bench::BenchClock::now();
         const auto result = engine.get_causal_graph(a, b);
-        q2_samples.push_back(bench::ms_since(start) * 1'000.0);  // us
+        samples.push_back(bench::ms_since(start) * 1'000.0);
         benchmark::DoNotOptimize(result.nodes.data());
       }
-      const double q2_p50 = percentile(q2_samples, 0.5);
+      return percentile(std::move(samples), 0.5);
+    };
 
-      if (mode == ClockMode::kFlat) {
-        flat_bytes_per_event = bytes_per_event;
-        flat_q1_p50 = q1_p50;
-        flat_q2_p50 = q2_p50;
-      }
+    // Vector-clock arm: Q1 is one arena component read, Q2 prunes each
+    // candidate against VC(b).
+    {
+      const double bytes_per_event =
+          static_cast<double>(clocks.clock_bytes()) /
+          static_cast<double>(events);
+      const double q1_p50 = percentile(
+          q1_samples_ns(q1_pairs,
+                        [&](graph::NodeId a, graph::NodeId b) {
+                          return clocks.happens_before(a, b);
+                        }),
+          0.5);
+      const double q2_p50 = q2_p50_us(CausalQueryEngine(graph, clocks));
 
-      const char* mode_name = to_string(mode);
       std::printf(
-          "clocks/%-6d timelines  %-6s  %10.1f B/event  assign %8.2f ms  "
+          "clocks/%-6d timelines  vc      %10.1f B/event  assign %8.2f ms  "
           "Q1 p50 %8.1f ns  Q2 p50 %10.1f us\n",
-          spec.timelines, mode_name, bytes_per_event, assign_ms, q1_p50,
-          q2_p50);
+          spec.timelines, bytes_per_event, assign_ms, q1_p50, q2_p50);
 
       Json row = Json::object();
-      row["name"] = "clocks/" + std::to_string(spec.timelines) +
-                    "/mode=" + mode_name;
-      row["mode"] = mode_name;
+      row["name"] = "clocks/" + std::to_string(spec.timelines) + "/oracle=vc";
       row["oracle"] = "vc";
       row["timelines"] = static_cast<std::int64_t>(spec.timelines);
       row["events"] = static_cast<std::int64_t>(events);
@@ -200,59 +180,28 @@ int main(int argc, char** argv) {
       row["assign_ms"] = assign_ms;
       row["q1_p50_ns"] = q1_p50;
       row["q2_p50_us"] = q2_p50;
-      if (mode == ClockMode::kSparse && flat_bytes_per_event > 0) {
-        const double shrink = flat_bytes_per_event / bytes_per_event;
-        const double q1_ratio = flat_q1_p50 > 0 ? q1_p50 / flat_q1_p50 : 0;
-        const double q2_ratio = flat_q2_p50 > 0 ? q2_p50 / flat_q2_p50 : 0;
-        row["bytes_shrink_vs_flat"] = shrink;
-        row["q1_p50_vs_flat"] = q1_ratio;
-        row["q2_p50_vs_flat"] = q2_ratio;
-        std::printf(
-            "clocks/%-6d timelines  sparse vs flat: %.1fx smaller, "
-            "Q1 %.2fx, Q2 %.2fx\n",
-            spec.timelines, shrink, q1_ratio, q2_ratio);
-        if (shrink < 5.0 && spec.timelines >= 10'000) {
-          std::fprintf(stderr,
-                       "FAILED: sparse only %.1fx smaller at %d timelines "
-                       "(acceptance: >= 5x)\n",
-                       shrink, spec.timelines);
-          status = 1;
-        }
-      }
       report.add_row(std::move(row));
     }
 
-    // Chain-decomposition arm: the alternative Q1/Q2 oracle over flat
-    // clocks (the index itself is mode-independent — it reads only
+    // Chain-decomposition arm over the same clocks (the index reads only
     // timelines/positions and the merge edges).
     {
-      LogicalClockAssigner assigner(
-          graph, {.write_lamport_property = false, .mode = ClockMode::kFlat});
-      assigner.assign();
-      const ClockTable& clocks = assigner.clocks();
       const auto build_start = bench::BenchClock::now();
       const ChainIndex index(graph, clocks);
       const double build_ms = bench::ms_since(build_start);
 
-      const auto q1 = q1_samples_ns(
-          q1_pairs,
-          [&](graph::NodeId a, graph::NodeId b) {
-            return index.happens_before(a, b);
-          },
-          8);  // each call relaxes the full chain worklist — fewer reps
-      const double q1_p50 = percentile(q1, 0.5);
-
+      const double q1_p50 = percentile(
+          q1_samples_ns(
+              q1_pairs,
+              [&](graph::NodeId a, graph::NodeId b) {
+                return index.happens_before(a, b);
+              },
+              8),  // each call relaxes the full chain worklist — fewer reps
+          0.5);
       QueryOptions options;
       options.chain_index = &index;
-      CausalQueryEngine engine(graph, clocks, options);
-      std::vector<double> q2_samples;
-      for (const auto& [a, b] : q2_pairs) {
-        const auto start = bench::BenchClock::now();
-        const auto result = engine.get_causal_graph(a, b);
-        q2_samples.push_back(bench::ms_since(start) * 1'000.0);
-        benchmark::DoNotOptimize(result.nodes.data());
-      }
-      const double q2_p50 = percentile(q2_samples, 0.5);
+      const double q2_p50 =
+          q2_p50_us(CausalQueryEngine(graph, clocks, options));
 
       std::printf(
           "clocks/%-6d timelines  chain   build %8.2f ms (%zu merge edges)  "
@@ -262,7 +211,6 @@ int main(int argc, char** argv) {
       Json row = Json::object();
       row["name"] =
           "clocks/" + std::to_string(spec.timelines) + "/oracle=chain";
-      row["mode"] = "flat";
       row["oracle"] = "chain";
       row["timelines"] = static_cast<std::int64_t>(spec.timelines);
       row["events"] = static_cast<std::int64_t>(events);
@@ -276,5 +224,5 @@ int main(int argc, char** argv) {
   }
 
   report.write("bench_clocks");
-  return status;
+  return 0;
 }

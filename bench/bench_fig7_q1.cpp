@@ -68,8 +68,8 @@ void BM_Q1_HorusVectorClocks(benchmark::State& state) {
       benchmark::DoNotOptimize(query.happens_before_vc(a, b));
     }
   }
-  // Footprint of the index answering the query (flat arena here; the
-  // flat-vs-sparse comparison lives in bench_clocks).
+  // Footprint of the index answering the query (the VC arena; the
+  // VC-vs-chain-index comparison lives in bench_clocks).
   state.counters["clock_bytes/event"] = benchmark::Counter(
       static_cast<double>(horus.clocks().clock_bytes()) /
       static_cast<double>(horus.graph().store().node_count()));

@@ -14,6 +14,8 @@
 //
 // Flags: --json <path>, --quick, --seed N (default 7). Without --quick the
 // stream is ~5x the smoke size.
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -127,7 +129,8 @@ int main(int argc, char** argv) {
 
   const std::string spill_root =
       (std::filesystem::temp_directory_path() /
-       ("horus_bench_segments_" + std::to_string(seed)))
+       ("horus_bench_segments_" + std::to_string(seed) + "_" +
+        std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(spill_root);
 

@@ -68,13 +68,13 @@ for name in $benches; do
       fi
     done
   fi
-  # clocks is a paired A/B benchmark too: a report missing either storage
-  # mode means the ClockMode toggle silently stopped measuring.
+  # clocks is a paired A/B benchmark too: a report missing either oracle
+  # arm means the vc-vs-chain comparison silently stopped measuring.
   if [ "$name" = "clocks" ]; then
-    for arm in flat sparse; do
-      if ! grep -q "\"mode\": *\"$arm\"" "$out" && \
-         ! grep -q "\"mode\":\"$arm\"" "$out"; then
-        echo "FAILED: bench_clocks produced $out without mode=$arm rows" >&2
+    for arm in vc chain; do
+      if ! grep -q "\"oracle\": *\"$arm\"" "$out" && \
+         ! grep -q "\"oracle\":\"$arm\"" "$out"; then
+        echo "FAILED: bench_clocks produced $out without oracle=$arm rows" >&2
         status=1
       fi
     done

@@ -164,10 +164,8 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   graph::SegmentManager::Q2Pruner pruner;
   if (segments != nullptr) {
     hold = segments->read_hold();
-    std::vector<std::int32_t> vc_scratch;
     pruner = segments->q2_pruner(a, b, lc_a, lc_b, clocks_.timeline_of(a),
-                                 clocks_.position(a),
-                                 clocks_.vc_span(b, vc_scratch));
+                                 clocks_.position(a), clocks_.vc_span(b));
   }
 
   // Chain-decomposition pruning oracle: two relaxations up front replace
@@ -222,13 +220,9 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   // Step 2: vector-clock pruning of events concurrent with a or b. The
   // prune is a pure per-candidate predicate, so it partitions into fixed
   // chunks whose kept-vectors concatenate in chunk order — identical output
-  // to the sequential scan.
-  //
-  // b's dense VC is reconstructed once: the v->b half of the test is then
-  // an O(1) component read (hb(v,b) iff VC(b)[tl(v)] >= pos(v)) even when
-  // the sparse backend would otherwise walk v's delta chain per candidate.
-  std::vector<std::int32_t> vc_b_scratch;
-  const auto vc_b = clocks_.vc_span(b, vc_b_scratch);
+  // to the sequential scan. The v->b half of the test is a component read
+  // of b's VC (hb(v,b) iff VC(b)[tl(v)] >= pos(v)).
+  const auto vc_b = clocks_.vc_span(b);
   std::vector<graph::NodeId> kept;
   const unsigned threads = options_.effective_threads();
   auto keep = [&](graph::NodeId v) {
@@ -332,10 +326,8 @@ CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
   graph::SegmentManager::Q2Pruner pruner;
   if (segments != nullptr) {
     hold = segments->read_hold();
-    std::vector<std::int32_t> vc_scratch;
     pruner = segments->q2_pruner(a, b, lc_a, lc_b, clocks_.timeline_of(a),
-                                 clocks_.position(a),
-                                 clocks_.vc_span(b, vc_scratch));
+                                 clocks_.position(a), clocks_.vc_span(b));
   }
 
   // Chain bounds computed once; the flood's admit predicate then tests a
@@ -360,10 +352,9 @@ CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
   // Same gating as get_causal_graph: stage clocks only under --profile.
   const bool timed = options_.profile != nullptr;
   const auto prune_start = timed ? QueryClock::now() : QueryClock::time_point{};
-  // Same single b-side reconstruction as get_causal_graph: the flood tests
-  // hb(v,b) against this span instead of walking v's clock per visit.
-  std::vector<std::int32_t> vc_b_scratch;
-  const auto vc_b = clocks_.vc_span(b, vc_b_scratch);
+  // Same b-side span as get_causal_graph: the flood tests hb(v,b) as one
+  // component read of VC(b) per visit.
+  const auto vc_b = clocks_.vc_span(b);
   graph::SubgraphResult between = graph::between_subgraph_parallel(
       graph_.store(), a, b, traversal_options, [&](graph::NodeId v) {
         if (v == a || v == b) return true;

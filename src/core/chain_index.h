@@ -20,9 +20,9 @@
 //
 //   { v : fwd[timeline(v)] <= pos(v) && pos(v) <= back[timeline(v)] }.
 //
-// The decomposition into per-timeline chains relies on the same invariant
-// the sparse clock lanes do: consecutive events of a timeline are connected
-// by an intra edge (guaranteed by the intra-process encoder).
+// The decomposition into per-timeline chains relies on one invariant:
+// consecutive events of a timeline are connected by an intra edge
+// (guaranteed by the intra-process encoder).
 #pragma once
 
 #include <cstdint>

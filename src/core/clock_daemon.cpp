@@ -10,13 +10,7 @@
 namespace horus {
 
 ClockDaemon::ClockDaemon(ExecutionGraph& graph, Options options)
-    : graph_(graph),
-      options_(options),
-      assigner_(graph,
-                LogicalClockAssigner::Options{
-                    .write_lamport_property = true,
-                    .mode = options.mode,
-                    .keyframe_interval = options.keyframe_interval}) {}
+    : graph_(graph), options_(options), assigner_(graph) {}
 
 ClockDaemon::~ClockDaemon() {
   if (running_.load()) stop();
@@ -105,7 +99,7 @@ std::size_t ClockDaemon::tick() {
       "horus_clock_assigned_nodes", "Nodes with logical clocks assigned");
   static obs::Gauge& arena_bytes = obs::Registry::global().gauge(
       "horus_clock_vc_arena_bytes",
-      "Resident bytes of the VC store (flat arena+slots, or sparse lanes)");
+      "Resident bytes of the VC store (arena + slots)");
 
   const obs::Timer timer(tick_seconds);
   const std::unique_lock lock(mutex_);

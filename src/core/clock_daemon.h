@@ -36,11 +36,6 @@ class ClockDaemon {
  public:
   struct Options {
     int interval_ms = 100;
-    /// VC storage backend for the assigner (see ClockMode); threaded from
-    /// horusd / the CLI. Both modes are differentially pinned equal.
-    ClockMode mode = ClockMode::kFlat;
-    /// Sparse mode keyframe cadence (ClockTable docs); ignored in flat mode.
-    std::int32_t keyframe_interval = ClockTable::kDefaultKeyframeInterval;
   };
 
   explicit ClockDaemon(ExecutionGraph& graph)

@@ -9,11 +9,7 @@ Horus::Horus(Options options)
       intra_(
           graph_, [this](Event event) { inter_.on_event(event); },
           IntraProcessEncoder::Options{options.granularity}),
-      assigner_(graph_,
-                LogicalClockAssigner::Options{
-                    .write_lamport_property = true,
-                    .mode = options.clock_mode,
-                    .keyframe_interval = options.keyframe_interval}) {}
+      assigner_(graph_) {}
 
 void Horus::ingest(Event event) { intra_.on_event(std::move(event)); }
 

@@ -31,10 +31,6 @@ class Horus {
  public:
   struct Options {
     TimelineGranularity granularity = TimelineGranularity::kProcess;
-    /// VC storage backend for the clock table (see ClockMode).
-    ClockMode clock_mode = ClockMode::kFlat;
-    /// Sparse mode keyframe cadence (ClockTable docs); ignored in flat mode.
-    std::int32_t keyframe_interval = ClockTable::kDefaultKeyframeInterval;
   };
 
   Horus() : Horus(Options{}) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
@@ -42,10 +43,6 @@ void put_i64(std::string& buf, std::int64_t v) {
 class Cursor {
  public:
   explicit Cursor(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() {
-    return static_cast<std::uint8_t>(*bytes(1));
-  }
 
   std::uint32_t u32() {
     std::uint32_t v = 0;
@@ -91,245 +88,13 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-// Record magics: "HORUSVC" + a version digit. V1 is the original flat-arena
-// format (still written by flat tables and still loadable forever); V2 adds
-// a storage-mode byte and the sparse lane payload.
-constexpr char kClockMagicV1[8] = {'H', 'O', 'R', 'U', 'S', 'V', 'C', '1'};
-constexpr char kClockMagicV2[8] = {'H', 'O', 'R', 'U', 'S', 'V', 'C', '2'};
+// Record magic: "HORUSVC" + a version digit. Version 1 is the only format;
+// any other digit is a structurally valid record this binary cannot read.
+constexpr char kClockMagic[8] = {'H', 'O', 'R', 'U', 'S', 'V', 'C', '1'};
 
 }  // namespace
 
-std::optional<ClockMode> parse_clock_mode(std::string_view text) {
-  if (text == "flat") return ClockMode::kFlat;
-  if (text == "sparse") return ClockMode::kSparse;
-  return std::nullopt;
-}
-
-// ---- sparse storage primitives ---------------------------------------------
-
-template <typename Fn>
-void ClockTable::walk_sparse(std::int32_t t, std::int32_t pos, Fn&& fn) const {
-  const SparseLane& lane = lanes_[static_cast<std::size_t>(t)];
-  for (std::int32_t p = pos; p >= 1; --p) {
-    const auto idx = static_cast<std::size_t>(p - 1);
-    const std::uint8_t f = lane.flags[idx];
-    if ((f & kOverflowFlag) != 0) {
-      const auto it = overflow_.find(overflow_key(t, p));
-      if (it != overflow_.end()) {
-        for (const auto& [tl, val] : it->second) fn(tl, val);
-      }
-    } else {
-      const std::uint32_t end = lane.rec_end[idx];
-      const std::uint32_t begin = p > 1 ? lane.rec_end[idx - 1] : 0;
-      for (std::uint32_t i = begin; i < end; ++i) {
-        // Pad entries (repair shrank the record in place) sort after every
-        // real timeline id, so the first one terminates the record.
-        if (lane.entry_tl[i] == kPadTimeline) break;
-        fn(lane.entry_tl[i], lane.entry_val[i]);
-      }
-    }
-    if ((f & kKeyframeFlag) != 0) break;
-  }
-}
-
-std::size_t ClockTable::reconstruct_dense(
-    std::int32_t t, std::int32_t pos, std::vector<std::int32_t>& dense) const {
-  dense.assign(timeline_names_.size(), 0);
-  std::size_t len = 0;
-  walk_sparse(t, pos, [&](std::int32_t tl, std::int32_t val) {
-    const auto i = static_cast<std::size_t>(tl);
-    if (i >= dense.size()) dense.resize(i + 1, 0);
-    // Latest record first + components only grow along a chain: max over
-    // every occurrence equals the current value (no first-found bookkeeping
-    // needed).
-    if (val > dense[i]) dense[i] = val;
-    if (i + 1 > len) len = i + 1;
-  });
-  return len;
-}
-
-bool ClockTable::build_sparse_record(std::span<const std::int32_t> vc,
-                                     bool keyframe,
-                                     const std::vector<std::int32_t>& tp,
-                                     std::size_t tp_len,
-                                     SparseRecord& record) const {
-  record.clear();
-  std::size_t nonzero = 0;
-  if (!keyframe) {
-    for (std::size_t c = 0; c < vc.size(); ++c) {
-      if (vc[c] == 0) continue;
-      ++nonzero;
-      const std::int32_t base = c < tp_len ? tp[c] : 0;
-      if (vc[c] != base) {
-        record.emplace_back(static_cast<std::int32_t>(c), vc[c]);
-      }
-    }
-    // A delta no smaller than the full sparse form buys nothing and
-    // lengthens walks — promote to a keyframe.
-    if (record.size() >= nonzero) keyframe = true;
-  }
-  if (keyframe) {
-    record.clear();
-    for (std::size_t c = 0; c < vc.size(); ++c) {
-      if (vc[c] != 0) record.emplace_back(static_cast<std::int32_t>(c), vc[c]);
-    }
-  }
-  return keyframe;
-}
-
-void ClockTable::append_sparse(graph::NodeId v, std::int32_t t,
-                               std::int32_t pos,
-                               std::span<const std::int32_t> vc,
-                               std::vector<std::int32_t>& tp_scratch) {
-  (void)v;
-  if (lanes_.size() <= static_cast<std::size_t>(t)) {
-    lanes_.resize(static_cast<std::size_t>(t) + 1);
-  }
-  SparseLane& lane = lanes_[static_cast<std::size_t>(t)];
-  // Kahn order respects the intra chain, so positions of one timeline are
-  // always appended consecutively.
-  if (static_cast<std::size_t>(pos) != lane.rec_end.size() + 1) {
-    throw std::logic_error("clock table: out-of-order sparse lane append");
-  }
-  bool keyframe = pos == 1 || ((pos - 1) % keyframe_interval_) == 0;
-  std::size_t tp_len = 0;
-  if (!keyframe) tp_len = reconstruct_dense(t, pos - 1, tp_scratch);
-  static thread_local SparseRecord record;
-  keyframe = build_sparse_record(vc, keyframe, tp_scratch, tp_len, record);
-  if (lane.entry_tl.size() + record.size() >
-      std::numeric_limits<std::uint32_t>::max()) {
-    throw HorusError("clock table: sparse lane exceeds 32-bit addressing");
-  }
-  for (const auto& [tl, val] : record) {
-    lane.entry_tl.push_back(tl);
-    lane.entry_val.push_back(val);
-  }
-  lane.rec_end.push_back(static_cast<std::uint32_t>(lane.entry_tl.size()));
-  lane.flags.push_back(keyframe ? kKeyframeFlag : std::uint8_t{0});
-}
-
-void ClockTable::rewrite_sparse(graph::NodeId v, std::int32_t t,
-                                std::int32_t pos,
-                                std::span<const std::int32_t> vc,
-                                std::vector<std::int32_t>& tp_scratch) {
-  (void)v;
-  SparseLane& lane = lanes_[static_cast<std::size_t>(t)];
-  const auto idx = static_cast<std::size_t>(pos - 1);
-  std::uint8_t f = lane.flags[idx];
-  // Keyframes stay keyframes: descendants' reconstruction walks terminate
-  // here and must keep seeing the full vector. Deltas may be promoted when
-  // the repair grew them past the full sparse form.
-  bool keyframe = (f & kKeyframeFlag) != 0;
-  std::size_t tp_len = 0;
-  if (!keyframe && pos > 1) tp_len = reconstruct_dense(t, pos - 1, tp_scratch);
-  static thread_local SparseRecord record;
-  keyframe = build_sparse_record(vc, keyframe, tp_scratch, tp_len, record);
-  if ((f & kOverflowFlag) != 0) {
-    overflow_[overflow_key(t, pos)] = record;
-  } else {
-    const std::uint32_t end = lane.rec_end[idx];
-    const std::uint32_t begin = idx > 0 ? lane.rec_end[idx - 1] : 0;
-    if (record.size() <= static_cast<std::size_t>(end - begin)) {
-      std::uint32_t i = begin;
-      for (const auto& [tl, val] : record) {
-        lane.entry_tl[i] = tl;
-        lane.entry_val[i] = val;
-        ++i;
-      }
-      for (; i < end; ++i) {
-        lane.entry_tl[i] = kPadTimeline;
-        lane.entry_val[i] = 0;
-      }
-    } else {
-      // Outgrew the lane window: spill the record to the overflow table
-      // (the window is dead from here on). Repairs are rare, so overflow
-      // stays tiny; reassign_all() rebuilds packed lanes.
-      f |= kOverflowFlag;
-      overflow_[overflow_key(t, pos)] = record;
-    }
-  }
-  if (keyframe) f |= kKeyframeFlag;
-  lane.flags[idx] = f;
-}
-
 // ---- lookups ----------------------------------------------------------------
-
-std::span<const std::int32_t> ClockTable::vc_span(
-    graph::NodeId node, std::vector<std::int32_t>& scratch) const {
-  if (!assigned(node)) return {};
-  if (mode_ == ClockMode::kFlat) {
-    if (node >= vc_slots_.size()) return {};
-    const VcSlot s = vc_slots_[node];
-    return {vc_arena_.data() + s.offset, s.len};
-  }
-  const std::size_t len =
-      reconstruct_dense(timeline_of_[node], position_[node], scratch);
-  return {scratch.data(), len};
-}
-
-std::int32_t ClockTable::vc_component(graph::NodeId node,
-                                      std::int32_t timeline) const {
-  if (!assigned(node) || timeline < 0) return 0;
-  if (mode_ == ClockMode::kFlat) {
-    if (node >= vc_slots_.size()) return 0;
-    const VcSlot s = vc_slots_[node];
-    return static_cast<std::uint32_t>(timeline) < s.len
-               ? vc_arena_[s.offset + static_cast<std::uint32_t>(timeline)]
-               : 0;
-  }
-  // Own-timeline component is the position by construction — answered
-  // without touching the lanes (the common case in Q1's position test when
-  // both events share a timeline).
-  const std::int32_t t = timeline_of_[node];
-  if (timeline == t) return position_[node];
-  // Walk the delta chain latest record first: the nearest occurrence of the
-  // component is its current value; a keyframe proves absence means zero.
-  const SparseLane& lane = lanes_[static_cast<std::size_t>(t)];
-  for (std::int32_t p = position_[node]; p >= 1; --p) {
-    const auto idx = static_cast<std::size_t>(p - 1);
-    const std::uint8_t f = lane.flags[idx];
-    if ((f & kOverflowFlag) != 0) {
-      const auto it = overflow_.find(overflow_key(t, p));
-      if (it != overflow_.end()) {
-        const auto& rec = it->second;
-        const auto lo = std::lower_bound(
-            rec.begin(), rec.end(), timeline,
-            [](const auto& e, std::int32_t tl) { return e.first < tl; });
-        if (lo != rec.end() && lo->first == timeline) return lo->second;
-      }
-    } else {
-      const std::uint32_t end = lane.rec_end[idx];
-      const std::uint32_t begin = p > 1 ? lane.rec_end[idx - 1] : 0;
-      const std::int32_t* base = lane.entry_tl.data();
-      const std::int32_t* lo =
-          std::lower_bound(base + begin, base + end, timeline);
-      if (lo != base + end && *lo == timeline) {
-        return lane.entry_val[static_cast<std::size_t>(lo - base)];
-      }
-    }
-    if ((f & kKeyframeFlag) != 0) break;
-  }
-  return 0;
-}
-
-std::size_t ClockTable::clock_bytes() const noexcept {
-  if (mode_ == ClockMode::kFlat) {
-    return vc_arena_.size() * sizeof(std::int32_t) +
-           vc_slots_.size() * sizeof(VcSlot);
-  }
-  std::size_t bytes = 0;
-  for (const SparseLane& lane : lanes_) {
-    bytes += (lane.entry_tl.size() + lane.entry_val.size()) *
-                 sizeof(std::int32_t) +
-             lane.rec_end.size() * sizeof(std::uint32_t) +
-             lane.flags.size() * sizeof(std::uint8_t);
-  }
-  for (const auto& [key, rec] : overflow_) {
-    (void)key;
-    bytes += sizeof(std::uint64_t) + rec.size() * 2 * sizeof(std::int32_t);
-  }
-  return bytes;
-}
 
 bool ClockTable::happens_before(graph::NodeId a, graph::NodeId b) const {
   if (a == b) return false;
@@ -339,11 +104,8 @@ bool ClockTable::happens_before(graph::NodeId a, graph::NodeId b) const {
 
 bool ClockTable::vc_less(graph::NodeId a, graph::NodeId b) const {
   if (!assigned(a) || !assigned(b)) return false;
-  // Flat spans view the arena; sparse spans reconstruct into the scratches.
-  static thread_local std::vector<std::int32_t> scratch_a;
-  static thread_local std::vector<std::int32_t> scratch_b;
-  const auto va = vc_span(a, scratch_a);
-  const auto vb = vc_span(b, scratch_b);
+  const auto va = vc_span(a);
+  const auto vb = vc_span(b);
   const std::size_t n = std::max(va.size(), vb.size());
   bool strictly = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -357,8 +119,7 @@ bool ClockTable::vc_less(graph::NodeId a, graph::NodeId b) const {
 
 std::string ClockTable::vc_string(graph::NodeId node) const {
   std::string out = "[";
-  std::vector<std::int32_t> scratch;
-  const auto v = vc_span(node, scratch);
+  const auto v = vc_span(node);
   for (std::size_t i = 0; i < timeline_names_.size(); ++i) {
     if (i > 0) out += ',';
     out += std::to_string(i < v.size() ? v[i] : 0);
@@ -372,71 +133,28 @@ std::string ClockTable::vc_string(graph::NodeId node) const {
 void ClockTable::save(std::ostream& out) const {
   std::string payload;
   const std::uint64_t n = lamport_.size();
-  if (mode_ == ClockMode::kFlat) {
-    // Byte-identical to the original HORUSVC1 writer: flat checkpoints stay
-    // readable by (and from) earlier builds.
-    payload.reserve(64 + n * 24 + vc_arena_.size() * 4);
-    put_u64(payload, n);
-    for (const std::int64_t lc : lamport_) put_i64(payload, lc);
-    put_u64(payload, vc_arena_.size());
-    for (const std::int32_t c : vc_arena_) put_i32(payload, c);
-    for (const VcSlot& s : vc_slots_) {
-      put_u32(payload, s.offset);
-      put_u32(payload, s.len);
-    }
-    for (const std::int32_t t : timeline_of_) put_i32(payload, t);
-    for (const std::int32_t p : position_) put_i32(payload, p);
-    put_u64(payload, timeline_names_.size());
-    for (std::size_t i = 0; i < timeline_names_.size(); ++i) {
-      put_u32(payload, static_cast<std::uint32_t>(timeline_names_[i].size()));
-      payload += timeline_names_[i];
-      put_i32(payload, timeline_sizes_[i]);
-    }
-  } else {
-    payload.reserve(64 + n * 16);
-    payload.push_back(static_cast<char>(ClockMode::kSparse));
-    put_i32(payload, keyframe_interval_);
-    put_u64(payload, n);
-    for (const std::int64_t lc : lamport_) put_i64(payload, lc);
-    for (const std::int32_t t : timeline_of_) put_i32(payload, t);
-    for (const std::int32_t p : position_) put_i32(payload, p);
-    put_u64(payload, timeline_names_.size());
-    for (std::size_t i = 0; i < timeline_names_.size(); ++i) {
-      put_u32(payload, static_cast<std::uint32_t>(timeline_names_[i].size()));
-      payload += timeline_names_[i];
-      put_i32(payload, timeline_sizes_[i]);
-    }
-    static const SparseLane kEmptyLane;
-    for (std::size_t i = 0; i < timeline_names_.size(); ++i) {
-      const SparseLane& lane = i < lanes_.size() ? lanes_[i] : kEmptyLane;
-      put_u64(payload, lane.rec_end.size());
-      for (const std::uint32_t e : lane.rec_end) put_u32(payload, e);
-      for (const std::uint8_t f : lane.flags) {
-        payload.push_back(static_cast<char>(f));
-      }
-      put_u64(payload, lane.entry_tl.size());
-      for (const std::int32_t tl : lane.entry_tl) put_i32(payload, tl);
-      for (const std::int32_t val : lane.entry_val) put_i32(payload, val);
-    }
-    put_u64(payload, overflow_.size());
-    for (const auto& [key, rec] : overflow_) {
-      put_u64(payload, key);
-      put_u32(payload, static_cast<std::uint32_t>(rec.size()));
-      for (const auto& [tl, val] : rec) {
-        put_i32(payload, tl);
-        put_i32(payload, val);
-      }
-    }
+  payload.reserve(64 + n * 24 + vc_arena_.size() * 4);
+  put_u64(payload, n);
+  for (const std::int64_t lc : lamport_) put_i64(payload, lc);
+  put_u64(payload, vc_arena_.size());
+  for (const std::int32_t c : vc_arena_) put_i32(payload, c);
+  for (const VcSlot& s : vc_slots_) {
+    put_u32(payload, s.offset);
+    put_u32(payload, s.len);
+  }
+  for (const std::int32_t t : timeline_of_) put_i32(payload, t);
+  for (const std::int32_t p : position_) put_i32(payload, p);
+  put_u64(payload, timeline_names_.size());
+  for (std::size_t i = 0; i < timeline_names_.size(); ++i) {
+    put_u32(payload, static_cast<std::uint32_t>(timeline_names_[i].size()));
+    payload += timeline_names_[i];
+    put_i32(payload, timeline_sizes_[i]);
   }
 
   const std::uint32_t crc = crc32(payload);
   std::string frame;
-  frame.reserve(sizeof(kClockMagicV1) + 8 + payload.size() + 4);
-  if (mode_ == ClockMode::kFlat) {
-    frame.append(kClockMagicV1, sizeof(kClockMagicV1));
-  } else {
-    frame.append(kClockMagicV2, sizeof(kClockMagicV2));
-  }
+  frame.reserve(sizeof(kClockMagic) + 8 + payload.size() + 4);
+  frame.append(kClockMagic, sizeof(kClockMagic));
   put_u64(frame, payload.size());
   frame += payload;
   put_u32(frame, crc);
@@ -446,8 +164,7 @@ void ClockTable::save(std::ostream& out) const {
 
 namespace {
 
-/// Shared tail of both versions: length prefix, payload, CRC trailer,
-/// single-record check.
+/// Length prefix, payload, CRC trailer, single-record check.
 std::string read_clock_payload(std::istream& in) {
   char len_bytes[8];
   if (!in.read(len_bytes, sizeof(len_bytes))) {
@@ -491,15 +208,15 @@ std::string read_clock_payload(std::istream& in) {
 }  // namespace
 
 ClockTable ClockTable::load(std::istream& in) {
-  char magic[sizeof(kClockMagicV1)];
+  char magic[sizeof(kClockMagic)];
   if (!in.read(magic, sizeof(magic)) ||
-      !std::equal(magic, magic + sizeof(magic) - 1, kClockMagicV1)) {
+      !std::equal(magic, magic + sizeof(magic) - 1, kClockMagic)) {
     throw HorusError("clock table: bad magic (not a clock-table record)");
   }
   const char version = magic[sizeof(magic) - 1];
-  if (version != '1' && version != '2') {
-    // Structurally a clock record, just from a newer (or corrupted-version)
-    // format — the typed error lets restore paths say "upgrade the binary"
+  if (version != kClockMagic[sizeof(kClockMagic) - 1]) {
+    // Structurally a clock record, just not in the one format this binary
+    // reads — the typed error lets restore paths say "unsupported format"
     // instead of "corrupt checkpoint".
     throw ClockFormatError(std::string("clock table: record version '") +
                            version + "' not supported by this binary");
@@ -508,42 +225,24 @@ ClockTable ClockTable::load(std::istream& in) {
   Cursor cur(payload);
   ClockTable table;
 
-  if (version == '2') {
-    const std::uint8_t mode = cur.u8();
-    if (mode != static_cast<std::uint8_t>(ClockMode::kSparse)) {
-      throw ClockFormatError(
-          "clock table: storage mode " + std::to_string(int(mode)) +
-          " not supported by this binary");
-    }
-    table.mode_ = ClockMode::kSparse;
-    table.keyframe_interval_ = cur.i32();
-    if (table.keyframe_interval_ < 1) {
-      throw HorusError("clock table: invalid keyframe interval (corrupt)");
-    }
-  }
-
   const std::uint64_t n = cur.u64();
   table.lamport_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) table.lamport_.push_back(cur.i64());
-
-  if (version == '1') {
-    const std::uint64_t arena = cur.u64();
-    table.vc_arena_.reserve(arena);
-    for (std::uint64_t i = 0; i < arena; ++i) {
-      table.vc_arena_.push_back(cur.i32());
-    }
-    table.vc_slots_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      VcSlot s;
-      s.offset = cur.u32();
-      s.len = cur.u32();
-      if (static_cast<std::uint64_t>(s.offset) + s.len > arena) {
-        throw HorusError("clock table: VC slot outside arena (corrupt record)");
-      }
-      table.vc_slots_.push_back(s);
-    }
+  const std::uint64_t arena = cur.u64();
+  table.vc_arena_.reserve(arena);
+  for (std::uint64_t i = 0; i < arena; ++i) {
+    table.vc_arena_.push_back(cur.i32());
   }
-
+  table.vc_slots_.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    VcSlot s;
+    s.offset = cur.u32();
+    s.len = cur.u32();
+    if (static_cast<std::uint64_t>(s.offset) + s.len > arena) {
+      throw HorusError("clock table: VC slot outside arena (corrupt record)");
+    }
+    table.vc_slots_.push_back(s);
+  }
   table.timeline_of_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) table.timeline_of_.push_back(cur.i32());
   table.position_.reserve(n);
@@ -554,83 +253,43 @@ ClockTable ClockTable::load(std::istream& in) {
     std::string name = cur.str(name_len);
     table.timeline_ids_.try_emplace(name, static_cast<std::int32_t>(i));
     table.timeline_names_.push_back(std::move(name));
-    table.timeline_sizes_.push_back(cur.i32());
-  }
-
-  if (version == '2') {
-    table.lanes_.resize(timelines);
-    for (std::uint64_t i = 0; i < timelines; ++i) {
-      SparseLane& lane = table.lanes_[i];
-      const std::uint64_t positions = cur.u64();
-      if (positions !=
-          static_cast<std::uint64_t>(std::max<std::int32_t>(
-              0, table.timeline_sizes_[static_cast<std::size_t>(i)]))) {
-        throw HorusError(
-            "clock table: lane size disagrees with timeline size (corrupt)");
-      }
-      lane.rec_end.reserve(positions);
-      std::uint32_t prev = 0;
-      for (std::uint64_t p = 0; p < positions; ++p) {
-        const std::uint32_t e = cur.u32();
-        if (e < prev) {
-          throw HorusError(
-              "clock table: non-monotone lane record offsets (corrupt)");
-        }
-        prev = e;
-        lane.rec_end.push_back(e);
-      }
-      lane.flags.reserve(positions);
-      for (std::uint64_t p = 0; p < positions; ++p) {
-        lane.flags.push_back(cur.u8());
-      }
-      const std::uint64_t entries = cur.u64();
-      if (!lane.rec_end.empty() && lane.rec_end.back() != entries) {
-        throw HorusError(
-            "clock table: lane entry count disagrees with offsets (corrupt)");
-      }
-      lane.entry_tl.reserve(entries);
-      for (std::uint64_t e = 0; e < entries; ++e) {
-        lane.entry_tl.push_back(cur.i32());
-      }
-      lane.entry_val.reserve(entries);
-      for (std::uint64_t e = 0; e < entries; ++e) {
-        lane.entry_val.push_back(cur.i32());
-      }
+    const std::int32_t size = cur.i32();
+    if (size < 0) {
+      throw HorusError("clock table: negative timeline size (corrupt)");
     }
-    const std::uint64_t overflow = cur.u64();
-    for (std::uint64_t i = 0; i < overflow; ++i) {
-      const std::uint64_t key = cur.u64();
-      const std::uint32_t count = cur.u32();
-      SparseRecord rec;
-      rec.reserve(count);
-      for (std::uint32_t e = 0; e < count; ++e) {
-        const std::int32_t tl = cur.i32();
-        const std::int32_t val = cur.i32();
-        rec.emplace_back(tl, val);
-      }
-      table.overflow_.emplace(key, std::move(rec));
-    }
+    table.timeline_sizes_.push_back(size);
   }
-
   if (!cur.done()) {
     throw HorusError("clock table: trailing bytes after record (corrupt)");
   }
+
+  // Every assigned node must sit inside its timeline, and its own component
+  // must be its position: happens_before() and repair() index by both
+  // without further checks.
   for (std::uint64_t v = 0; v < n; ++v) {
     const std::int32_t t = table.timeline_of_[v];
     if (t >= static_cast<std::int32_t>(timelines)) {
       throw HorusError("clock table: timeline id out of range (corrupt)");
     }
-    if (version == '2' && table.lamport_[v] != 0) {
-      if (t < 0) {
-        throw HorusError("clock table: assigned node without timeline");
-      }
-      const std::int32_t pos = table.position_[v];
-      if (pos < 1 ||
-          static_cast<std::size_t>(pos) >
-              table.lanes_[static_cast<std::size_t>(t)].rec_end.size()) {
-        throw HorusError(
-            "clock table: node position outside its lane (corrupt)");
-      }
+    if (table.lamport_[v] == 0) continue;
+    if (t < 0) {
+      throw HorusError("clock table: assigned node without timeline (corrupt)");
+    }
+    const auto tl = static_cast<std::size_t>(t);
+    const std::int32_t pos = table.position_[v];
+    if (pos < 1 || pos > table.timeline_sizes_[tl]) {
+      throw HorusError(
+          "clock table: node position outside its timeline (corrupt)");
+    }
+    const VcSlot s = table.vc_slots_[v];
+    if (s.len <= tl) {
+      throw HorusError(
+          "clock table: VC slot shorter than the node's timeline (corrupt)");
+    }
+    if (table.vc_arena_[s.offset + tl] != pos) {
+      throw HorusError(
+          "clock table: own VC component differs from the position "
+          "(corrupt)");
     }
   }
   return table;
@@ -640,9 +299,7 @@ ClockTable ClockTable::load(std::istream& in) {
 
 LogicalClockAssigner::LogicalClockAssigner(ExecutionGraph& graph,
                                            Options options)
-    : graph_(graph),
-      options_(options),
-      table_(options.mode, options.keyframe_interval) {}
+    : graph_(graph), options_(options) {}
 
 std::int32_t LogicalClockAssigner::timeline_for_pool(std::uint32_t pool_id) {
   if (pool_id < timeline_of_pool_.size() &&
@@ -666,40 +323,21 @@ std::int32_t LogicalClockAssigner::timeline_for_pool(std::uint32_t pool_id) {
 
 void LogicalClockAssigner::merge_pred_vc(
     graph::NodeId pred, std::vector<std::int32_t>& acc) const {
-  if (table_.mode_ == ClockMode::kFlat) {
-    const ClockTable::VcSlot s = table_.vc_slots_[pred];
-    const std::int32_t* pv = table_.vc_arena_.data() + s.offset;
-    if (s.len > acc.size()) acc.resize(s.len, 0);
-    for (std::uint32_t i = 0; i < s.len; ++i) {
-      if (pv[i] > acc[i]) acc[i] = pv[i];
-    }
-    return;
+  const ClockTable::VcSlot s = table_.vc_slots_[pred];
+  const std::int32_t* pv = table_.vc_arena_.data() + s.offset;
+  if (s.len > acc.size()) acc.resize(s.len, 0);
+  for (std::uint32_t i = 0; i < s.len; ++i) {
+    if (pv[i] > acc[i]) acc[i] = pv[i];
   }
-  table_.walk_sparse(
-      table_.timeline_of_[pred], table_.position_[pred],
-      [&](std::int32_t tl, std::int32_t val) {
-        const auto i = static_cast<std::size_t>(tl);
-        if (i >= acc.size()) acc.resize(i + 1, 0);
-        if (val > acc[i]) acc[i] = val;
-      });
 }
 
-void LogicalClockAssigner::store_new_vc(graph::NodeId v, std::int32_t t,
-                                        std::int32_t pos,
-                                        const std::vector<std::int32_t>& vc,
-                                        std::vector<std::int32_t>& tp_scratch) {
-  if (table_.mode_ == ClockMode::kSparse) {
-    table_.append_sparse(v, t, pos, {vc.data(), vc.size()}, tp_scratch);
-    return;
-  }
-  // Slot offsets are 32-bit; a flat arena past 2^32 elements would silently
-  // wrap them into aliased clocks. At the timeline counts where that
-  // happens the sparse backend is the answer anyway.
+void LogicalClockAssigner::append_vc(graph::NodeId v,
+                                     const std::vector<std::int32_t>& vc) {
+  // Slot offsets are 32-bit; an arena past 2^32 elements would silently
+  // wrap them into aliased clocks.
   if (table_.vc_arena_.size() + vc.size() >
       std::numeric_limits<std::uint32_t>::max()) {
-    throw HorusError(
-        "clock table: flat VC arena exceeds 32-bit slot addressing "
-        "(switch to the sparse clock mode)");
+    throw HorusError("clock table: VC arena exceeds 32-bit slot addressing");
   }
   table_.vc_slots_[v] = {static_cast<std::uint32_t>(table_.vc_arena_.size()),
                          static_cast<std::uint32_t>(vc.size())};
@@ -717,7 +355,7 @@ std::size_t LogicalClockAssigner::assign() {
 
   if (lamport.size() < n) {
     lamport.resize(n, 0);
-    if (table_.mode_ == ClockMode::kFlat) table_.vc_slots_.resize(n);
+    table_.vc_slots_.resize(n);
     timeline_of.resize(n, -1);
     position.resize(n, 0);
   }
@@ -741,8 +379,7 @@ std::size_t LogicalClockAssigner::assign() {
   if (unassigned == 0) return 0;
 
   std::size_t processed = 0;
-  std::vector<std::int32_t> v_clock;     // scratch, reused across nodes
-  std::vector<std::int32_t> tp_scratch;  // sparse delta base, reused
+  std::vector<std::int32_t> v_clock;  // scratch, reused across nodes
   while (!frontier.empty()) {
     const graph::NodeId v = frontier.back();
     frontier.pop_back();
@@ -776,10 +413,9 @@ std::size_t LogicalClockAssigner::assign() {
     lamport[v] = lc;
     timeline_of[v] = t;
     position[v] = pos;
-    // Store the clock (flat: append to the arena — predecessors' spans were
-    // fully consumed above, so the potential reallocation is safe; sparse:
-    // append the delta/keyframe record to the timeline's lane).
-    store_new_vc(v, t, pos, v_clock, tp_scratch);
+    // Append the clock to the arena — predecessors' spans were fully
+    // consumed above, so the potential reallocation is safe.
+    append_vc(v, v_clock);
 
     if (options_.write_lamport_property) {
       graph_.store().set_property(v, keys.lamport, lc);
@@ -803,7 +439,7 @@ std::size_t LogicalClockAssigner::assign() {
 }
 
 std::size_t LogicalClockAssigner::reassign_all() {
-  table_ = ClockTable{options_.mode, options_.keyframe_interval};
+  table_ = ClockTable{};
   timeline_of_pool_.clear();  // table timeline ids were dropped with the table
   return assign();
 }
@@ -816,9 +452,7 @@ std::size_t LogicalClockAssigner::repair(
 
   // Forward closure of the roots over assigned nodes. Unassigned successors
   // are left to the next assign() pass, which reads the repaired
-  // predecessors anyway. The closure follows every out-edge — including the
-  // intra chain — so in sparse mode it contains every delta descendant of a
-  // raised clock: each rewritten delta's base is final before the rewrite.
+  // predecessors anyway.
   std::unordered_set<graph::NodeId> dirty;
   std::vector<graph::NodeId> stack;
   for (const graph::NodeId r : dirty_roots) {
@@ -850,8 +484,7 @@ std::size_t LogicalClockAssigner::repair(
   }
 
   std::size_t processed = 0;
-  std::vector<std::int32_t> v_clock;     // scratch, reused across nodes
-  std::vector<std::int32_t> tp_scratch;  // sparse delta base, reused
+  std::vector<std::int32_t> v_clock;  // scratch, reused across nodes
   while (!frontier.empty()) {
     const graph::NodeId v = frontier.back();
     frontier.pop_back();
@@ -878,37 +511,19 @@ std::size_t LogicalClockAssigner::repair(
         graph_.store().set_property(v, keys.lamport, lc);
       }
     }
-    if (table_.mode_ == ClockMode::kSparse) {
-      // Always rewrite: even when v's own vector is unchanged its delta base
-      // may have been repaired this pass, and the stored delta must stay
-      // relative to the final predecessor record.
-      table_.rewrite_sparse(v, static_cast<std::int32_t>(t),
-                            table_.position_[v], {v_clock.data(),
-                            v_clock.size()}, tp_scratch);
+    // Overwrite the arena slot in place when the raised clock fits
+    // (clearing any stale tail — absent components read as zero); otherwise
+    // append a fresh slot and abandon the old one (reclaimed by the next
+    // reassign_all).
+    const ClockTable::VcSlot slot = table_.vc_slots_[v];
+    if (v_clock.size() <= slot.len) {
+      const auto base =
+          table_.vc_arena_.begin() + static_cast<std::ptrdiff_t>(slot.offset);
+      std::copy(v_clock.begin(), v_clock.end(), base);
+      std::fill(base + static_cast<std::ptrdiff_t>(v_clock.size()),
+                base + static_cast<std::ptrdiff_t>(slot.len), 0);
     } else {
-      // Overwrite the arena slot in place when the raised clock fits
-      // (clearing any stale tail — absent components read as zero);
-      // otherwise append a fresh slot and abandon the old one (reclaimed by
-      // the next reassign_all).
-      ClockTable::VcSlot& slot = table_.vc_slots_[v];
-      if (v_clock.size() <= slot.len) {
-        const auto base =
-            table_.vc_arena_.begin() + static_cast<std::ptrdiff_t>(slot.offset);
-        std::copy(v_clock.begin(), v_clock.end(), base);
-        std::fill(base + static_cast<std::ptrdiff_t>(v_clock.size()),
-                  base + static_cast<std::ptrdiff_t>(slot.len), 0);
-      } else {
-        if (table_.vc_arena_.size() + v_clock.size() >
-            std::numeric_limits<std::uint32_t>::max()) {
-          throw HorusError(
-              "clock table: flat VC arena exceeds 32-bit slot addressing "
-              "(switch to the sparse clock mode)");
-        }
-        slot = {static_cast<std::uint32_t>(table_.vc_arena_.size()),
-                static_cast<std::uint32_t>(v_clock.size())};
-        table_.vc_arena_.insert(table_.vc_arena_.end(), v_clock.begin(),
-                                v_clock.end());
-      }
+      append_vc(v, v_clock);
     }
 
     for (const graph::Edge& e : store.out_edges_snapshot(v)) {

@@ -10,20 +10,8 @@
 //    an in-memory clock table (they are non-scalar and unsuitable for
 //    database indexing, as the paper notes).
 //
-// The table offers two storage backends behind one API (ClockMode):
-//
-//  - kFlat: every VC is a dense int32 vector in one append-only arena —
-//    O(#timelines) per event. Fastest lookups, but the arena dominates
-//    resident memory once the workload reaches thousands of timelines.
-//  - kSparse: per-timeline "lanes" store each event's VC as the set of
-//    components that *changed* relative to its timeline predecessor (a
-//    delta), with periodic full keyframes bounding the reconstruction walk.
-//    Components are overwhelmingly unchanged between consecutive events of
-//    a timeline (only merged-in histories move), so storage collapses to
-//    O(churn) instead of O(#timelines) per event. Reconstruction walks the
-//    delta chain latest-record-first: the first occurrence of a component
-//    is its current value (components only grow along a timeline), and a
-//    keyframe terminates the walk.
+// Every VC is a dense int32 vector in one append-only arena: one component
+// read answers Q1, and a VC comparison is a scan over two contiguous spans.
 //
 // Assignment is a Kahn-style topological traversal, *incremental* by
 // design: a periodic run resumes from the frontier of each timeline and only
@@ -36,22 +24,14 @@
 // assigned must already be persisted. Edges added later between
 // already-assigned events would invalidate their clocks; reassign_all()
 // recomputes from scratch for such offline scenarios, and repair() heals the
-// forward closure of a late edge in place. Delta encoding stays sound under
-// repair() because the intra encoder chains consecutive timeline events with
-// an explicit edge: a timeline predecessor is always a graph predecessor, so
-// the repair closure contains every delta descendant of a raised clock and
-// the Kahn order rewrites each delta against its already-final base.
+// forward closure of a late edge in place.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -59,25 +39,10 @@
 
 namespace horus {
 
-/// VC storage backend of a ClockTable. Threaded from the CLI / service
-/// options down through ClockDaemon and LogicalClockAssigner.
-enum class ClockMode : std::uint8_t {
-  kFlat = 0,    ///< dense per-event vectors in one flat arena
-  kSparse = 1,  ///< per-timeline delta lanes with periodic keyframes
-};
-
-[[nodiscard]] constexpr const char* to_string(ClockMode mode) noexcept {
-  return mode == ClockMode::kSparse ? "sparse" : "flat";
-}
-
-/// Parses "flat" / "sparse"; nullopt on anything else (the CLI turns that
-/// into a usage error).
-[[nodiscard]] std::optional<ClockMode> parse_clock_mode(std::string_view text);
-
-/// A structurally valid clock-table record whose version or storage mode
-/// this binary does not support (e.g. a checkpoint written by a newer
-/// build). Distinct from plain HorusError corruption so restore paths can
-/// report "upgrade the binary" instead of "your checkpoint is damaged".
+/// A structurally valid clock-table record whose version this binary does
+/// not support (e.g. a checkpoint written by another build). Distinct from
+/// plain HorusError corruption so restore paths can report "unsupported
+/// format" instead of "your checkpoint is damaged".
 class ClockFormatError : public HorusError {
  public:
   using HorusError::HorusError;
@@ -86,43 +51,33 @@ class ClockFormatError : public HorusError {
 /// Dense per-node clock storage, indexed by graph::NodeId.
 class ClockTable {
  public:
-  static constexpr std::int32_t kDefaultKeyframeInterval = 16;
-
-  ClockTable() = default;
-  explicit ClockTable(ClockMode mode,
-                      std::int32_t keyframe_interval = kDefaultKeyframeInterval)
-      : mode_(mode),
-        keyframe_interval_(keyframe_interval < 1 ? 1 : keyframe_interval) {}
-
-  [[nodiscard]] ClockMode mode() const noexcept { return mode_; }
-  [[nodiscard]] std::int32_t keyframe_interval() const noexcept {
-    return keyframe_interval_;
-  }
-
   /// Lamport clock of a node (0 = not yet assigned).
   [[nodiscard]] std::int64_t lamport(graph::NodeId node) const {
     return node < lamport_.size() ? lamport_[node] : 0;
   }
 
-  /// Vector clock of a node as a dense span. Component i corresponds to
-  /// timeline i; the span may be shorter than the current timeline count
-  /// (missing components are zero — timelines discovered later than the
-  /// event's assignment).
-  ///
-  /// kFlat: a view into the arena (scratch untouched), valid until the next
-  /// assign()/repair()/reassign_all(). kSparse: reconstructed into
-  /// `scratch`, valid until the caller reuses the scratch. Either way the
-  /// span must be consumed before the table or the scratch is written again
-  /// — holding it across a mutation is the stale-span bug this API shape
-  /// exists to prevent.
+  /// Vector clock of a node as a view into the arena. Component i
+  /// corresponds to timeline i; the span may be shorter than the current
+  /// timeline count (missing components are zero — timelines discovered
+  /// later than the event's assignment). Valid until the next
+  /// assign()/repair()/reassign_all(): consume it before the table is
+  /// written again.
   [[nodiscard]] std::span<const std::int32_t> vc_span(
-      graph::NodeId node, std::vector<std::int32_t>& scratch) const;
+      graph::NodeId node) const {
+    if (!assigned(node) || node >= vc_slots_.size()) return {};
+    const VcSlot s = vc_slots_[node];
+    return {vc_arena_.data() + s.offset, s.len};
+  }
 
   /// Single component VC(node)[timeline] (0 when absent/unassigned).
-  /// kFlat: one arena read. kSparse: delta-chain walk bounded by the
-  /// keyframe interval, binary-searching each record.
   [[nodiscard]] std::int32_t vc_component(graph::NodeId node,
-                                          std::int32_t timeline) const;
+                                          std::int32_t timeline) const {
+    if (timeline < 0) return 0;
+    const auto vc = vc_span(node);
+    return static_cast<std::size_t>(timeline) < vc.size()
+               ? vc[static_cast<std::size_t>(timeline)]
+               : 0;
+  }
 
   /// Timeline index of a node (-1 if unassigned).
   [[nodiscard]] std::int32_t timeline_of(graph::NodeId node) const {
@@ -142,19 +97,14 @@ class ClockTable {
     return timeline_names_.size();
   }
 
-  /// Elements in the flat VC arena (0 in sparse mode); kept for the flat
-  /// arena-size instrumentation and tests.
-  [[nodiscard]] std::size_t vc_arena_size() const noexcept {
-    return vc_arena_.size();
+  /// Resident bytes of the VC store itself: the arena plus its slots.
+  /// Shared bookkeeping (lamports, timeline/position columns) is excluded;
+  /// the clock daemon exports this as the clock-bytes gauge and
+  /// bench_clocks derives bytes/event from it.
+  [[nodiscard]] std::size_t clock_bytes() const noexcept {
+    return vc_arena_.size() * sizeof(std::int32_t) +
+           vc_slots_.size() * sizeof(VcSlot);
   }
-
-  /// Resident bytes of the VC store itself, mode-aware: the flat arena plus
-  /// its slots, or the sparse lanes (entries, record offsets, flags, node
-  /// map) plus repair overflow records. Shared bookkeeping (lamports,
-  /// timeline/position columns) is excluded from both so the two modes
-  /// compare like for like; the clock daemon exports this as the
-  /// clock-bytes gauge and bench_clocks derives bytes/event from it.
-  [[nodiscard]] std::size_t clock_bytes() const noexcept;
 
   [[nodiscard]] const std::string& timeline_name(std::int32_t index) const {
     return timeline_names_[static_cast<std::size_t>(index)];
@@ -162,7 +112,6 @@ class ClockTable {
 
   /// O(1) happens-before test via the Fidge/Mattern property:
   /// a -> b  iff  VC(b)[timeline(a)] >= position(a), for a != b.
-  /// (Sparse mode pays the bounded vc_component walk instead of O(1).)
   [[nodiscard]] bool happens_before(graph::NodeId a, graph::NodeId b) const;
 
   /// Full vector comparison VC(a) < VC(b) (component-wise <=, somewhere <).
@@ -174,10 +123,8 @@ class ClockTable {
   /// count (display/ShiViz export).
   [[nodiscard]] std::string vc_string(graph::NodeId node) const;
 
-  /// Serializes the full table into a framed binary record (magic, length
-  /// prefix, CRC-32 trailer). Flat tables write the HORUSVC1 record
-  /// unchanged from earlier releases; sparse tables write HORUSVC2 with a
-  /// storage-mode byte. The format pairs with load(); the service
+  /// Serializes the full table into a framed HORUSVC1 record (magic, length
+  /// prefix, CRC-32 trailer). The format pairs with load(); the service
   /// checkpoint writes this next to the graph snapshot so a restarted
   /// daemon resumes incremental assignment instead of recomputing every
   /// clock.
@@ -185,78 +132,23 @@ class ClockTable {
 
   /// Parses a record written by save(). Throws HorusError on a truncated,
   /// corrupt, or internally inconsistent record (bad magic, short read, CRC
-  /// mismatch, slot pointing outside the arena), and ClockFormatError on a
-  /// structurally sound record whose version or mode byte this binary does
-  /// not understand.
+  /// mismatch, slot pointing outside the arena, an assigned node whose
+  /// timeline, position or own component contradicts the table), and
+  /// ClockFormatError on a structurally sound record whose version digit is
+  /// not 1.
   [[nodiscard]] static ClockTable load(std::istream& in);
 
  private:
   friend class LogicalClockAssigner;
 
-  /// Offset/length of a node's clock inside the flat arena.
+  /// Offset/length of a node's clock inside the arena.
   struct VcSlot {
     std::uint32_t offset = 0;
     std::uint32_t len = 0;
   };
 
-  /// Per-timeline delta storage (kSparse). Record r (1-based position r)
-  /// occupies entries [rec_end[r-2], rec_end[r-1]) of the entry arrays —
-  /// contiguous per timeline, so a reconstruction walk reads backward
-  /// through one array instead of chasing pointers across a global arena.
-  struct SparseLane {
-    std::vector<std::int32_t> entry_tl;   ///< component timeline ids (asc)
-    std::vector<std::int32_t> entry_val;  ///< component values
-    std::vector<std::uint32_t> rec_end;   ///< exclusive end per position
-    std::vector<std::uint8_t> flags;      ///< kKeyframeFlag | kOverflowFlag
-  };
-  static constexpr std::uint8_t kKeyframeFlag = 1;
-  static constexpr std::uint8_t kOverflowFlag = 2;
-  /// Entry padding left behind when a repair shrinks a record in place;
-  /// walkers skip it, and it sorts after every real timeline id so record
-  /// binary searches stay valid.
-  static constexpr std::int32_t kPadTimeline =
-      std::numeric_limits<std::int32_t>::max();
-
-  using SparseRecord = std::vector<std::pair<std::int32_t, std::int32_t>>;
-
-  /// Invokes fn(timeline, value) for every entry of the delta chain ending
-  /// at (timeline t, position pos), latest record first, stopping after the
-  /// nearest keyframe. First occurrence of a component is its current
-  /// value; max over all occurrences equals it too (components only grow).
-  template <typename Fn>
-  void walk_sparse(std::int32_t t, std::int32_t pos, Fn&& fn) const;
-
-  /// Reconstructs (t, pos) into `dense` (zero-filled to timeline_count());
-  /// returns the used length (max component index + 1).
-  std::size_t reconstruct_dense(std::int32_t t, std::int32_t pos,
-                                std::vector<std::int32_t>& dense) const;
-
-  /// Appends the VC of node v (dense in `vc`, timeline t, 1-based pos) as a
-  /// sparse record: keyframe on the periodic boundary or when the delta
-  /// against the timeline predecessor would not be smaller, delta
-  /// otherwise. `tp_scratch` is caller-provided dense scratch.
-  void append_sparse(graph::NodeId v, std::int32_t t, std::int32_t pos,
-                     std::span<const std::int32_t> vc,
-                     std::vector<std::int32_t>& tp_scratch);
-
-  /// Rewrites the existing record of v after a repair raised its VC. Keeps
-  /// keyframes keyframes (walks of descendants stay bounded), may promote a
-  /// grown delta to a keyframe, and spills records that outgrow their lane
-  /// window into overflow_ (rare: repairs only).
-  void rewrite_sparse(graph::NodeId v, std::int32_t t, std::int32_t pos,
-                      std::span<const std::int32_t> vc,
-                      std::vector<std::int32_t>& tp_scratch);
-
-  /// Collects the record for (vc, keyframe-or-delta-vs-tp) into `record`.
-  /// `tp_len` is the used length of tp_scratch (delta base); pass 0 with
-  /// keyframe=true. Returns whether the record ended up a keyframe (deltas
-  /// no smaller than the full sparse form are promoted).
-  bool build_sparse_record(std::span<const std::int32_t> vc, bool keyframe,
-                           const std::vector<std::int32_t>& tp,
-                           std::size_t tp_len, SparseRecord& record) const;
-
   std::vector<std::int64_t> lamport_;
-  std::vector<std::int32_t> vc_arena_;  ///< kFlat: all VCs, back to back
+  std::vector<std::int32_t> vc_arena_;  ///< all VCs, back to back
   std::vector<VcSlot> vc_slots_;
   std::vector<std::int32_t> timeline_of_;
   std::vector<std::int32_t> position_;
@@ -265,20 +157,6 @@ class ClockTable {
                      std::equal_to<>>
       timeline_ids_;
   std::vector<std::int32_t> timeline_sizes_;  ///< events assigned per timeline
-
-  ClockMode mode_ = ClockMode::kFlat;
-  std::int32_t keyframe_interval_ = kDefaultKeyframeInterval;
-  std::vector<SparseLane> lanes_;  ///< kSparse: one lane per timeline
-  /// Repaired records that outgrew their lane window (kOverflowFlag set on
-  /// the position): full replacement entry lists, keyed by
-  /// (timeline << 32 | position).
-  std::unordered_map<std::uint64_t, SparseRecord> overflow_;
-
-  static constexpr std::uint64_t overflow_key(std::int32_t t,
-                                              std::int32_t pos) noexcept {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)) << 32) |
-           static_cast<std::uint32_t>(pos);
-  }
 };
 
 class LogicalClockAssigner {
@@ -288,13 +166,6 @@ class LogicalClockAssigner {
     /// ordered index). Disable only for throughput experiments that measure
     /// the traversal alone.
     bool write_lamport_property = true;
-    /// VC storage backend (see ClockMode). Both modes produce identical
-    /// clocks — the `clocks` differential suite holds them row-for-row
-    /// equal — they differ in bytes/event and lookup cost only.
-    ClockMode mode = ClockMode::kFlat;
-    /// Sparse mode: full keyframe every this many positions per timeline
-    /// (bounds the reconstruction walk). Ignored in flat mode.
-    std::int32_t keyframe_interval = ClockTable::kDefaultKeyframeInterval;
   };
 
   explicit LogicalClockAssigner(ExecutionGraph& graph)
@@ -308,8 +179,7 @@ class LogicalClockAssigner {
   /// (which would mean the encoders produced a non-DAG).
   std::size_t assign();
 
-  /// Drops all state and recomputes every clock from scratch (keeping the
-  /// configured storage mode).
+  /// Drops all state and recomputes every clock from scratch.
   std::size_t reassign_all();
 
   /// Targeted heal for edges that landed after both endpoints were assigned
@@ -327,9 +197,7 @@ class LogicalClockAssigner {
   std::size_t repair(std::span<const graph::NodeId> dirty_roots);
 
   /// Replaces all assigner state with a table previously produced by
-  /// ClockTable::save()/load(). The table's own storage mode wins (a
-  /// checkpoint written in sparse mode restores sparse regardless of this
-  /// assigner's configured default). The pool-id cache is invalidated (the
+  /// ClockTable::save()/load(). The pool-id cache is invalidated (the
   /// restored table's timeline ids need not match the current store's
   /// interning order); the next assign() resumes incrementally from the
   /// restored frontier.
@@ -343,14 +211,12 @@ class LogicalClockAssigner {
   std::int32_t timeline_for_pool(std::uint32_t pool_id);
 
   /// Component-wise max of VC(pred) into the dense accumulator (resizing as
-  /// needed) — the storage-mode-aware half of the Kahn recurrence.
+  /// needed) — the merge half of the Kahn recurrence.
   void merge_pred_vc(graph::NodeId pred, std::vector<std::int32_t>& acc) const;
 
-  /// Stores the freshly computed clock of v (assign path: always a new
-  /// record/slot).
-  void store_new_vc(graph::NodeId v, std::int32_t t, std::int32_t pos,
-                    const std::vector<std::int32_t>& vc,
-                    std::vector<std::int32_t>& tp_scratch);
+  /// Appends `vc` to the arena as v's slot (assign path, and repair when
+  /// the raised clock outgrew the old slot).
+  void append_vc(graph::NodeId v, const std::vector<std::int32_t>& vc);
 
   ExecutionGraph& graph_;
   Options options_;

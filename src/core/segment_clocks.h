@@ -17,13 +17,8 @@ namespace horus {
 
 /// ClockLookup view over a ClockTable. The table must outlive the returned
 /// function and must not be concurrently reassigned while summaries build
-/// (callers run it after a tick/seal, which holds the relevant lock).
-///
-/// The produced span is backed by a thread-local scratch (sparse tables
-/// reconstruct into it; flat tables hand out an arena view) — parallel
-/// summary builds share one lookup across pool threads, and the summary
-/// builder consumes each span before requesting the next node, so
-/// thread-local is exactly the required lifetime.
+/// (callers run it after a tick/seal, which holds the relevant lock), so
+/// the produced arena span stays valid while the summary builder reads it.
 [[nodiscard]] inline graph::ClockLookup segment_clock_lookup(
     const ClockTable& clocks) {
   return [&clocks](graph::NodeId node, std::int32_t& timeline,
@@ -32,8 +27,7 @@ namespace horus {
     if (!clocks.assigned(node)) return false;
     timeline = clocks.timeline_of(node);
     position = clocks.position(node);
-    static thread_local std::vector<std::int32_t> scratch;
-    vc = clocks.vc_span(node, scratch);
+    vc = clocks.vc_span(node);
     return timeline >= 0 && position > 0;
   };
 }

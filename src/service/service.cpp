@@ -45,8 +45,7 @@ HorusService::HorusService(queue::Broker& broker, ExecutionGraph& graph,
       wal_dir_(options_.pipeline.wal_dir),
       pipeline_(broker, graph, options_.pipeline),
       daemon_(graph,
-              ClockDaemon::Options{.interval_ms = options_.clock_interval_ms,
-                                   .mode = options_.clock_mode}),
+              ClockDaemon::Options{.interval_ms = options_.clock_interval_ms}),
       checkpoints_(CheckpointOptions{options_.data_dir + "/checkpoints",
                                      options_.checkpoint_keep_epochs}),
       controller_(options_.thresholds) {
@@ -75,49 +74,56 @@ void HorusService::start(TrafficSource source) {
   stopping_.store(false);
   killed_.store(false);
 
-  if (const auto info = checkpoints_.latest()) {
-    if (graph_.event_count() != 0) {
-      running_.store(false);
-      throw std::logic_error(
-          "service: restore requires an empty graph (got " +
-          std::to_string(graph_.event_count()) + " events)");
-    }
-    CheckpointStore::Restored restored =
-        checkpoints_.restore(graph_, wal_dir_);
-    daemon_.restore_clocks(std::move(restored.clocks));
-    // The checkpoint only records groups that had committed by the cut; a
-    // group whose first commit landed after it is absent from the snapshot,
-    // and the dead incarnation's later commit must not survive for it (the
-    // replay window would be skipped). Reset to zero first so absent means
-    // "nothing committed at the cut", then seek the recorded ones.
-    broker_.reset_group_offsets("horus-");
-    broker_.seek_offsets(restored.offsets);
-    restored_epoch_ = restored.epoch;
-    setup_segments(restored.sealed_segments);
-    if (graph_.store().segments() != nullptr) {
-      // Adopted segments come back summary-stale; build from the restored
-      // clocks now so pruning is live before the first assignment pass.
-      daemon_.with_clocks([this](const ClockTable& clocks) {
-        return update_segment_summaries(graph_.store(), clocks,
-                                        /*force=*/true);
-      });
-    }
-    diag(DiagLevel::kInfo, "service",
-         "restored checkpoint epoch " + std::to_string(restored.epoch) +
-             " (" + std::to_string(graph_.event_count()) +
-             " events); replaying queue from checkpointed offsets");
-  } else {
-    // Cold start: whatever offsets/WAL a previous (checkpoint-less)
-    // incarnation left would skip the replay window — clear both so the
-    // full queue replays into the empty graph.
-    broker_.reset_group_offsets("horus-");
-    if (fs::exists(wal_dir_)) {
-      for (const auto& entry : fs::directory_iterator(wal_dir_)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("inter-", 0) == 0) fs::remove(entry.path());
+  // A start that throws before the loops run leaves the daemon stopped, so
+  // stop() and the destructor cannot publish a checkpoint of a half-restored
+  // graph as the newest epoch over the one that failed to load.
+  try {
+    if (const auto info = checkpoints_.latest()) {
+      if (graph_.event_count() != 0) {
+        throw std::logic_error(
+            "service: restore requires an empty graph (got " +
+            std::to_string(graph_.event_count()) + " events)");
       }
+      CheckpointStore::Restored restored =
+          checkpoints_.restore(graph_, wal_dir_);
+      daemon_.restore_clocks(std::move(restored.clocks));
+      // The checkpoint only records groups that had committed by the cut; a
+      // group whose first commit landed after it is absent from the snapshot,
+      // and the dead incarnation's later commit must not survive for it (the
+      // replay window would be skipped). Reset to zero first so absent means
+      // "nothing committed at the cut", then seek the recorded ones.
+      broker_.reset_group_offsets("horus-");
+      broker_.seek_offsets(restored.offsets);
+      restored_epoch_ = restored.epoch;
+      setup_segments(restored.sealed_segments);
+      if (graph_.store().segments() != nullptr) {
+        // Adopted segments come back summary-stale; build from the restored
+        // clocks now so pruning is live before the first assignment pass.
+        daemon_.with_clocks([this](const ClockTable& clocks) {
+          return update_segment_summaries(graph_.store(), clocks,
+                                          /*force=*/true);
+        });
+      }
+      diag(DiagLevel::kInfo, "service",
+           "restored checkpoint epoch " + std::to_string(restored.epoch) +
+               " (" + std::to_string(graph_.event_count()) +
+               " events); replaying queue from checkpointed offsets");
+    } else {
+      // Cold start: whatever offsets/WAL a previous (checkpoint-less)
+      // incarnation left would skip the replay window — clear both so the
+      // full queue replays into the empty graph.
+      broker_.reset_group_offsets("horus-");
+      if (fs::exists(wal_dir_)) {
+        for (const auto& entry : fs::directory_iterator(wal_dir_)) {
+          const std::string name = entry.path().filename().string();
+          if (name.rfind("inter-", 0) == 0) fs::remove(entry.path());
+        }
+      }
+      setup_segments({});
     }
-    setup_segments({});
+  } catch (...) {
+    running_.store(false);
+    throw;
   }
 
   pipeline_.start();

@@ -59,10 +59,6 @@ struct ServiceOptions {
 
   int checkpoint_interval_ms = 500;
   int clock_interval_ms = 25;
-  /// VC storage backend for the clock daemon (flat arena vs sparse delta
-  /// lanes, see ClockMode). A checkpoint restore adopts the restored
-  /// table's own mode regardless of this default.
-  ClockMode clock_mode = ClockMode::kFlat;
   int supervisor_interval_ms = 50;
   int traffic_interval_ms = 5;  ///< sleep between exhausted-source polls
 

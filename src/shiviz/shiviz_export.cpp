@@ -56,7 +56,6 @@ std::string export_events(const ExecutionGraph& graph, const ClockTable& clocks,
   };
 
   std::string out;
-  std::vector<std::int32_t> vc_scratch;
   for (const graph::NodeId node : ordered) {
     if (!clocks.assigned(node)) continue;
     const std::string& label = store.node_label(node);
@@ -66,7 +65,7 @@ std::string export_events(const ExecutionGraph& graph, const ClockTable& clocks,
     // for components must be resolvable even if no exported event shows
     // them; fall back to the stored timeline name.
     Json clock = Json::object();
-    const auto vc = clocks.vc_span(node, vc_scratch);
+    const auto vc = clocks.vc_span(node);
     for (std::size_t i = 0; i < vc.size(); ++i) {
       if (vc[i] == 0) continue;
       auto it = lanes.find(static_cast<std::int32_t>(i));

@@ -5,6 +5,7 @@
 
 #include "adapters/file_source.h"
 #include "adapters/logrus_adapter.h"
+#include "scoped_temp_dir.h"
 #include "tracer/probe_record.h"
 
 namespace horus {
@@ -86,20 +87,13 @@ TEST(LogrusAdapterTest, RejectsIncompleteLines) {
 
 class FileSourceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "horus_file_source_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   void append(const std::string& name, const std::string& text) {
-    std::ofstream out(dir_ / name, std::ios::app | std::ios::binary);
+    std::ofstream out(dir_.path() / name, std::ios::app | std::ios::binary);
     out << text;
   }
 
   [[nodiscard]] std::string path(const std::string& name) const {
-    return (dir_ / name).string();
+    return dir_.file(name);
   }
 
   static std::string log4j_line(const std::string& message, TimeNs ts) {
@@ -111,7 +105,7 @@ class FileSourceTest : public ::testing::Test {
     return record.to_json_line() + "\n";
   }
 
-  std::filesystem::path dir_;
+  ScopedTempDir dir_{"logs"};
 };
 
 TEST_F(FileSourceTest, ShipsAppendedLinesAcrossPolls) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "core/causal_query.h"
@@ -37,12 +38,15 @@ std::unique_ptr<Horus> build(std::vector<Event> events) {
   return horus;
 }
 
+// gtest names each instance after the raw bytes of its parameter; every
+// field is 8 bytes wide so there is no uninitialised padding in the name.
 struct PropertyCase {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
-  int pairs;  ///< random (a, b) pairs probed
+  std::int64_t pairs;  ///< random (a, b) pairs probed
 };
+static_assert(std::has_unique_object_representations_v<PropertyCase>);
 
 class CausalPropertyTest : public ::testing::TestWithParam<PropertyCase> {
  protected:

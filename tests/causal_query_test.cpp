@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "core/horus.h"
 #include "gen/synthetic.h"
@@ -51,11 +53,14 @@ TEST(CausalQueryTest, Q2MatchesTraversalBaselineOnClientServer) {
   EXPECT_EQ(sorted_nodes, baseline.nodes);
 }
 
+// gtest names each instance after the raw bytes of its parameter; every
+// field is 8 bytes wide so there is no uninitialised padding in the name.
 struct Q2Case {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<Q2Case>);
 
 class Q2PropertyTest : public ::testing::TestWithParam<Q2Case> {};
 

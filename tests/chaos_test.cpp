@@ -4,7 +4,6 @@
 // parallel, index vs traversal Q2, Falcon solver, timestamp ordering).
 // The sanitize (TSan) and asan presets run this label too.
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -14,19 +13,17 @@
 
 #include "gen/chaos.h"
 #include "gen/topology.h"
+#include "scoped_temp_dir.h"
 
 namespace horus {
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr std::uint64_t kSuiteSeed = 7;
 
-std::string wal_dir_for(const std::string& tag) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("horus-chaos-" + tag)).string();
-  fs::remove_all(dir);
-  return dir;
+/// Runs a scenario with its WAL under a per-test scratch directory.
+gen::ChaosRunResult run_in_scratch(const gen::ChaosScenario& scenario) {
+  const ScopedTempDir dir(scenario.name);
+  return gen::run_chaos_scenario(scenario, dir.file("wal"));
 }
 
 gen::ChaosScenario scenario_named(const std::string& name) {
@@ -146,16 +143,14 @@ TEST(TopologyGeneratorTest, CrossProcessShufflePreservesTimelineOrder) {
 TEST(ChaosScenarioTest, ReorderAcrossRebalance) {
   const gen::ChaosScenario scenario = scenario_named("reorder_rebalance");
   ASSERT_TRUE(scenario.rebalance);
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
   EXPECT_GT(run.report.events, 1000u);
 }
 
 TEST(ChaosScenarioTest, ClockDriftTenfold) {
   const gen::ChaosScenario scenario = scenario_named("clock_drift_x10");
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
   // Drift 10x beyond the paper's skew makes wall-clock order lie about
   // causal order — the whole point of the scenario.
@@ -165,15 +160,13 @@ TEST(ChaosScenarioTest, ClockDriftTenfold) {
 TEST(ChaosScenarioTest, RetryStorm) {
   const gen::ChaosScenario scenario = scenario_named("retry_storm");
   EXPECT_GT(scenario.topology.retry_storm_p, 0.0);
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
 }
 
 TEST(ChaosScenarioTest, CrashRecoverMidRequest) {
   const gen::ChaosScenario scenario = scenario_named("crash_recover");
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
   EXPECT_GT(run.report.injected_crashes, 0u);
   EXPECT_GT(run.report.pipeline_recoveries, 0u);
@@ -183,16 +176,14 @@ TEST(ChaosScenarioTest, CrashRecoverMidRequest) {
 TEST(ChaosScenarioTest, LongDependencyChains) {
   const gen::ChaosScenario scenario = scenario_named("long_chain");
   ASSERT_GT(scenario.topology.chain_length, 0);
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
 }
 
 TEST(ChaosScenarioTest, CrossRequestContention) {
   const gen::ChaosScenario scenario = scenario_named("contention");
   ASSERT_GT(scenario.topology.contention_services, 0);
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
 }
 
@@ -202,8 +193,7 @@ TEST(ChaosScenarioTest, DaemonRestart) {
   // differential leg — checkpoint/restore is invisible to correctness.
   const gen::ChaosScenario scenario = scenario_named("daemon_restart");
   ASSERT_TRUE(scenario.daemon_restart);
-  const gen::ChaosRunResult run =
-      gen::run_chaos_scenario(scenario, wal_dir_for(scenario.name));
+  const gen::ChaosRunResult run = run_in_scratch(scenario);
   expect_all_legs_agree(run.report);
   EXPECT_GT(run.report.events, 1000u);
 }

@@ -1,6 +1,5 @@
 #include "core/clock_daemon.h"
 
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include "gen/topology.h"
 #include "graph/segment.h"
 #include "queue/broker.h"
+#include "scoped_temp_dir.h"
 
 namespace horus {
 namespace {
@@ -70,6 +70,7 @@ TEST(ClockDaemonTest, HealsAfterLateEdge) {
 }
 
 TEST(ClockDaemonTest, TargetedHealLeavesEvictedSegmentsAlone) {
+  const ScopedTempDir spill("spill");  // outlives the graph's spill files
   ExecutionGraph graph;
   IntraProcessEncoder intra(graph, {});
   InterProcessEncoder inter(graph);
@@ -94,12 +95,9 @@ TEST(ClockDaemonTest, TargetedHealLeavesEvictedSegmentsAlone) {
   // Segment the prefix and spill every sealed segment except the newest one
   // (the intra encoders still chain each host's next event to its latest
   // node, which must stay resident for the late batch to append cleanly).
-  const std::string spill =
-      (std::filesystem::path(::testing::TempDir()) / "heal-evict").string();
-  std::filesystem::remove_all(spill);
   graph::SegmentOptions seg_options;
   seg_options.nodes_per_segment = 32;
-  seg_options.spill_dir = spill;
+  seg_options.spill_dir = spill.str();
   seg_options.auto_evict = false;
   graph::SegmentManager& segments = enable_segments(graph, seg_options);
   graph::SegmentId newest_sealed = graph::kNoSegment;
@@ -150,7 +148,6 @@ TEST(ClockDaemonTest, TargetedHealLeavesEvictedSegmentsAlone) {
           << "Q1(" << a << ", " << b << ")";
     }
   }
-  std::filesystem::remove_all(spill);
 }
 
 TEST(ClockDaemonTest, OnlineMonitoringOverLivePipeline) {

@@ -4,18 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 
 #include "adapters/file_source.h"
 #include "common/json.h"
 #include "core/pipeline.h"
+#include "scoped_temp_dir.h"
 #include "tracer/probe_record.h"
 
 namespace horus {
 namespace {
-
-namespace fs = std::filesystem;
 
 Event log_event(std::uint64_t id, TimeNs ts) {
   Event e;
@@ -81,10 +79,8 @@ TEST(DeadLetterTest, GarbageAndInvalidEventsLandInDlq) {
 }
 
 TEST(DeadLetterTest, FileSourceRoutesMalformedLinesToDlq) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "horus-dlq-logs";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string log_path = (dir / "app.log").string();
+  const ScopedTempDir dir("logs");
+  const std::string log_path = dir.file("app.log");
 
   auto log4j_line = [](const std::string& message, TimeNs ts) {
     sim::LogRecord record;

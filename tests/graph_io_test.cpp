@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 
 #include "core/horus.h"
 #include "core/validator.h"
 #include "gen/synthetic.h"
+#include "scoped_temp_dir.h"
 
 namespace horus {
 namespace {
@@ -76,9 +76,8 @@ TEST(GraphIoTest, DeterministicOutput) {
 }
 
 TEST(ExecutionGraphIoTest, SnapshotPreservesCausalAnswers) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "horus_exec_graph_test")
-          .string();
+  const ScopedTempDir dir("snapshot");
+  const std::string path = dir.file("graph.hgraph");
 
   Horus original;
   gen::RandomExecutionOptions gen_options;
@@ -114,7 +113,6 @@ TEST(ExecutionGraphIoTest, SnapshotPreservesCausalAnswers) {
 
   // Invariants hold on the reloaded graph too.
   EXPECT_TRUE(validate_graph(reloaded, assigner.clocks()).ok());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/horus.h"
 #include "gen/synthetic.h"
 #include "graph/traversal.h"
@@ -51,11 +54,14 @@ TEST(LogicalClocksTest, VcAgreesWithReachabilityOnClientServer) {
   }
 }
 
+// gtest names each instance after the raw bytes of its parameter; every
+// field is 8 bytes wide so there is no uninitialised padding in the name.
 struct RandomExecCase {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<RandomExecCase>);
 
 class VcPropertyTest : public ::testing::TestWithParam<RandomExecCase> {};
 

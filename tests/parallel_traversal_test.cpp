@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -93,11 +94,14 @@ std::unique_ptr<Horus> build(std::vector<Event> events) {
 // Traversal layer: random DAGs, sequential vs. frontier-parallel.
 // ---------------------------------------------------------------------------
 
+// gtest names each instance after the raw bytes of its parameter; every
+// field is 8 bytes wide so there is no uninitialised padding in the name.
 struct DagCase {
   std::size_t nodes;
   std::uint64_t seed;
-  int pairs;  ///< random (from, to) pairs probed per thread count
+  std::int64_t pairs;  ///< random (from, to) pairs probed per thread count
 };
+static_assert(std::has_unique_object_representations_v<DagCase>);
 
 class ParallelTraversalTest : public ::testing::TestWithParam<DagCase> {};
 
@@ -176,11 +180,13 @@ INSTANTIATE_TEST_SUITE_P(
 // executions.
 // ---------------------------------------------------------------------------
 
+// 8-byte fields only, as for DagCase.
 struct EngineCase {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<EngineCase>);
 
 class ParallelEngineTest : public ::testing::TestWithParam<EngineCase> {};
 

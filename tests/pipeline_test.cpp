@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/horus.h"
 #include "core/logical_clocks.h"
 #include "gen/synthetic.h"
@@ -99,11 +102,15 @@ TEST(PipelineTest, RoutingKeyKeepsPairsTogether) {
   EXPECT_EQ(inter_routing_key(end), inter_routing_key(join));
 }
 
+// gtest names each instance after the raw bytes of its parameter; every
+// field is 8 bytes wide so there is no uninitialised padding in the name.
 struct RandomPipelineCase {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
 };
+static_assert(
+    std::has_unique_object_representations_v<RandomPipelineCase>);
 
 class PipelineRandomExecutionTest
     : public ::testing::TestWithParam<RandomPipelineCase> {};

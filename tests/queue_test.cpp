@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <thread>
 
 #include "queue/broker.h"
 #include "queue/consumer.h"
+#include "scoped_temp_dir.h"
 
 namespace horus::queue {
 namespace {
@@ -58,8 +58,8 @@ TEST(PartitionTest, FetchWaitWakesOnAppend) {
 }
 
 TEST(PartitionTest, PersistAndLoadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "horus_part_test.log").string();
+  const ScopedTempDir dir("partition");
+  const std::string path = dir.file("part.log");
   Partition p;
   p.append("key with spaces", "value \"quoted\"\nnewline");
   p.append("k2", "v2");
@@ -72,7 +72,6 @@ TEST(PartitionTest, PersistAndLoadRoundTrip) {
   q.fetch(0, 10, out);
   EXPECT_EQ(out[0].key, "key with spaces");
   EXPECT_EQ(out[0].value, "value \"quoted\"\nnewline");
-  std::filesystem::remove(path);
 }
 
 TEST(TopicTest, KeyAffinityIsStable) {
@@ -114,9 +113,8 @@ TEST(BrokerTest, OffsetsDefaultToZero) {
 }
 
 TEST(BrokerTest, PersistAndLoad) {
-  const auto dir =
-      (std::filesystem::temp_directory_path() / "horus_broker_test").string();
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir scratch("broker");
+  const std::string dir = scratch.file("state");
   {
     Broker b;
     Topic& t = b.create_topic("events", 2);
@@ -130,7 +128,6 @@ TEST(BrokerTest, PersistAndLoad) {
   EXPECT_TRUE(b2.has_topic("events"));
   EXPECT_EQ(b2.topic("events").total_messages(), 2u);
   EXPECT_EQ(b2.committed_offset("g", "events", 0), 1u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ConsumerTest, PollDrainsAssignedPartitions) {

@@ -14,6 +14,7 @@
 #include "core/pipeline.h"
 #include "gen/synthetic.h"
 #include "queue/fault.h"
+#include "scoped_temp_dir.h"
 
 namespace horus {
 namespace {
@@ -122,9 +123,8 @@ PipelineOptions small_pipeline_options() {
 // arrives only in the next incarnation. With a WAL directory the pending
 // SND survives and the HB edge is produced.
 TEST(DurablePairingTest, PendingPairSurvivesInterWorkerRestart) {
-  const std::string wal_dir =
-      (fs::path(::testing::TempDir()) / "horus-wal-pairing").string();
-  fs::remove_all(wal_dir);
+  const ScopedTempDir scratch("wal");
+  const std::string wal_dir = scratch.file("wal");
 
   queue::Broker broker;
   ExecutionGraph graph;
@@ -263,9 +263,8 @@ void run_equivalence_case(const std::vector<Event>& events,
 
   // Distributed pipeline under crashes, duplicates, redeliveries, stalls
   // and transient failures, with the durable pairing spill enabled.
-  const std::string wal_dir =
-      (fs::path(::testing::TempDir()) / ("horus-wal-" + wal_tag)).string();
-  fs::remove_all(wal_dir);
+  const ScopedTempDir scratch("wal-" + wal_tag);
+  const std::string wal_dir = scratch.file("wal");
 
   queue::Broker broker;
   queue::FaultPlan plan;
@@ -333,9 +332,8 @@ TEST(DurablePairingTest, CrashRestartWithRedeliveredOffsetsIsIdempotent) {
   for (const Event& e : events) embedded.ingest(e);
   embedded.seal();
 
-  const std::string wal_dir =
-      (fs::path(::testing::TempDir()) / "horus-wal-redeliver").string();
-  fs::remove_all(wal_dir);
+  const ScopedTempDir scratch("wal");
+  const std::string wal_dir = scratch.file("wal");
 
   queue::Broker broker;
   queue::FaultPlan plan;
@@ -419,9 +417,8 @@ TEST(BrokerRobustnessTest, CommitToUnknownTopicWarnsButRecords) {
 }
 
 TEST(BrokerRobustnessTest, LoadReusesExistingTopicObjects) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / "horus-broker-reload").string();
-  fs::remove_all(dir);
+  const ScopedTempDir scratch("broker");
+  const std::string dir = scratch.file("state");
 
   queue::Broker broker;
   queue::Topic& topic = broker.create_topic("t", 2);

@@ -15,6 +15,7 @@
 
 #include "graph/graph_store.h"
 #include "graph/segment.h"
+#include "scoped_temp_dir.h"
 
 namespace horus::graph {
 namespace {
@@ -27,21 +28,6 @@ ClockLookup no_clocks() {
   return [](NodeId, std::int32_t&, std::int32_t&,
             std::span<const std::int32_t>&) { return false; };
 }
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& name)
-      : path_(fs::temp_directory_path() / name) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 /// Adds `n` nodes with a lamport-ish int property that grows with the id so
 /// sealed segments get disjoint value ranges, plus chain edges.
@@ -198,7 +184,7 @@ std::vector<NodeSnapshot> snapshot(const GraphStore& store) {
 }
 
 TEST(SegmentStoreTest, EvictReloadRoundTripsPayload) {
-  TempDir dir("horus_segment_evict_test");
+  ScopedTempDir dir("evict");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -230,7 +216,7 @@ TEST(SegmentStoreTest, EvictRefusesUnsealedPinnedAndSpilllessSegments) {
   EXPECT_EQ(no_spill.evict(0), 0u);  // no spill_dir configured
   EXPECT_TRUE(no_spill.is_resident(0));
 
-  TempDir dir("horus_segment_refuse_test");
+  ScopedTempDir dir("refuse");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -244,7 +230,7 @@ TEST(SegmentStoreTest, EvictRefusesUnsealedPinnedAndSpilllessSegments) {
 }
 
 TEST(SegmentStoreTest, PinFaultsInAndBlocksEviction) {
-  TempDir dir("horus_segment_pin_test");
+  ScopedTempDir dir("pin");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -258,7 +244,7 @@ TEST(SegmentStoreTest, PinFaultsInAndBlocksEviction) {
 }
 
 TEST(SegmentStoreTest, EvictToBudgetIsLru) {
-  TempDir dir("horus_segment_lru_test");
+  ScopedTempDir dir("lru");
   GraphStore store;
   SegmentOptions options = small_segments(dir.str());
   SegmentManager& segments = store.enable_segments(options);
@@ -289,7 +275,7 @@ TEST(SegmentStoreTest, EvictToBudgetIsLru) {
 }
 
 TEST(SegmentStoreTest, AutoEvictOnSealHoldsBudget) {
-  TempDir dir("horus_segment_autoevict_test");
+  ScopedTempDir dir("autoevict");
   GraphStore store;
   SegmentOptions options = small_segments(dir.str());
   options.auto_evict = true;
@@ -306,7 +292,7 @@ TEST(SegmentStoreTest, AutoEvictOnSealHoldsBudget) {
 }
 
 TEST(SegmentStoreTest, CorruptSpillFailsTypedAndStoreStaysUsable) {
-  TempDir dir("horus_segment_corrupt_test");
+  ScopedTempDir dir("corrupt");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -346,7 +332,7 @@ TEST(SegmentStoreTest, CorruptSpillFailsTypedAndStoreStaysUsable) {
 }
 
 TEST(SegmentStoreTest, SegmentFileRoundTripAndTamperDetection) {
-  TempDir dir("horus_segment_file_test");
+  ScopedTempDir dir("file");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments());
   fill(store, 20);
@@ -384,7 +370,7 @@ TEST(SegmentStoreTest, SegmentFileRoundTripAndTamperDetection) {
 }
 
 TEST(SegmentStoreTest, WriteSegmentFileCopiesCleanSpill) {
-  TempDir dir("horus_segment_spillcopy_test");
+  ScopedTempDir dir("spillcopy");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -489,7 +475,7 @@ TEST(SegmentStoreTest, SummaryRangeAndStalenessProtocol) {
 }
 
 TEST(SegmentStoreTest, WritesToEvictedNodesFaultIn) {
-  TempDir dir("horus_segment_write_fault_test");
+  ScopedTempDir dir("write_fault");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -510,7 +496,7 @@ TEST(SegmentStoreTest, WritesToEvictedNodesFaultIn) {
 }
 
 TEST(SegmentStoreTest, IndexBuildsAndLookupsSurviveEviction) {
-  TempDir dir("horus_segment_index_test");
+  ScopedTempDir dir("index");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);
@@ -532,7 +518,7 @@ TEST(SegmentStoreTest, IndexBuildsAndLookupsSurviveEviction) {
 }
 
 TEST(SegmentStoreTest, ReadHoldBlocksEvictionNotFaultIn) {
-  TempDir dir("horus_segment_hold_test");
+  ScopedTempDir dir("hold");
   GraphStore store;
   SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
   fill(store, 20);

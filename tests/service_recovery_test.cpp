@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,18 +25,14 @@
 #include "core/horus.h"
 #include "gen/topology.h"
 #include "queue/broker.h"
+#include "scoped_temp_dir.h"
 
 namespace horus {
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr int kSeeds = 50;
-/// Kill points of the segmented sweep (ISSUE: >= 25 seeded kill points).
+/// Kill points of the segmented sweep.
 constexpr int kSegmentedSeeds = 30;
-/// Kill points of the sparse-clock sweeps (PR 10: the kill/restart cycle
-/// runs once in each ClockMode).
-constexpr int kSparseSeeds = 25;
 
 struct EdgeTriple {
   std::uint64_t from;
@@ -47,11 +42,13 @@ struct EdgeTriple {
   [[nodiscard]] auto operator<=>(const EdgeTriple&) const = default;
 };
 
+/// Reads through the copying accessor: the restored daemon is still live,
+/// and its supervisor may evict (free) a segment's adjacency mid-walk.
 std::vector<EdgeTriple> edge_triples(const ExecutionGraph& graph) {
   std::vector<EdgeTriple> triples;
   const auto& store = graph.store();
   for (graph::NodeId v = 0; v < store.node_count(); ++v) {
-    for (const graph::Edge& e : store.out_edges(v)) {
+    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
       triples.push_back(EdgeTriple{value_of(graph.event_of(v)),
                                    value_of(graph.event_of(e.to)),
                                    store.edge_type_name(e.type)});
@@ -68,8 +65,7 @@ std::vector<EdgeTriple> edge_triples(const ExecutionGraph& graph) {
 std::map<std::string, std::int32_t> canonical_vc(const ClockTable& clocks,
                                                  graph::NodeId node) {
   std::map<std::string, std::int32_t> canonical;
-  std::vector<std::int32_t> scratch;
-  const auto vc = clocks.vc_span(node, scratch);
+  const auto vc = clocks.vc_span(node);
   for (std::size_t t = 0; t < vc.size(); ++t) {
     if (vc[t] != 0) {
       canonical[clocks.timeline_name(static_cast<std::int32_t>(t))] = vc[t];
@@ -83,10 +79,6 @@ std::map<std::string, std::int32_t> canonical_vc(const ClockTable& clocks,
 struct SegmentKnobs {
   std::uint32_t segment_nodes = 0;
   std::size_t budget_bytes = 0;
-  /// VC storage backend of both daemon incarnations. The fault-free
-  /// reference always runs flat, so a sparse sweep is also a cross-mode
-  /// differential check.
-  ClockMode clock_mode = ClockMode::kFlat;
 };
 
 service::ServiceOptions service_options(const std::string& data_dir,
@@ -105,7 +97,6 @@ service::ServiceOptions service_options(const std::string& data_dir,
   options.segment_nodes = knobs.segment_nodes;
   options.segment_shards = 3;
   options.segment_budget_bytes = knobs.budget_bytes;
-  options.clock_mode = knobs.clock_mode;
   return options;
 }
 
@@ -138,11 +129,10 @@ void run_seed(std::uint64_t seed, const SegmentKnobs& knobs = {}) {
           ? 0
           : rng.uniform(0, static_cast<std::int64_t>(kill_at) - 1));
 
-  const std::string data_dir =
-      (fs::path(::testing::TempDir()) /
-       ("horus-recovery-" + std::to_string(seed)))
-          .string();
-  fs::remove_all(data_dir);
+  // Per test process and seed: the sweeps run as parallel ctest processes
+  // over overlapping seeds.
+  const ScopedTempDir scratch("seed-" + std::to_string(seed));
+  const std::string data_dir = scratch.str();
 
   queue::Broker broker;
   {
@@ -216,7 +206,6 @@ void run_seed(std::uint64_t seed, const SegmentKnobs& knobs = {}) {
   });
 
   daemon.stop();
-  fs::remove_all(data_dir);
 }
 
 TEST(ServiceRecoveryTest, RestoredGraphConvergesAcrossFiftyKillPoints) {
@@ -242,39 +231,6 @@ TEST(ServiceRecoveryTest, SegmentedSweepConvergesAcrossKillPoints) {
     run_seed(static_cast<std::uint64_t>(seed), knobs);
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "aborting the segmented sweep at seed " << seed;
-    }
-  }
-}
-
-// PR 10: the same kill/restart convergence cycle with the daemon (both
-// incarnations) on the sparse clock backend. The checkpoint carries a
-// HORUSVC2 record; restore adopts sparse mode and the next ticks resume
-// incrementally on the delta lanes. Clocks are still compared against the
-// flat fault-free reference, so this is simultaneously the crash-safety
-// and the cross-mode differential check.
-TEST(ServiceRecoveryTest, SparseClockSweepConvergesAcrossKillPoints) {
-  SegmentKnobs knobs;
-  knobs.clock_mode = ClockMode::kSparse;
-  for (int seed = 1; seed <= kSparseSeeds; ++seed) {
-    run_seed(static_cast<std::uint64_t>(seed), knobs);
-    if (::testing::Test::HasFatalFailure()) {
-      FAIL() << "aborting the sparse sweep at seed " << seed;
-    }
-  }
-}
-
-// Sparse clocks + segmented storage together: per-segment VC summaries are
-// rebuilt from sparse reconstructions (thread-local scratch) while seals
-// and evictions run under ingest.
-TEST(ServiceRecoveryTest, SparseSegmentedSweepConverges) {
-  SegmentKnobs knobs;
-  knobs.segment_nodes = 64;
-  knobs.budget_bytes = 16 << 10;
-  knobs.clock_mode = ClockMode::kSparse;
-  for (int seed = 1; seed <= 10; ++seed) {
-    run_seed(static_cast<std::uint64_t>(seed), knobs);
-    if (::testing::Test::HasFatalFailure()) {
-      FAIL() << "aborting the sparse segmented sweep at seed " << seed;
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "common/error.h"
 #include "core/horus.h"
 #include "gen/synthetic.h"
+#include "scoped_temp_dir.h"
 #include "service/checkpoint.h"
 #include "service/overload.h"
 
@@ -27,13 +28,6 @@ namespace horus {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& tag) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("horus-service-" + tag)).string();
-  fs::remove_all(dir);
-  return dir;
-}
 
 std::vector<Event> workload(std::size_t n = 600) {
   gen::ClientServerOptions options;
@@ -89,10 +83,8 @@ TEST(ClockTableSerializationTest, RoundTripPreservesEverything) {
     EXPECT_EQ(loaded.lamport(v), original.lamport(v));
     EXPECT_EQ(loaded.timeline_of(v), original.timeline_of(v));
     EXPECT_EQ(loaded.position(v), original.position(v));
-    std::vector<std::int32_t> lv_scratch;
-    std::vector<std::int32_t> ov_scratch;
-    const auto lv = loaded.vc_span(v, lv_scratch);
-    const auto ov = original.vc_span(v, ov_scratch);
+    const auto lv = loaded.vc_span(v);
+    const auto ov = original.vc_span(v);
     ASSERT_EQ(lv.size(), ov.size());
     for (std::size_t i = 0; i < ov.size(); ++i) EXPECT_EQ(lv[i], ov[i]);
   }
@@ -240,7 +232,8 @@ TEST(OverloadControllerTest, HysteresisBandHoldsLevelAndResetsStreak) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceAdmissionTest, GateBoundsConcurrentSessions) {
-  const std::string data_dir = temp_dir("admission");
+  const ScopedTempDir scratch("admission");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
@@ -264,7 +257,8 @@ TEST(ServiceAdmissionTest, GateBoundsConcurrentSessions) {
 }
 
 TEST(ServiceAdmissionTest, QueriesAnswerThroughAdmittedSessions) {
-  const std::string data_dir = temp_dir("queries");
+  const ScopedTempDir scratch("queries");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::HorusService daemon(broker, graph,
@@ -308,7 +302,8 @@ TEST(ServiceAdmissionTest, QueriesAnswerThroughAdmittedSessions) {
 }
 
 TEST(ServiceAdmissionTest, DegradedModeRejectsExpensivePlansUpFront) {
-  const std::string data_dir = temp_dir("plan-admission");
+  const ScopedTempDir scratch("plan-admission");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
@@ -354,7 +349,8 @@ TEST(ServiceAdmissionTest, DegradedModeRejectsExpensivePlansUpFront) {
 }
 
 TEST(ServiceBackpressureTest, StuckPipelineSurfacesTypedOverloadError) {
-  const std::string data_dir = temp_dir("backpressure");
+  const ScopedTempDir scratch("backpressure");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
@@ -374,7 +370,8 @@ TEST(ServiceBackpressureTest, StuckPipelineSurfacesTypedOverloadError) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceCheckpointTest, GracefulRestartRestoresTheFinalCheckpoint) {
-  const std::string data_dir = temp_dir("graceful");
+  const ScopedTempDir scratch("graceful");
+  const std::string data_dir = scratch.str();
   const auto events = workload();
   queue::Broker broker;
 
@@ -407,69 +404,25 @@ TEST(ServiceCheckpointTest, GracefulRestartRestoresTheFinalCheckpoint) {
   }
 }
 
-// PR 10: a sparse-mode daemon checkpoints a HORUSVC2 clock record; a
-// restarted incarnation (even one whose own default is flat) adopts the
-// sparse table and keeps serving identical clocks.
-TEST(ServiceCheckpointTest, SparseModeRestartRestoresSparseClocks) {
-  const std::string data_dir = temp_dir("sparse-restart");
-  const auto events = workload();
+// A clock record of any version but HORUSVC1 must fail the restore with
+// the *typed* ClockFormatError ("unsupported format"), not a generic
+// corruption error.
+TEST(ServiceCheckpointTest, FutureClockFormatVersionFailsTyped) {
+  const ScopedTempDir scratch("clock-version");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   {
     ExecutionGraph graph;
-    auto options = fast_service_options(data_dir);
-    options.clock_mode = ClockMode::kSparse;
-    service::HorusService daemon(broker, graph, options);
-    daemon.start();
-    for (const Event& e : events) daemon.publish(e);
-    ASSERT_TRUE(daemon.pipeline().drain());
-    daemon.clock_daemon().tick();
-    daemon.clock_daemon().with_clocks([](const ClockTable& clocks) {
-      EXPECT_EQ(clocks.mode(), ClockMode::kSparse);
-    });
-    daemon.stop();  // final checkpoint carries the sparse record
-  }
-  {
-    ExecutionGraph graph;
-    // Default (flat) options: the restored table's own mode must win.
     service::HorusService daemon(broker, graph,
                                  fast_service_options(data_dir));
-    daemon.start();
-    EXPECT_TRUE(daemon.restored_from_checkpoint());
-    ASSERT_TRUE(daemon.pipeline().drain());
-    daemon.clock_daemon().tick();
-
-    const auto reference = reference_run(events);
-    daemon.clock_daemon().with_clocks([&](const ClockTable& clocks) {
-      EXPECT_EQ(clocks.mode(), ClockMode::kSparse);
-      for (const Event& e : events) {
-        const auto v = graph.node_of(e.id);
-        const auto r = reference->node_of(e.id);
-        ASSERT_TRUE(v.has_value() && r.has_value());
-        EXPECT_EQ(clocks.lamport(*v), reference->clocks().lamport(*r));
-      }
-    });
-    daemon.stop();
-  }
-}
-
-// PR 10 satellite: a clock record from a future format version must fail
-// the restore with the *typed* ClockFormatError ("upgrade the binary"),
-// not a generic corruption error.
-TEST(ServiceCheckpointTest, FutureClockFormatVersionFailsTyped) {
-  const std::string data_dir = temp_dir("clock-version");
-  queue::Broker broker;
-  {
-    ExecutionGraph graph;
-    auto options = fast_service_options(data_dir);
-    options.clock_mode = ClockMode::kSparse;
-    service::HorusService daemon(broker, graph, options);
     daemon.start();
     for (const Event& e : workload(200)) daemon.publish(e);
     ASSERT_TRUE(daemon.pipeline().drain());
     daemon.stop();
   }
-  // Bump the record's version digit ("HORUSVC2" -> "HORUSVC9"). The magic
-  // prefix stays valid, so only the version dispatch can reject it.
+  // Rewrite the record's version digit ("HORUSVC1" -> the retired sparse
+  // "HORUSVC2", then an unknown "HORUSVC9"). The magic prefix stays valid,
+  // so only the version check can reject it.
   const auto info = service::CheckpointStore(
                         service::CheckpointOptions{data_dir + "/checkpoints"})
                         .latest();
@@ -483,24 +436,35 @@ TEST(ServiceCheckpointTest, FutureClockFormatVersionFailsTyped) {
     content = std::move(buf).str();
   }
   ASSERT_GT(content.size(), 8u);
-  ASSERT_EQ(content[7], '2');
-  content[7] = '9';
-  {
-    std::ofstream out(clocks_path, std::ios::binary | std::ios::trunc);
-    out << content;
+  ASSERT_EQ(content[7], '1');
+  for (const char version : {'2', '9'}) {
+    SCOPED_TRACE(std::string("version ") + version);
+    content[7] = version;
+    {
+      std::ofstream out(clocks_path, std::ios::binary | std::ios::trunc);
+      out << content;
+    }
+    ExecutionGraph graph;
+    service::HorusService daemon(broker, graph,
+                                 fast_service_options(data_dir));
+    try {
+      daemon.start();
+      FAIL() << "clock format version " << version << " accepted";
+    } catch (const ClockFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
   }
-  ExecutionGraph graph;
-  service::HorusService daemon(broker, graph, fast_service_options(data_dir));
-  try {
-    daemon.start();
-    FAIL() << "future clock format accepted";
-  } catch (const ClockFormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
-  }
+  // The failed starts published nothing over the unreadable epoch.
+  const auto after = service::CheckpointStore(
+                         service::CheckpointOptions{data_dir + "/checkpoints"})
+                         .latest();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->epoch, info->epoch);
 }
 
 TEST(ServiceCheckpointTest, RestoreRequiresAnEmptyGraph) {
-  const std::string data_dir = temp_dir("nonempty");
+  const ScopedTempDir scratch("nonempty");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   ExecutionGraph graph;
   {
@@ -517,7 +481,8 @@ TEST(ServiceCheckpointTest, RestoreRequiresAnEmptyGraph) {
 }
 
 TEST(ServiceCheckpointTest, TruncatedGraphSnapshotFailsTyped) {
-  const std::string data_dir = temp_dir("truncated");
+  const ScopedTempDir scratch("truncated");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   {
     ExecutionGraph graph;
@@ -554,7 +519,8 @@ TEST(ServiceCheckpointTest, TruncatedGraphSnapshotFailsTyped) {
 }
 
 TEST(ServiceCheckpointTest, CorruptManifestFailsTyped) {
-  const std::string data_dir = temp_dir("manifest");
+  const ScopedTempDir scratch("manifest");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   {
     ExecutionGraph graph;
@@ -576,7 +542,8 @@ TEST(ServiceCheckpointTest, CorruptManifestFailsTyped) {
 }
 
 TEST(ServiceCheckpointTest, EpochRetentionKeepsOnlyTheWindow) {
-  const std::string data_dir = temp_dir("retention");
+  const ScopedTempDir scratch("retention");
+  const std::string data_dir = scratch.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);

@@ -43,7 +43,9 @@
 // QueryGuard, so a runaway query on an adversarial graph returns a partial
 // result with the tripped limit named instead of hanging. Every numeric
 // flag is validated (negative, zero, garbage and overflowing values are
-// usage errors, not silent defaults).
+// usage errors, not silent defaults), and so is every flag name: a flag the
+// subcommand does not take (a misspelt --max-visted) is a usage error, not
+// a silently ignored guardrail.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,15 +181,38 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-/// --clock-mode flat|sparse (default flat); anything else is a usage error.
-ClockMode parse_clock_mode_flag(const Args& args) {
-  const std::string text = args.get("clock-mode", "flat");
-  const std::optional<ClockMode> mode = parse_clock_mode(text);
-  if (!mode) {
-    throw UsageError("--clock-mode: expected 'flat' or 'sparse', got '" +
-                     text + "'");
+/// The flags each subcommand takes: exactly the ones usage() lists for it.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"capture",
+     {"workload", "seed", "events", "duration-s", "out", "falcon-trace",
+      "distributed", "partitions", "intra", "inter", "wal-dir", "broker-out",
+      "fault-seed", "fault-crash-every", "fault-max-crashes", "fault-fail",
+      "fault-duplicate", "fault-redeliver", "fault-stall"}},
+    {"stats", {"graph", "metrics", "segment-nodes", "shards"}},
+    {"validate", {"graph"}},
+    {"query",
+     {"graph", "threads", "profile", "explain", "no-planner", "deadline-ms",
+      "max-rows", "max-visited"}},
+    {"shiviz", {"graph", "only-logs", "out"}},
+    {"dot",
+     {"graph", "from", "to", "out", "threads", "deadline-ms", "max-visited"}},
+    {"dlq", {"broker", "topic"}},
+    {"serve",
+     {"data-dir", "seed", "duration-s", "partitions", "intra", "inter",
+      "checkpoint-ms", "requests", "out", "segment-nodes", "segment-shards",
+      "segment-budget-mb"}},
+};
+
+/// Rejects any flag the command does not take (unknown commands fall
+/// through to usage() in main).
+void check_flags(const Args& args) {
+  const auto it = kCommandFlags.find(args.command);
+  if (it == kCommandFlags.end()) return;
+  for (const auto& [key, value] : args.options) {
+    if (!it->second.contains(key)) {
+      throw UsageError("unknown flag --" + key + " for " + args.command);
+    }
   }
-  return *mode;
 }
 
 int usage() {
@@ -209,8 +235,7 @@ int usage() {
   horus_cli validate  --graph FILE
   horus_cli query     --graph FILE [--threads N] [--profile] [--explain]
                       [--no-planner] [--deadline-ms N] [--max-rows N]
-                      [--max-visited N] [--clock-mode flat|sparse]
-                      'MATCH ... RETURN ...'
+                      [--max-visited N] 'MATCH ... RETURN ...'
                       (query text also accepted on stdin; --profile prints a
                        per-stage cost breakdown after the result; --explain
                        prints the chosen plan — pushed predicates, estimated
@@ -228,19 +253,12 @@ int usage() {
                 deadline, per-clause row budget or visited-node budget is
                 exhausted and return the partial result with the tripped
                 limit named (counted in horus_query_limit_hits_total)
-  --clock-mode flat|sparse
-                vector-clock storage backend: dense per-event vectors in one
-                flat arena (default) or per-timeline delta lanes with
-                periodic keyframes (~O(churn) bytes/event at high timeline
-                counts; identical query results). Accepted by every
-                clock-deriving command (query/stats/validate/shiviz/dot/
-                capture/serve)
   horus_cli dlq       --broker DIR [--topic NAME]
   horus_cli serve     --data-dir DIR [--seed N] [--duration-s N]
                       [--partitions N] [--intra N] [--inter N]
                       [--checkpoint-ms N] [--requests N] [--out FILE]
                       [--segment-nodes N] [--segment-shards N]
-                      [--segment-budget-mb N] [--clock-mode flat|sparse]
+                      [--segment-budget-mb N]
                       (horusd: continuous ingestion with periodic atomic
                        checkpoints; runs until --duration-s or SIGINT/
                        SIGTERM, then a graceful final checkpoint; restarting
@@ -254,12 +272,10 @@ int usage() {
 
 /// Loads a snapshot and re-derives logical time (VCs are not persisted).
 std::pair<std::unique_ptr<ExecutionGraph>, std::unique_ptr<LogicalClockAssigner>>
-load_graph(const std::string& path, ClockMode mode = ClockMode::kFlat) {
+load_graph(const std::string& path) {
   auto graph = std::make_unique<ExecutionGraph>();
   graph->load(path);
-  auto assigner = std::make_unique<LogicalClockAssigner>(
-      *graph, LogicalClockAssigner::Options{.write_lamport_property = true,
-                                            .mode = mode});
+  auto assigner = std::make_unique<LogicalClockAssigner>(*graph);
   assigner->assign();
   return {std::move(graph), std::move(assigner)};
 }
@@ -345,9 +361,7 @@ int cmd_capture_distributed(const Args& args) {
   }
   pipeline.stop();
 
-  LogicalClockAssigner assigner(
-      graph, LogicalClockAssigner::Options{.write_lamport_property = true,
-                                           .mode = parse_clock_mode_flag(args)});
+  LogicalClockAssigner assigner(graph);
   assigner.assign();
   graph.save(out_path);
   std::printf("graph snapshot (%zu nodes, %zu relationships) -> %s\n",
@@ -421,8 +435,7 @@ int cmd_capture(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  auto [graph, assigner] =
-      load_graph(args.get("graph"), parse_clock_mode_flag(args));
+  auto [graph, assigner] = load_graph(args.get("graph"));
   const auto& store = graph->store();
   std::map<std::string, std::size_t> by_label;
   for (graph::NodeId v = 0; v < store.node_count(); ++v) {
@@ -507,8 +520,7 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_validate(const Args& args) {
-  auto [graph, assigner] =
-      load_graph(args.get("graph"), parse_clock_mode_flag(args));
+  auto [graph, assigner] = load_graph(args.get("graph"));
   const auto report = validate_graph(*graph, assigner->clocks());
   std::printf("%s\n", report.to_string().c_str());
   return report.ok() ? 0 : 1;
@@ -543,8 +555,7 @@ QueryLimits query_limits(const Args& args) {
 int cmd_query(const Args& args) {
   QueryOptions options = query_options(args);
   const QueryLimits limits = query_limits(args);
-  auto [graph, assigner] =
-      load_graph(args.get("graph"), parse_clock_mode_flag(args));
+  auto [graph, assigner] = load_graph(args.get("graph"));
   // Constructed after the snapshot load so the deadline covers query
   // execution only.
   QueryGuard guard(limits);
@@ -598,8 +609,7 @@ int cmd_query(const Args& args) {
 }
 
 int cmd_shiviz(const Args& args) {
-  auto [graph, assigner] =
-      load_graph(args.get("graph"), parse_clock_mode_flag(args));
+  auto [graph, assigner] = load_graph(args.get("graph"));
   shiviz::ExportOptions options;
   options.only_logs = args.has("only-logs");
   const std::string text =
@@ -615,8 +625,7 @@ int cmd_shiviz(const Args& args) {
 }
 
 int cmd_dot(const Args& args) {
-  auto [graph, assigner] =
-      load_graph(args.get("graph"), parse_clock_mode_flag(args));
+  auto [graph, assigner] = load_graph(args.get("graph"));
   const auto from = graph->node_of(
       static_cast<EventId>(args.get_int("from", -1)));
   const auto to =
@@ -682,7 +691,6 @@ int cmd_serve(const Args& args) {
   options.pipeline.relationship_flush_interval_ms = 15;
   options.checkpoint_interval_ms = static_cast<int>(
       args.get_int_in("checkpoint-ms", 500, 1, 3'600'000));
-  options.clock_mode = parse_clock_mode_flag(args);
   options.segment_nodes = static_cast<std::uint32_t>(
       args.get_int_in("segment-nodes", 0, 0, 1 << 24));
   options.segment_shards = static_cast<std::size_t>(
@@ -767,9 +775,7 @@ int cmd_serve(const Args& args) {
         static_cast<unsigned long long>(daemon.clock_daemon().heals()));
   }
   if (args.has("out")) {
-    LogicalClockAssigner assigner(
-        graph, LogicalClockAssigner::Options{.write_lamport_property = true,
-                                             .mode = options.clock_mode});
+    LogicalClockAssigner assigner(graph);
     assigner.assign();
     graph.save(args.get("out"));
     std::printf("graph snapshot -> %s\n", args.get("out").c_str());
@@ -812,6 +818,7 @@ int main(int argc, char** argv) {
   // with a clean flush/commit (and, for serve, a final checkpoint).
   horus::install_shutdown_handlers();
   try {
+    check_flags(args);
     if (args.command == "capture") return cmd_capture(args);
     if (args.command == "stats") return cmd_stats(args);
     if (args.command == "validate") return cmd_validate(args);
