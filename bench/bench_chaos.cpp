@@ -121,10 +121,10 @@ int main(int argc, char** argv) {
   }
 
   std::filesystem::remove_all(wal_root);
-  report.write("bench_chaos");
+  const bool written = report.write("bench_chaos");
 
   std::printf("\n%s\n", all_ok
                             ? "all scenarios passed differential verification"
                             : "DIFFERENTIAL MISMATCH — see stderr above");
-  return all_ok ? 0 : 1;
+  return all_ok && written ? 0 : 1;
 }

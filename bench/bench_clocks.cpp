@@ -1,18 +1,13 @@
-// Vector-clock footprint and latency on wide-timeline graphs, against the
-// chain-decomposition reachability index as the alternative Q1/Q2 oracle —
-// the measurement behind DESIGN.md §13.
+// Vector-clock footprint and latency on wide-timeline graphs — the
+// measurement behind DESIGN.md §13.
 //
 // The flat arena stores one dense VC row per event, so resident bytes grow
 // with events x timelines; at 10k timelines that is the dominant memory
-// term of the whole pipeline. The chain index answers the same queries from
-// timelines/positions and the merge edges alone.
+// term of the whole pipeline. Each size records bytes/event, assign time and
+// Q1/Q2 p50 over one clock assignment.
 //
-// Hand-rolled main (bench_main.h JsonReport): every size runs two arms —
-// oracle=vc and oracle=chain (bench/run_all.sh fails the report if either
-// arm is missing) — over one clock assignment; the vc row records
-// bytes/event and assign time, both rows Q1/Q2 p50.
-//
-// Flags: --json <path>, --quick (smaller sizes), --seed N.
+// Hand-rolled main (bench_main.h JsonReport). Flags: --json <path>,
+// --quick (smaller sizes), --seed N.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -23,7 +18,6 @@
 
 #include "bench_main.h"
 #include "bench_util.h"
-#include "core/chain_index.h"
 #include "core/horus.h"
 #include "core/logical_clocks.h"
 #include "gen/synthetic.h"
@@ -50,7 +44,8 @@ double percentile(std::vector<double> samples, double p) {
 template <typename Fn>
 std::vector<double> q1_samples_ns(
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
-    Fn&& q1, int reps = 64) {
+    Fn&& q1) {
+  constexpr int reps = 64;
   std::vector<double> samples;
   samples.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
@@ -111,7 +106,7 @@ int main(int argc, char** argv) {
   }
 
   for (const SizeSpec& spec : sizes) {
-    // One graph per size; both arms query the same clock assignment.
+    // One graph per size; Q1 and Q2 query the same clock assignment.
     Horus setup;  // builds the graph AND the lamport index Q2 scans
     {
       auto events = gen::random_execution(
@@ -140,89 +135,43 @@ int main(int argc, char** argv) {
     const double assign_ms = bench::ms_since(assign_start);
     const ClockTable& clocks = assigner.clocks();
     const auto q2_pairs = q2_endpoints(clocks, n, quick ? 8 : 16);
-    auto q2_p50_us = [&](const CausalQueryEngine& engine) {
-      std::vector<double> samples;
-      for (const auto& [a, b] : q2_pairs) {
-        const auto start = bench::BenchClock::now();
-        const auto result = engine.get_causal_graph(a, b);
-        samples.push_back(bench::ms_since(start) * 1'000.0);
-        benchmark::DoNotOptimize(result.nodes.data());
-      }
-      return percentile(std::move(samples), 0.5);
-    };
 
-    // Vector-clock arm: Q1 is one arena component read, Q2 prunes each
+    // Q1 is one arena component read; Q2 prunes each Lamport-range
     // candidate against VC(b).
-    {
-      const double bytes_per_event =
-          static_cast<double>(clocks.clock_bytes()) /
-          static_cast<double>(events);
-      const double q1_p50 = percentile(
-          q1_samples_ns(q1_pairs,
-                        [&](graph::NodeId a, graph::NodeId b) {
-                          return clocks.happens_before(a, b);
-                        }),
-          0.5);
-      const double q2_p50 = q2_p50_us(CausalQueryEngine(graph, clocks));
-
-      std::printf(
-          "clocks/%-6d timelines  vc      %10.1f B/event  assign %8.2f ms  "
-          "Q1 p50 %8.1f ns  Q2 p50 %10.1f us\n",
-          spec.timelines, bytes_per_event, assign_ms, q1_p50, q2_p50);
-
-      Json row = Json::object();
-      row["name"] = "clocks/" + std::to_string(spec.timelines) + "/oracle=vc";
-      row["oracle"] = "vc";
-      row["timelines"] = static_cast<std::int64_t>(spec.timelines);
-      row["events"] = static_cast<std::int64_t>(events);
-      row["clock_bytes"] = static_cast<std::int64_t>(clocks.clock_bytes());
-      row["bytes_per_event"] = bytes_per_event;
-      row["assign_ms"] = assign_ms;
-      row["q1_p50_ns"] = q1_p50;
-      row["q2_p50_us"] = q2_p50;
-      report.add_row(std::move(row));
+    const double bytes_per_event = static_cast<double>(clocks.clock_bytes()) /
+                                   static_cast<double>(events);
+    const double q1_p50 = percentile(
+        q1_samples_ns(q1_pairs,
+                      [&](graph::NodeId a, graph::NodeId b) {
+                        return clocks.happens_before(a, b);
+                      }),
+        0.5);
+    const CausalQueryEngine engine(graph, clocks);
+    std::vector<double> q2_us;
+    for (const auto& [a, b] : q2_pairs) {
+      const auto start = bench::BenchClock::now();
+      const auto result = engine.get_causal_graph(a, b);
+      q2_us.push_back(bench::ms_since(start) * 1'000.0);
+      benchmark::DoNotOptimize(result.nodes.data());
     }
+    const double q2_p50 = percentile(std::move(q2_us), 0.5);
 
-    // Chain-decomposition arm over the same clocks (the index reads only
-    // timelines/positions and the merge edges).
-    {
-      const auto build_start = bench::BenchClock::now();
-      const ChainIndex index(graph, clocks);
-      const double build_ms = bench::ms_since(build_start);
+    std::printf(
+        "clocks/%-6d timelines  %10.1f B/event  assign %8.2f ms  "
+        "Q1 p50 %8.1f ns  Q2 p50 %10.1f us\n",
+        spec.timelines, bytes_per_event, assign_ms, q1_p50, q2_p50);
 
-      const double q1_p50 = percentile(
-          q1_samples_ns(
-              q1_pairs,
-              [&](graph::NodeId a, graph::NodeId b) {
-                return index.happens_before(a, b);
-              },
-              8),  // each call relaxes the full chain worklist — fewer reps
-          0.5);
-      QueryOptions options;
-      options.chain_index = &index;
-      const double q2_p50 =
-          q2_p50_us(CausalQueryEngine(graph, clocks, options));
-
-      std::printf(
-          "clocks/%-6d timelines  chain   build %8.2f ms (%zu merge edges)  "
-          "Q1 p50 %8.1f ns  Q2 p50 %10.1f us\n",
-          spec.timelines, build_ms, index.merge_edge_count(), q1_p50, q2_p50);
-
-      Json row = Json::object();
-      row["name"] =
-          "clocks/" + std::to_string(spec.timelines) + "/oracle=chain";
-      row["oracle"] = "chain";
-      row["timelines"] = static_cast<std::int64_t>(spec.timelines);
-      row["events"] = static_cast<std::int64_t>(events);
-      row["chain_build_ms"] = build_ms;
-      row["merge_edges"] =
-          static_cast<std::int64_t>(index.merge_edge_count());
-      row["q1_p50_ns"] = q1_p50;
-      row["q2_p50_us"] = q2_p50;
-      report.add_row(std::move(row));
-    }
+    Json row = Json::object();
+    row["name"] = "clocks/" + std::to_string(spec.timelines);
+    row["timelines"] = static_cast<std::int64_t>(spec.timelines);
+    row["events"] = static_cast<std::int64_t>(events);
+    row["clock_bytes"] = static_cast<std::int64_t>(clocks.clock_bytes());
+    row["bytes_per_event"] = bytes_per_event;
+    row["assign_ms"] = assign_ms;
+    row["q1_p50_ns"] = q1_p50;
+    row["q2_p50_us"] = q2_p50;
+    report.add_row(std::move(row));
   }
 
-  report.write("bench_clocks");
-  return 0;
+  return report.write("bench_clocks") ? 0 : 1;
 }

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     row["backlog"] = static_cast<std::int64_t>(s.backlog);
     report.add_row(std::move(row));
   }
-  report.write("fig5_throughput");
+  if (!report.write("fig5_throughput")) return 1;
   std::printf("\npaper shape: Horus follows the incoming rate until the "
               "saturation knee;\npending events stay queued (no loss) and "
               "are processed after the peak.\n");

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     row["horus_incremental_ms"] = p.horus_incremental_ms;
     report.add_row(std::move(row));
   }
-  report.write("fig6_logical_time");
+  if (!report.write("fig6_logical_time")) return 1;
   std::printf("\npaper shape: Falcon grows super-linearly with graph size "
               "(unusable beyond\na few thousand events); Horus grows "
               "near-linearly and the incremental run\nscales with new "

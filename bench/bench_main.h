@@ -8,15 +8,21 @@
 //  - Google-Benchmark-based binaries use HORUS_BENCH_MAIN(), which maps
 //    --json onto --benchmark_out/--benchmark_out_format.
 //  - Hand-rolled mains (fig5/fig6/table1) collect rows into a JsonReport.
+//
+// Every report carries a top-level "context" block (core count, build type,
+// compiler, git sha) and a "metrics" registry snapshot. A report that cannot
+// be written in full makes the bench exit non-zero.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,29 +80,78 @@ inline Json metrics_snapshot() {
   return Json::parse(obs::Registry::global().expose_json());
 }
 
-/// Re-opens a finished report file and embeds the metrics snapshot under a
-/// top-level "metrics" key (Google Benchmark owns the file while running,
-/// so post-hoc rewrite is the only seam). bench/run_all.sh fails any
-/// produced JSON missing the key.
-inline void embed_metrics_snapshot(const std::string& path) {
-  if (path.empty()) return;
+/// HEAD of the source checkout when the bench runs, with a "-dirty"
+/// suffix when the working tree has uncommitted changes, or "unknown" (no
+/// git, or a source tree outside a checkout). HORUS_SOURCE_DIR,
+/// HORUS_BUILD_TYPE and HORUS_COMPILER come from bench/CMakeLists.txt.
+inline std::string git_sha() {
+  // --exclude='*' ignores tags, so the output is always the bare sha.
+  const std::string cmd =
+      "git -C '" HORUS_SOURCE_DIR
+      "' describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null";
+  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    std::array<char, 64> buf{};
+    const bool got = std::fgets(buf.data(), buf.size(), pipe) != nullptr;
+    const int status = ::pclose(pipe);
+    std::string sha = got ? buf.data() : "";
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+      sha.pop_back();
+    }
+    if (status == 0 && sha.size() >= 40) return sha;
+  }
+  return "unknown";
+}
+
+/// Where a report was produced, so numbers from different hosts or builds
+/// are never compared blind. bench/run_all.sh fails any report without it.
+inline Json run_context() {
+  Json ctx = Json::object();
+  ctx["nproc"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  ctx["build_type"] = std::string(HORUS_BUILD_TYPE);
+  ctx["compiler"] = std::string(HORUS_COMPILER);
+  ctx["git_sha"] = git_sha();
+  return ctx;
+}
+
+/// Writes `doc` to `path`; false (with a message on stderr) unless every
+/// byte reached the file.
+inline bool write_report(const std::string& path, const Json& doc) {
+  std::ofstream out(path, std::ios::trunc);
+  out << doc.dump() << '\n';
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Re-opens a finished report file and embeds the run context and metrics
+/// snapshot under top-level "context" and "metrics" keys (Google Benchmark
+/// owns the file while running, so post-hoc rewrite is the only seam).
+/// bench/run_all.sh fails any produced JSON missing either key. Returns
+/// false when the report could not be read back or rewritten in full.
+inline bool embed_metrics_snapshot(const std::string& path) {
+  if (path.empty()) return true;
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench: cannot re-open %s to embed metrics\n",
                  path.c_str());
-    return;
+    return false;
   }
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   in.close();
   try {
     Json doc = Json::parse(text);
+    doc["context"] = run_context();
     doc["metrics"] = metrics_snapshot();
-    std::ofstream out(path, std::ios::trunc);
-    out << doc.dump() << '\n';
+    return write_report(path, doc);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench: metrics embed failed for %s: %s\n",
                  path.c_str(), e.what());
+    return false;
   }
 }
 
@@ -132,8 +187,7 @@ inline int run_benchmark_main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  embed_metrics_snapshot(json_path);
-  return 0;
+  return embed_metrics_snapshot(json_path) ? 0 : 1;
 }
 
 /// Row collector for the hand-rolled benchmark mains. Mirrors the
@@ -147,19 +201,16 @@ class JsonReport {
 
   void add_row(Json row) { rows_.push_back(std::move(row)); }
 
-  /// Writes the report; a failed open is reported on stderr, not fatal.
-  void write(const char* bench_name) const {
-    if (path_.empty()) return;
+  /// Writes the report (no-op without --json). False when it could not be
+  /// written in full; mains turn that into a non-zero exit.
+  [[nodiscard]] bool write(const char* bench_name) const {
+    if (path_.empty()) return true;
     Json doc = Json::object();
     doc["name"] = std::string(bench_name);
     doc["benchmarks"] = rows_;
+    doc["context"] = run_context();
     doc["metrics"] = metrics_snapshot();
-    std::ofstream out(path_, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "bench: cannot open %s\n", path_.c_str());
-      return;
-    }
-    out << doc.dump() << '\n';
+    return write_report(path_, doc);
   }
 
  private:

@@ -141,6 +141,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  report.write("bench_query_scan");
+  if (!report.write("bench_query_scan")) return 1;
   return status;
 }

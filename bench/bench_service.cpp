@@ -236,8 +236,9 @@ int main(int argc, char** argv) {
   recovery_row["time_to_first_query_ms"] = recovery_ms;
   report.add_row(std::move(recovery_row));
 
-  report.write("bench_service");
+  const bool written = report.write("bench_service");
   std::filesystem::remove_all(data_dir);
+  if (!written) return 1;
 
   if (!restored_ok) {
     std::fprintf(stderr, "bench_service: recovery epoch mismatch\n");

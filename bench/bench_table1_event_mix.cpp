@@ -91,6 +91,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nF13 race manifested this run: %s\n",
               report.payment_failed ? "yes (payment failed)" : "no");
-  json.write("table1_event_mix");
-  return 0;
+  return json.write("table1_event_mix") ? 0 : 1;
 }

@@ -9,6 +9,9 @@
 #                concurrency). fig7/fig8 register both threads:1 and
 #                threads:N variants, so one run records the 1-vs-N delta
 #                in the same JSON; the other binaries ignore the flag.
+#
+# Exits 2 when build-dir is a Debug build, and 1 when any bench fails or
+# writes a report without its "metrics" or "context" block.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -33,6 +36,12 @@ if [ "$expect_threads" = 1 ]; then
   echo "error: --threads needs a value" >&2
   exit 2
 fi
+# Debug numbers are not comparable with anything committed; refuse them.
+if grep -q '^CMAKE_BUILD_TYPE:[A-Z]*=Debug$' "$build_dir/CMakeCache.txt" \
+    2>/dev/null; then
+  echo "error: $build_dir is a Debug build; benchmark a release build" >&2
+  exit 2
+fi
 
 benches="fig5_throughput fig6_logical_time fig7_q1 fig8_q2 table1_event_mix ablations encoders chaos service segments query_scan clocks"
 
@@ -51,12 +60,14 @@ for name in $benches; do
     status=1
     continue
   fi
-  # Every report must carry the registry snapshot (bench_main.h embeds it);
-  # a missing block means the embed path silently broke.
-  if ! grep -q '"metrics"' "$out"; then
-    echo "FAILED: bench_$name produced $out without a \"metrics\" snapshot" >&2
-    status=1
-  fi
+  # Every report must carry the registry snapshot and the run context
+  # (bench_main.h writes both); a missing block means that path broke.
+  for block in metrics context; do
+    if ! grep -q "\"$block\"" "$out"; then
+      echo "FAILED: bench_$name produced $out without a \"$block\" block" >&2
+      status=1
+    fi
+  done
   # query_scan is a paired A/B benchmark: a report missing either arm means
   # the planner toggle silently stopped measuring.
   if [ "$name" = "query_scan" ]; then
@@ -64,17 +75,6 @@ for name in $benches; do
       if ! grep -q "\"planner\": *\"$arm\"" "$out" && \
          ! grep -q "\"planner\":\"$arm\"" "$out"; then
         echo "FAILED: bench_query_scan produced $out without planner=$arm rows" >&2
-        status=1
-      fi
-    done
-  fi
-  # clocks is a paired A/B benchmark too: a report missing either oracle
-  # arm means the vc-vs-chain comparison silently stopped measuring.
-  if [ "$name" = "clocks" ]; then
-    for arm in vc chain; do
-      if ! grep -q "\"oracle\": *\"$arm\"" "$out" && \
-         ! grep -q "\"oracle\":\"$arm\"" "$out"; then
-        echo "FAILED: bench_clocks produced $out without oracle=$arm rows" >&2
         status=1
       fi
     done

@@ -145,7 +145,11 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       std::array<char, 32> buf{};
       auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), *d);
       (void)ec;
-      out.append(buf.data(), ptr);
+      const std::string_view text(buf.data(), ptr);
+      out += text;
+      // An integral double ("3") would parse back as an integer; keep the
+      // type through a round trip.
+      if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
     } else {
       // JSON has no Inf/NaN; emit null like most tolerant serializers.
       out += "null";

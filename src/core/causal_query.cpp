@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/chain_index.h"
 #include "graph/segment.h"
 #include "graph/traversal.h"
 #include "obs/metrics.h"
@@ -53,18 +52,11 @@ struct Q2Metrics {
 
 // No profile hook here: these are the fig7 hot primitives (~60ns), and
 // even an untaken branch is measurable. The horus.happensBefore procedure
-// accounts the comparison at the query layer instead. On a segmented store
-// the per-segment VC summary gets first refusal: when the summary of b's
-// segment proves no node there is causally after a, the clock table is
-// never consulted (the monolithic path is the original single compare).
+// accounts the comparison at the query layer instead. The clock table is
+// always resident, so a segmented store answers with the same single
+// compare.
 bool CausalQueryEngine::happens_before(graph::NodeId a,
                                        graph::NodeId b) const {
-  if (const graph::SegmentManager* segments = graph_.store().segments()) {
-    if (segments->summary_rules_out_hb(clocks_.timeline_of(a),
-                                       clocks_.position(a), b)) {
-      return false;
-    }
-  }
   return clocks_.happens_before(a, b);
 }
 
@@ -158,25 +150,10 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   if (a != b && !clocks_.happens_before(a, b)) return result;
 
   // Segmented store: block eviction for the query's lifetime (spans into
-  // node payloads stay valid) and build the per-segment admissibility memo.
-  graph::SegmentManager* segments = store.segments();
+  // node payloads stay valid).
   graph::SegmentManager::ReadHold hold;
-  graph::SegmentManager::Q2Pruner pruner;
-  if (segments != nullptr) {
+  if (graph::SegmentManager* segments = store.segments()) {
     hold = segments->read_hold();
-    pruner = segments->q2_pruner(a, b, lc_a, lc_b, clocks_.timeline_of(a),
-                                 clocks_.position(a), clocks_.vc_span(b));
-  }
-
-  // Chain-decomposition pruning oracle: two relaxations up front replace
-  // every per-candidate VC comparison below (exact — the causal cut is a
-  // per-timeline position interval).
-  std::vector<std::int32_t> chain_fwd;
-  std::vector<std::int32_t> chain_back;
-  const ChainIndex* chains = options_.chain_index;
-  if (chains != nullptr) {
-    chains->forward_bounds(a, chain_fwd);
-    chains->backward_bounds(b, chain_back);
   }
 
   // Stage wall times are taken only under --profile: a steady_clock read
@@ -191,15 +168,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   std::vector<graph::NodeId> candidates =
       store.range_scan(graph_.keys().lamport, lc_a, lc_b);
   result.lc_candidates = candidates.size();
-
-  // Whole-segment skip before the per-node VC prune: a candidate whose
-  // segment summary proves it cannot lie between a and b never reaches the
-  // clock table. Order is preserved (erase_if is stable), so downstream
-  // output is byte-identical to the unpruned scan.
-  if (pruner.active()) {
-    std::erase_if(candidates,
-                  [&](graph::NodeId v) { return !pruner.admits(v); });
-  }
 
   // Guardrails: the candidate list *is* the visited set of this engine.
   // Charging it up front bounds the prune; a tripped budget shrinks the
@@ -227,15 +195,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   const unsigned threads = options_.effective_threads();
   auto keep = [&](graph::NodeId v) {
     if (v == a || v == b) return true;
-    if (chains != nullptr) {
-      const std::int32_t t = clocks_.timeline_of(v);
-      if (t < 0 || static_cast<std::size_t>(t) >= chain_fwd.size()) {
-        return false;
-      }
-      const std::int32_t p = clocks_.position(v);
-      return chain_fwd[static_cast<std::size_t>(t)] <= p &&
-             p <= chain_back[static_cast<std::size_t>(t)];
-    }
     const std::int32_t tv = clocks_.timeline_of(v);
     if (tv < 0) return false;
     const std::int32_t cb =
@@ -319,25 +278,10 @@ CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
   if (lc_a == 0 || lc_b == 0 || lc_a > lc_b) return result;
   if (a != b && !clocks_.happens_before(a, b)) return result;
 
-  // Segmented store: same eviction hold + segment memo as get_causal_graph;
-  // the flood's admit predicate consults the memo before the VC compares.
-  graph::SegmentManager* segments = graph_.store().segments();
+  // Segmented store: same eviction hold as get_causal_graph.
   graph::SegmentManager::ReadHold hold;
-  graph::SegmentManager::Q2Pruner pruner;
-  if (segments != nullptr) {
+  if (graph::SegmentManager* segments = graph_.store().segments()) {
     hold = segments->read_hold();
-    pruner = segments->q2_pruner(a, b, lc_a, lc_b, clocks_.timeline_of(a),
-                                 clocks_.position(a), clocks_.vc_span(b));
-  }
-
-  // Chain bounds computed once; the flood's admit predicate then tests a
-  // per-timeline position interval instead of two VC comparisons per node.
-  std::vector<std::int32_t> chain_fwd;
-  std::vector<std::int32_t> chain_back;
-  const ChainIndex* chains = options_.chain_index;
-  if (chains != nullptr) {
-    chains->forward_bounds(a, chain_fwd);
-    chains->backward_bounds(b, chain_back);
   }
 
   // Pruned double flood: every node on a causal path from a to b satisfies
@@ -358,16 +302,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
   graph::SubgraphResult between = graph::between_subgraph_parallel(
       graph_.store(), a, b, traversal_options, [&](graph::NodeId v) {
         if (v == a || v == b) return true;
-        if (pruner.active() && !pruner.admits(v)) return false;
-        if (chains != nullptr) {
-          const std::int32_t t = clocks_.timeline_of(v);
-          if (t < 0 || static_cast<std::size_t>(t) >= chain_fwd.size()) {
-            return false;
-          }
-          const std::int32_t p = clocks_.position(v);
-          return chain_fwd[static_cast<std::size_t>(t)] <= p &&
-                 p <= chain_back[static_cast<std::size_t>(t)];
-        }
         const std::int32_t tv = clocks_.timeline_of(v);
         if (tv < 0) return false;
         const std::int32_t cb =

@@ -33,8 +33,6 @@
 
 namespace horus {
 
-class ChainIndex;
-
 /// Parallelism knob threaded from the CLI/benches down to the query
 /// engines. The default is the sequential engine; `threads = 0` means "use
 /// everything" (ThreadPool::default_parallelism()).
@@ -62,13 +60,6 @@ struct QueryOptions {
   /// automatically; false forces the legacy path everywhere (A/B benches,
   /// the plan-differential oracle suite).
   bool use_planner = true;
-  /// Optional chain-decomposition reachability index (core/chain_index.h).
-  /// When set, both Q2 engines replace the per-candidate vector-clock
-  /// comparisons with two chain-bound relaxations computed once per query —
-  /// an exact alternative pruning oracle (identical results; the `clocks`
-  /// differential suite pins this). The index must have been built from the
-  /// same graph + clock assignment the query runs against.
-  const ChainIndex* chain_index = nullptr;
 
   [[nodiscard]] unsigned effective_threads() const {
     return threads == 0 ? ThreadPool::default_parallelism() : threads;

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/segment_clocks.h"
+#include "graph/segment.h"
 #include "obs/metrics.h"
 
 namespace horus {
@@ -111,7 +111,6 @@ std::size_t ClockDaemon::tick() {
   // earlier-assigned one (a replayed upstream event, say).
   std::size_t assigned = assigner_.assign();
   assigned_ += assigned;
-  bool healed = false;
   // Heal the forward closure of violated edges only: a late edge can only
   // raise clocks downstream of its head, and the targeted repair — unlike
   // reassign_all() — does not fault evicted segments back in. Under live
@@ -122,21 +121,13 @@ std::size_t ClockDaemon::tick() {
   for (int attempt = 0; !stale.empty() && attempt < 3; ++attempt) {
     heals_.fetch_add(1, std::memory_order_relaxed);
     heals_total.inc();
-    healed = true;
     assigner_.repair(stale);
     stale = audit_locked();
   }
   if (!stale.empty()) {
     heals_.fetch_add(1, std::memory_order_relaxed);
     heals_total.inc();
-    healed = true;
     assigned_ = assigner_.reassign_all();
-  }
-  // Segmented store: refresh stale VC summaries from the new clocks. A heal
-  // can change VC components of nodes whose own properties never moved (the
-  // staleness hook only sees store writes), so it forces a full rebuild.
-  if (healed || assigned > 0) {
-    update_segment_summaries(graph_.store(), assigner_.clocks(), healed);
   }
   assigned_nodes.set(static_cast<std::int64_t>(assigned_));
   arena_bytes.set(static_cast<std::int64_t>(assigner_.clocks().clock_bytes()));

@@ -1,7 +1,5 @@
 #include "core/horus.h"
 
-#include "core/segment_clocks.h"
-
 namespace horus {
 
 Horus::Horus(Options options)
@@ -21,9 +19,6 @@ void Horus::seal() {
   intra_.flush();
   inter_.flush();
   assigner_.assign();
-  // Segmented store: sealed segments whose contents changed since the last
-  // seal get their VC summaries rebuilt from the fresh clocks.
-  update_segment_summaries(graph_.store(), assigner_.clocks());
 }
 
 }  // namespace horus

@@ -406,9 +406,12 @@ void GraphStore::set_property(NodeId node, std::string_view key,
                               PropertyValue value) {
   const std::unique_lock lock(mutex_);
   if (node >= nodes_.size()) bad_node(node);
-  if (segments_ != nullptr) segments_->ensure_resident_locked(node);
-  set_property_locked(node, intern_prop_key_locked(key), std::move(value));
-  if (segments_ != nullptr) segments_->on_property_write_locked(node);
+  const PropKeyId id = intern_prop_key_locked(key);
+  if (segments_ != nullptr) {
+    segments_->ensure_resident_locked(node);
+    segments_->on_property_write_locked(node, id, value);
+  }
+  set_property_locked(node, id, std::move(value));
 }
 
 void GraphStore::set_property(NodeId node, PropKeyId key, PropertyValue value) {
@@ -418,9 +421,11 @@ void GraphStore::set_property(NodeId node, PropKeyId key, PropertyValue value) {
     throw std::out_of_range("graph: unknown property key id " +
                             std::to_string(key));
   }
-  if (segments_ != nullptr) segments_->ensure_resident_locked(node);
+  if (segments_ != nullptr) {
+    segments_->ensure_resident_locked(node);
+    segments_->on_property_write_locked(node, key, value);
+  }
   set_property_locked(node, key, std::move(value));
-  if (segments_ != nullptr) segments_->on_property_write_locked(node);
 }
 
 // ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class GraphStore {
 
   // ---- segmentation --------------------------------------------------------
 
-  /// Turns on segmented storage management (sealing, VC summaries, LRU
+  /// Turns on segmented storage management (sealing, range summaries, LRU
   /// eviction — see graph/segment.h). Idempotent-hostile by design: call at
   /// most once, before or after loading a snapshot; existing nodes are
   /// carved into sealed segments plus an active tail.

@@ -9,7 +9,6 @@
 
 #include "common/crc32.h"
 #include "common/json.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace horus::graph {
@@ -32,6 +31,12 @@ PropertyValue property_from_json(const Json& j) {
   if (j.is_double()) return j.as_double();
   if (j.is_string()) return j.as_string();
   return std::monostate{};
+}
+
+/// True when a decoded id or count fits the 32-bit field it is stored in
+/// (NodeId, SegmentId, node count); kNoNode stays reserved.
+bool fits_u32(std::int64_t v) {
+  return v >= 0 && v < std::int64_t{kNoNode};
 }
 
 [[noreturn]] void corrupt(const std::string& what, std::size_t line,
@@ -129,11 +134,16 @@ ParsedSegmentFile read_segment_stream(std::istream& in,
       corrupt(what, 1,
               "unsupported segment version " + std::to_string(version));
     }
-    out.segment = static_cast<SegmentId>(header.at("segment").as_int());
-    out.first = static_cast<NodeId>(header.at("first").as_int());
+    const std::int64_t segment = header.at("segment").as_int();
+    const std::int64_t first = header.at("first").as_int();
     const std::int64_t count = header.at("nodes").as_int();
     const std::int64_t edges = header.at("edges").as_int();
-    if (count < 0 || edges < 0) corrupt(what, 1, "negative section count");
+    if (!fits_u32(segment) || !fits_u32(first) || !fits_u32(count) ||
+        !fits_u32(first + count) || edges < 0) {
+      corrupt(what, 1, "section id or count out of range");
+    }
+    out.segment = static_cast<SegmentId>(segment);
+    out.first = static_cast<NodeId>(first);
     out.count = static_cast<std::uint32_t>(count);
     out.edges = static_cast<std::size_t>(edges);
   } catch (const SegmentCorruptError&) {
@@ -170,10 +180,11 @@ ParsedSegmentFile read_segment_stream(std::istream& in,
     const Json j = parse_line(line_idx);
     ParsedSegmentNode node;
     try {
-      node.id = static_cast<NodeId>(j.at("id").as_int());
-      if (node.id != out.first + static_cast<NodeId>(i)) {
+      const std::int64_t id = j.at("id").as_int();
+      if (id != std::int64_t{out.first} + static_cast<std::int64_t>(i)) {
         corrupt(what, line_idx + 1, "node ids are not dense within segment");
       }
+      node.id = static_cast<NodeId>(id);
       node.label = j.at("label").as_string();
       for (const Json& entry : j.at("props").as_array()) {
         const auto& pair = entry.as_array();
@@ -197,7 +208,7 @@ ParsedSegmentFile read_segment_stream(std::istream& in,
               }
               const std::int64_t peer = pair[0].as_int();
               const auto type = static_cast<std::size_t>(pair[1].as_int());
-              if (peer < 0 || type >= out.edge_types.size()) {
+              if (!fits_u32(peer) || type >= out.edge_types.size()) {
                 corrupt(what, line_idx + 1, "edge endpoint/type out of range");
               }
               dst.emplace_back(static_cast<NodeId>(peer),
@@ -258,12 +269,11 @@ SegmentManager::SegmentManager(GraphStore& store, SegmentOptions options)
   reloads_total_ = &registry.counter(
       "horus_graph_segment_reloads_total",
       "Evicted segments faulted back in on access");
-  obs::Family<obs::Counter>& skips = registry.counters(
-      "horus_graph_segment_prune_skips_total",
-      "Whole segments skipped by VC-summary pruning, by query path");
-  q1_skips_ = &skips.with({{"path", "q1"}});
-  q2_skips_ = &skips.with({{"path", "q2"}});
-  scan_skips_ = &skips.with({{"path", "scan"}});
+  scan_skips_ = &registry
+                     .counters("horus_graph_segment_prune_skips_total",
+                               "Whole sealed segments skipped by range-summary "
+                               "pruning, by query path")
+                     .with({{"path", "scan"}});
 
   // Carve any pre-existing nodes into sealed full-size segments plus an
   // active tail (enable_segments on a loaded snapshot).
@@ -273,14 +283,9 @@ SegmentManager::SegmentManager(GraphStore& store, SegmentOptions options)
     Segment seg;
     seg.first = first;
     seg.count = static_cast<std::uint32_t>(options_.nodes_per_segment);
-    seg.sealed = true;
-    seg.touch = ++touch_clock_;
-    segments_.push_back(std::move(seg));
+    segments_.push_back(seg);
+    seal_segment_locked(static_cast<SegmentId>(segments_.size() - 1));
     first += static_cast<NodeId>(options_.nodes_per_segment);
-  }
-  for (SegmentId i = 0; i < segments_.size(); ++i) {
-    segments_[i].payload_bytes = payload_bytes_locked(i);
-    resident_bytes_ += segments_[i].payload_bytes;
   }
   Segment active;
   active.first = first;
@@ -363,7 +368,6 @@ SegmentInfo SegmentManager::info_locked(SegmentId seg) const {
   out.sealed = s.sealed;
   out.resident = s.resident;
   out.spill_clean = s.spill_clean;
-  out.summary_fresh = s.summary.fresh;
   out.pins = s.pins;
   out.payload_bytes = s.payload_bytes;
   return out;
@@ -448,14 +452,24 @@ std::size_t SegmentManager::payload_bytes_locked(SegmentId seg) const {
   return bytes;
 }
 
+void SegmentManager::seal_segment_locked(SegmentId seg) {
+  Segment& s = segments_[seg];
+  s.sealed = true;
+  s.touch = ++touch_clock_;
+  s.payload_bytes = payload_bytes_locked(seg);
+  resident_bytes_ += s.payload_bytes;
+  // From here on the property-write hook keeps both ranges current.
+  const NodeId end = s.first + s.count;
+  for (NodeId v = s.first; v < end; ++v) {
+    s.lamport.widen(store_.find_property_locked(v, options_.lamport_key));
+    s.timestamp.widen(store_.find_property_locked(v, options_.timestamp_key));
+  }
+}
+
 void SegmentManager::seal_active_locked() {
   Segment& active = segments_.back();
   if (active.count == 0) return;
-  const SegmentId seg = static_cast<SegmentId>(segments_.size() - 1);
-  active.sealed = true;
-  active.touch = ++touch_clock_;
-  active.payload_bytes = payload_bytes_locked(seg);
-  resident_bytes_ += active.payload_bytes;
+  seal_segment_locked(static_cast<SegmentId>(segments_.size() - 1));
   segments_sealed_gauge_->add(1);
   resident_bytes_gauge_->add(static_cast<std::int64_t>(active.payload_bytes));
   seals_total_->inc();
@@ -484,18 +498,22 @@ void SegmentManager::on_node_added_locked(NodeId node) {
   }
 }
 
-void SegmentManager::on_property_write_locked(NodeId node) {
+void SegmentManager::on_property_write_locked(NodeId node, PropKeyId key,
+                                              const PropertyValue& value) {
   const SegmentId seg = segment_of_locked(node);
   if (seg == kNoSegment) return;
   Segment& s = segments_[seg];
-  ++s.mut_gen;
-  s.summary.fresh = false;
-  if (s.sealed) s.spill_clean = false;
+  if (!s.sealed) return;  // the tail's ranges are computed when it seals
+  s.spill_clean = false;
+  // Widen only: the old value may still be covered, which is harmless —
+  // a summary must be a superset of the segment's values, not exact.
+  if (key == options_.lamport_key) s.lamport.widen(&value);
+  if (key == options_.timestamp_key) s.timestamp.widen(&value);
 }
 
 void SegmentManager::on_edge_added_locked(NodeId from, NodeId to) {
-  // Edges do not feed the VC summary (clock data does), but they do make a
-  // sealed segment's spill file stale.
+  // Edges do not feed the range summaries, but they do make a sealed
+  // segment's spill file stale.
   for (const NodeId node : {from, to}) {
     const SegmentId seg = segment_of_locked(node);
     if (seg == kNoSegment) continue;
@@ -844,13 +862,8 @@ void SegmentManager::adopt_sealed(
     Segment seg;
     seg.first = first;
     seg.count = count;
-    seg.sealed = true;
-    seg.touch = ++touch_clock_;
-    segments_.push_back(std::move(seg));
-  }
-  for (SegmentId i = 0; i < segments_.size(); ++i) {
-    segments_[i].payload_bytes = payload_bytes_locked(i);
-    resident_bytes_ += segments_[i].payload_bytes;
+    segments_.push_back(seg);
+    seal_segment_locked(static_cast<SegmentId>(segments_.size() - 1));
   }
   Segment active;
   active.first = expect;
@@ -863,253 +876,8 @@ void SegmentManager::adopt_sealed(
 }
 
 // ---------------------------------------------------------------------------
-// VC summaries
+// range summaries
 // ---------------------------------------------------------------------------
-
-void SegmentManager::build_summary_locked(SegmentId seg,
-                                          const ClockLookup& clocks,
-                                          SegmentSummary& out) const {
-  const Segment& s = segments_[seg];
-  const NodeId end = s.first + s.count;
-  for (NodeId v = s.first; v < end; ++v) {
-    if (options_.lamport_key != kNoPropKey) {
-      if (const PropertyValue* p =
-              store_.find_property_locked(v, options_.lamport_key)) {
-        if (const auto* i = std::get_if<std::int64_t>(p)) {
-          if (!out.has_lamport) {
-            out.has_lamport = true;
-            out.lamport_min = out.lamport_max = *i;
-          } else {
-            out.lamport_min = std::min(out.lamport_min, *i);
-            out.lamport_max = std::max(out.lamport_max, *i);
-          }
-        }
-      }
-    }
-    if (options_.timestamp_key != kNoPropKey) {
-      if (const PropertyValue* p =
-              store_.find_property_locked(v, options_.timestamp_key)) {
-        if (const auto* i = std::get_if<std::int64_t>(p)) {
-          if (!out.has_timestamp) {
-            out.has_timestamp = true;
-            out.ts_min = out.ts_max = *i;
-          } else {
-            out.ts_min = std::min(out.ts_min, *i);
-            out.ts_max = std::max(out.ts_max, *i);
-          }
-        }
-      }
-    }
-    if (!clocks) continue;
-    std::int32_t timeline = -1;
-    std::int32_t position = 0;
-    std::span<const std::int32_t> vc;
-    if (!clocks(v, timeline, position, vc)) continue;
-    TimelineStats& own = out.timelines[timeline];
-    own.min_pos = std::min(own.min_pos, position);
-    for (std::size_t t = 0; t < vc.size(); ++t) {
-      if (vc[t] <= 0) continue;
-      TimelineStats& stats = out.timelines[static_cast<std::int32_t>(t)];
-      stats.max_entry = std::max(stats.max_entry, vc[t]);
-    }
-  }
-}
-
-std::size_t SegmentManager::update_summaries(const ClockLookup& clocks,
-                                             bool force, ThreadPool* pool,
-                                             unsigned threads) {
-  // Snapshot the rebuild worklist with generation stamps; each segment is
-  // built under a shared lock and committed only if unmodified meanwhile,
-  // so a racing writer can never leave a stale summary marked fresh.
-  std::vector<std::pair<SegmentId, std::uint64_t>> work;
-  {
-    const std::shared_lock lock(store_.mutex_);
-    for (SegmentId i = 0; i < segments_.size(); ++i) {
-      const Segment& s = segments_[i];
-      if (s.sealed && (force || !s.summary.fresh)) {
-        work.emplace_back(i, s.mut_gen);
-      }
-    }
-  }
-  std::atomic<std::size_t> rebuilt{0};
-  const auto one = [&](std::size_t idx) {
-    const auto [seg, gen] = work[idx];
-    SegmentSummary sum;
-    {
-      const std::shared_lock lock(store_.mutex_);
-      if (seg >= segments_.size()) return;
-      const Segment& s = segments_[seg];
-      if (!s.sealed || s.mut_gen != gen) return;
-      build_summary_locked(seg, clocks, sum);
-    }
-    {
-      const std::unique_lock lock(store_.mutex_);
-      if (seg >= segments_.size()) return;
-      Segment& s = segments_[seg];
-      if (!s.sealed || s.mut_gen != gen) return;
-      sum.fresh = true;
-      s.summary = std::move(sum);
-      rebuilt.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  if (pool != nullptr && threads > 1 && work.size() > 1) {
-    pool->parallel_for(work.size(), 1, threads,
-                       [&](ThreadPool::ChunkRange range) {
-                         for (std::size_t i = range.begin; i < range.end; ++i) {
-                           one(i);
-                         }
-                       });
-  } else {
-    for (std::size_t i = 0; i < work.size(); ++i) one(i);
-  }
-  return rebuilt.load(std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// pruning
-// ---------------------------------------------------------------------------
-
-bool SegmentManager::q2_segment_admissible_locked(
-    SegmentId seg, const Q2Pruner& pruner) const {
-  const Segment& s = segments_[seg];
-  // Unsealed or stale-summary segments are always admissible (conservative).
-  if (!s.sealed || !s.summary.fresh) return true;
-  const SegmentSummary& sum = s.summary;
-
-  if (options_.lamport_key != kNoPropKey) {
-    // An admissible v satisfies LC(a) <= LC(v) <= LC(b). A segment with no
-    // lamport values at build time held only unassigned nodes, which can
-    // never be causally between a and b (writes since would have staled the
-    // summary).
-    if (!sum.has_lamport) return false;
-    if (sum.lamport_max < pruner.lc_a_ || sum.lamport_min > pruner.lc_b_) {
-      return false;
-    }
-  }
-  // a-side: hb(a, v) requires VC(v)[tl(a)] >= pos(a) for some v.
-  auto it = sum.timelines.find(pruner.tl_a_);
-  if (it == sum.timelines.end() || it->second.max_entry < pruner.pos_a_) {
-    return false;
-  }
-  // b-side: hb(v, b) requires VC(b)[tl(v)] >= pos(v); over the segment, some
-  // timeline t with nodes here must satisfy VC(b)[t] >= min_pos(t).
-  for (const auto& [timeline, stats] : sum.timelines) {
-    if (stats.min_pos == std::numeric_limits<std::int32_t>::max()) continue;
-    if (timeline >= 0 &&
-        static_cast<std::size_t>(timeline) < pruner.vc_b_.size() &&
-        pruner.vc_b_[static_cast<std::size_t>(timeline)] >= stats.min_pos) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SegmentManager::q2_segment_admissible(SegmentId seg,
-                                           const Q2Pruner& pruner) const {
-  const std::shared_lock lock(store_.mutex_);
-  if (seg >= segments_.size()) return true;
-  const bool admissible = q2_segment_admissible_locked(seg, pruner);
-  if (!admissible) q2_skips_->inc();
-  return admissible;
-}
-
-bool SegmentManager::Q2Pruner::admits(NodeId v) const {
-  if (mgr_ == nullptr) return true;
-  if (v == a_ || v == b_) return true;
-  auto it = std::upper_bound(firsts_.begin(), firsts_.end(), v);
-  if (it == firsts_.begin()) return true;
-  const auto seg = static_cast<std::size_t>(it - firsts_.begin()) - 1;
-  if (seg >= firsts_.size()) return true;
-  std::atomic<std::uint8_t>& slot = verdicts_[seg];
-  std::uint8_t verdict = slot.load(std::memory_order_relaxed);
-  if (verdict == 0) {
-    verdict =
-        mgr_->q2_segment_admissible(static_cast<SegmentId>(seg), *this) ? 1 : 2;
-    slot.store(verdict, std::memory_order_relaxed);
-  }
-  return verdict == 1;
-}
-
-std::size_t SegmentManager::Q2Pruner::skipped_segments() const {
-  if (mgr_ == nullptr) return 0;
-  std::size_t skipped = 0;
-  for (std::size_t i = 0; i < firsts_.size(); ++i) {
-    if (verdicts_[i].load(std::memory_order_relaxed) == 2) ++skipped;
-  }
-  return skipped;
-}
-
-SegmentManager::Q2Pruner SegmentManager::q2_pruner(
-    NodeId a, NodeId b, std::int64_t lc_a, std::int64_t lc_b,
-    std::int32_t tl_a, std::int32_t pos_a,
-    std::span<const std::int32_t> vc_b) const {
-  Q2Pruner pruner;
-  if (!pruning_enabled() || tl_a < 0 || pos_a <= 0 || vc_b.empty()) {
-    return pruner;  // inert: admits everything
-  }
-  pruner.a_ = a;
-  pruner.b_ = b;
-  pruner.lc_a_ = lc_a;
-  pruner.lc_b_ = lc_b;
-  pruner.tl_a_ = tl_a;
-  pruner.pos_a_ = pos_a;
-  pruner.vc_b_.assign(vc_b.begin(), vc_b.end());
-  {
-    const std::shared_lock lock(store_.mutex_);
-    pruner.firsts_.reserve(segments_.size());
-    for (const Segment& s : segments_) pruner.firsts_.push_back(s.first);
-  }
-  pruner.verdicts_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(pruner.firsts_.size());
-  for (std::size_t i = 0; i < pruner.firsts_.size(); ++i) {
-    pruner.verdicts_[i].store(0, std::memory_order_relaxed);
-  }
-  pruner.mgr_ = this;
-  return pruner;
-}
-
-bool SegmentManager::summary_rules_out_hb(std::int32_t tl_a,
-                                          std::int32_t pos_a,
-                                          NodeId b) const {
-  if (!pruning_enabled() || tl_a < 0 || pos_a <= 0) return false;
-  const std::shared_lock lock(store_.mutex_);
-  if (b >= store_.nodes_.size()) return false;
-  const SegmentId seg = segment_of_locked(b);
-  if (seg == kNoSegment) return false;
-  const Segment& s = segments_[seg];
-  if (!s.sealed || !s.summary.fresh) return false;
-  auto it = s.summary.timelines.find(tl_a);
-  if (it == s.summary.timelines.end() || it->second.max_entry < pos_a) {
-    q1_skips_->inc();
-    return true;
-  }
-  return false;
-}
-
-std::optional<std::pair<std::int64_t, std::int64_t>>
-SegmentManager::summary_range(SegmentId seg, PropKeyId key) const {
-  if (!pruning_enabled() || key == kNoPropKey) return std::nullopt;
-  const std::shared_lock lock(store_.mutex_);
-  if (seg >= segments_.size()) return std::nullopt;
-  const Segment& s = segments_[seg];
-  if (!s.sealed || !s.summary.fresh) return std::nullopt;
-  if (key == options_.lamport_key) {
-    if (!s.summary.has_lamport) return std::pair<std::int64_t, std::int64_t>{1, 0};
-    return std::pair{s.summary.lamport_min, s.summary.lamport_max};
-  }
-  if (key == options_.timestamp_key) {
-    if (!s.summary.has_timestamp) {
-      return std::pair<std::int64_t, std::int64_t>{1, 0};
-    }
-    return std::pair{s.summary.ts_min, s.summary.ts_max};
-  }
-  return std::nullopt;
-}
-
-std::vector<std::pair<NodeId, NodeId>> SegmentManager::equality_scan_ranges(
-    PropKeyId key, std::int64_t value) const {
-  return scan_ranges(key, value, value);
-}
 
 std::vector<std::pair<NodeId, NodeId>> SegmentManager::scan_ranges(
     PropKeyId key, std::int64_t lo, std::int64_t hi,
@@ -1119,29 +887,18 @@ std::vector<std::pair<NodeId, NodeId>> SegmentManager::scan_ranges(
   std::vector<std::pair<NodeId, NodeId>> ranges;
   if (skipped_out != nullptr) *skipped_out = 0;
   const bool summarised =
-      pruning_enabled() && key != kNoPropKey &&
+      key != kNoPropKey &&
       (key == options_.lamport_key || key == options_.timestamp_key);
   if (!summarised || lo > hi) {
     if (!summarised && n > 0) ranges.emplace_back(0, n);
     return ranges;
   }
   std::size_t skipped = 0;
-  for (SegmentId i = 0; i < segments_.size(); ++i) {
-    const Segment& s = segments_[i];
+  for (const Segment& s : segments_) {
     if (s.count == 0) continue;
-    bool skip = false;
-    if (s.sealed && s.summary.fresh) {
-      const bool has = key == options_.lamport_key ? s.summary.has_lamport
-                                                   : s.summary.has_timestamp;
-      const std::int64_t seg_lo = key == options_.lamport_key
-                                      ? s.summary.lamport_min
-                                      : s.summary.ts_min;
-      const std::int64_t seg_hi = key == options_.lamport_key
-                                      ? s.summary.lamport_max
-                                      : s.summary.ts_max;
-      skip = !has || hi < seg_lo || lo > seg_hi;
-    }
-    if (skip) {
+    const ValueRange& r =
+        key == options_.lamport_key ? s.lamport : s.timestamp;
+    if (s.sealed && (!r.has || hi < r.min || lo > r.max)) {
       ++skipped;
       continue;
     }

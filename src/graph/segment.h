@@ -9,23 +9,15 @@
 // attributed round-robin to *shards* (aligned with the queue partition count
 // in service mode) so diagnostics and eviction fairness can name the shard.
 //
-// Each sealed segment carries a **VC summary**: the lamport/timestamp value
-// ranges of its nodes plus, per timeline, the maximum vector-clock component
-// observed and the minimum position of any node on that timeline. The
-// summary supports conservative segment-skip tests (never skips a segment
-// that could contribute) for the three query shapes:
-//
-//   Q1  happens_before(a, b):  hb  =>  VC(b)[tl(a)] >= pos(a), so if the
-//       segment-wide max of component tl(a) is below pos(a), no node of the
-//       segment (b included) can be causally after a.
-//   Q2  getCausalGraph(a, b): an admissible v satisfies hb(a,v) && hb(v,b);
-//       the a-side uses the same max-component bound, the b-side requires
-//       some timeline t with nodes in the segment where VC(b)[t] >= the
-//       segment's minimum position on t, and the lamport range must overlap
-//       [LC(a), LC(b)].
-//   MATCH full scans: equality predicates on the summarised integer keys
-//       (lamportLogicalTime, timestamp) skip segments whose value range
-//       excludes the constant.
+// Each sealed segment carries a **range summary**: the min/max of its
+// nodes' lamportLogicalTime and timestamp values. The graph layer keeps it
+// current itself — computed when a segment is sealed, carved or adopted, and
+// widened by every property write into a sealed segment under the lock the
+// write already holds — so a summary is always a superset of its segment's
+// values and never goes stale. MATCH range scans on either key (the
+// planner's segment-skip scan, scan_ranges()) drop sealed segments whose
+// range excludes the predicate. Q1 and Q2 consult no summary: the clock
+// table is always resident and answers them exactly in O(1) per node.
 //
 // Sealed segments are **LRU-evictable** to spill files in the v3
 // JSON-lines snapshot family (CRC-32 trailer included) and transparently
@@ -50,25 +42,16 @@
 // GraphStore's write path with the lock already held.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <limits>
-#include <memory>
-#include <optional>
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "graph/graph_store.h"
-
-namespace horus {
-class ThreadPool;
-}  // namespace horus
 
 namespace horus::obs {
 class Counter;
@@ -96,7 +79,7 @@ struct SegmentOptions {
   /// partition count in service mode. Segments are attributed round-robin.
   std::size_t shard_count = 4;
   /// Directory for eviction spill files (seg-<id>.hseg). Empty disables
-  /// eviction (segments still seal and carry summaries).
+  /// eviction (segments still seal and carry range summaries).
   std::string spill_dir;
   /// Evict sealed segments (LRU) once their resident payload exceeds this.
   /// 0 = unbounded (no automatic eviction).
@@ -104,8 +87,8 @@ struct SegmentOptions {
   /// Enforce the budget from the write path (on seal). evict_to_budget()
   /// works regardless.
   bool auto_evict = true;
-  /// Store key ids of the summarised integer columns. kNoPropKey disables
-  /// the corresponding range summary (pruning then never uses it).
+  /// Store key ids of the summarised integer keys. kNoPropKey disables the
+  /// corresponding range summary (scan_ranges then never skips on it).
   PropKeyId lamport_key = kNoPropKey;
   PropKeyId timestamp_key = kNoPropKey;
   /// Carve pre-existing nodes into sealed full-size segments on enable
@@ -124,7 +107,6 @@ struct SegmentInfo {
   bool sealed = false;
   bool resident = true;
   bool spill_clean = false;
-  bool summary_fresh = false;
   int pins = 0;
   std::size_t payload_bytes = 0;
 };
@@ -138,13 +120,6 @@ struct ShardCounts {
   std::size_t active_nodes = 0;  ///< unsealed tail nodes owned by this shard
   std::size_t resident_bytes = 0;
 };
-
-/// Clock accessor used to build VC summaries without a dependency on the
-/// core ClockTable: returns false when `node` has no assigned clocks,
-/// otherwise fills the timeline index, 1-based position, and the VC span.
-using ClockLookup = std::function<bool(
-    NodeId, std::int32_t& timeline, std::int32_t& position,
-    std::span<const std::int32_t>& vc)>;
 
 /// One node of a parsed segment file. Property keys index the file's own
 /// key table; edge types index its edge_types table — the consumer maps
@@ -255,97 +230,17 @@ class SegmentManager {
   /// the spill file fails CRC or structural validation.
   void reload(SegmentId seg);
 
-  // ---- VC summaries / pruning ----------------------------------------------
+  // ---- range summaries ----------------------------------------------------
 
-  /// Rebuilds summaries of sealed segments whose contents changed since the
-  /// last build (all of them when `force`). Safe to call concurrently with
-  /// readers and writers: each segment is built under a shared lock and
-  /// committed only if unmodified meanwhile. When `pool` is non-null and
-  /// `threads` > 1, segments rebuild in parallel (the caller must not hold
-  /// the store lock). Returns the number of summaries rebuilt.
-  std::size_t update_summaries(const ClockLookup& clocks, bool force = false,
-                               ThreadPool* pool = nullptr,
-                               unsigned threads = 1);
-
-  /// Master switch for all summary-based skipping (benches A/B pruning).
-  void set_pruning(bool on) noexcept {
-    pruning_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool pruning_enabled() const noexcept {
-    return pruning_.load(std::memory_order_relaxed);
-  }
-
-  /// Memoized per-query segment filter for Q2 (getCausalGraph a -> b).
-  /// admits(v) is thread-safe and conservative: it returns true unless v's
-  /// segment provably contains no admissible node. Move-only.
-  class Q2Pruner {
-   public:
-    Q2Pruner() = default;
-    Q2Pruner(Q2Pruner&&) noexcept = default;
-    Q2Pruner& operator=(Q2Pruner&&) noexcept = default;
-
-    /// True when the pruner has segment data to consult (a/b assigned,
-    /// pruning enabled). An inert pruner admits everything.
-    [[nodiscard]] bool active() const noexcept { return mgr_ != nullptr; }
-
-    [[nodiscard]] bool admits(NodeId v) const;
-
-    /// Segments ruled out so far (diagnostics; racy read is fine).
-    [[nodiscard]] std::size_t skipped_segments() const;
-
-   private:
-    friend class SegmentManager;
-
-    const SegmentManager* mgr_ = nullptr;
-    NodeId a_ = kNoNode;
-    NodeId b_ = kNoNode;
-    std::int64_t lc_a_ = 0;
-    std::int64_t lc_b_ = 0;
-    std::int32_t tl_a_ = -1;
-    std::int32_t pos_a_ = 0;
-    std::vector<std::int32_t> vc_b_;
-    std::vector<NodeId> firsts_;  ///< segment boundaries at construction
-    /// 0 = unknown, 1 = admit, 2 = skip. Benign compute-twice races.
-    std::unique_ptr<std::atomic<std::uint8_t>[]> verdicts_;
-  };
-
-  /// Builds a Q2 pruner for the query (a, b) from the endpoint clock data
-  /// (lamport values, a's timeline/position, b's VC). Returns an inert
-  /// pruner when pruning is disabled or either endpoint lacks clocks.
-  [[nodiscard]] Q2Pruner q2_pruner(NodeId a, NodeId b, std::int64_t lc_a,
-                                   std::int64_t lc_b, std::int32_t tl_a,
-                                   std::int32_t pos_a,
-                                   std::span<const std::int32_t> vc_b) const;
-
-  /// Q1 fast reject: true when the summary of b's segment *proves*
-  /// a -/-> b (max VC component tl_a over the segment < pos_a). False means
-  /// "unknown — consult the clock table".
-  [[nodiscard]] bool summary_rules_out_hb(std::int32_t tl_a,
-                                          std::int32_t pos_a, NodeId b) const;
-
-  /// Value range [min, max] of a summarised integer key over a sealed
-  /// segment with a fresh summary; nullopt when unknown (unsealed, stale,
-  /// or key not summarised). nullopt must be treated as "scan the segment".
-  /// A segment where *no* node carries the key reports the empty range
-  /// {1, 0} so equality scans can still skip it.
-  [[nodiscard]] std::optional<std::pair<std::int64_t, std::int64_t>>
-  summary_range(SegmentId seg, PropKeyId key) const;
-
-  /// Node-id ranges [begin, end) a full scan for `key == value` must visit:
-  /// sealed segments whose summarised value range provably excludes `value`
-  /// are dropped (counted in the scan-skip metric) and the survivors merged.
-  /// Returns the full range when `key` is not summarised or pruning is off.
-  [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> equality_scan_ranges(
-      PropKeyId key, std::int64_t value) const;
-
-  /// Range generalization of equality_scan_ranges: node-id ranges a scan
-  /// constrained to `lo <= key <= hi` must visit — sealed segments whose
-  /// summarised value range misses [lo, hi] entirely are dropped and the
-  /// survivors merged (ascending id order, so scanning the ranges matches
-  /// a plain full scan's output order). `skipped_out`, when non-null,
-  /// receives the number of segments pruned (the query planner's
-  /// segments-pruned counter). Conservative under staleness: a stale or
-  /// unsealed segment is always visited.
+  /// Node-id ranges [begin, end) a scan constrained to `lo <= key <= hi`
+  /// must visit: sealed segments whose summarised value range misses
+  /// [lo, hi] entirely are dropped and the survivors merged (ascending id
+  /// order, so scanning the ranges matches a plain full scan's output
+  /// order). A sealed segment where no node carries the key is always
+  /// dropped; the unsealed tail is always visited. Returns the full range
+  /// when `key` is not summarised. `skipped_out`, when non-null, receives
+  /// the number of segments skipped (the query planner's segments-pruned
+  /// counter).
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> scan_ranges(
       PropKeyId key, std::int64_t lo, std::int64_t hi,
       std::size_t* skipped_out = nullptr) const;
@@ -367,22 +262,23 @@ class SegmentManager {
  private:
   friend class GraphStore;
 
-  struct TimelineStats {
-    std::int32_t max_entry = -1;  ///< max VC(v)[t] over the segment
-    /// min/max 1-based position among segment nodes *on* timeline t;
-    /// min == INT32_MAX means no node of the segment lives on t.
-    std::int32_t min_pos = std::numeric_limits<std::int32_t>::max();
-  };
+  /// Min/max of one summarised integer key over a sealed segment's nodes.
+  /// `has` is false while no node of the segment carries an int64 value.
+  struct ValueRange {
+    bool has = false;
+    std::int64_t min = 0;
+    std::int64_t max = 0;
 
-  struct SegmentSummary {
-    bool fresh = false;
-    bool has_lamport = false;
-    std::int64_t lamport_min = 0;
-    std::int64_t lamport_max = 0;
-    bool has_timestamp = false;
-    std::int64_t ts_min = 0;
-    std::int64_t ts_max = 0;
-    std::unordered_map<std::int32_t, TimelineStats> timelines;
+    /// Extends the range to cover `value` when it is an int64 (null and
+    /// other types are ignored).
+    void widen(const PropertyValue* value) noexcept {
+      const auto* v =
+          value != nullptr ? std::get_if<std::int64_t>(value) : nullptr;
+      if (v == nullptr) return;
+      min = has ? std::min(min, *v) : *v;
+      max = has ? std::max(max, *v) : *v;
+      has = true;
+    }
   };
 
   struct Segment {
@@ -392,10 +288,10 @@ class SegmentManager {
     bool resident = true;
     bool spill_clean = false;
     int pins = 0;
-    std::uint64_t touch = 0;     ///< LRU stamp (seal / reload / prune admit)
-    std::uint64_t mut_gen = 0;   ///< bumped on property writes (staleness)
+    std::uint64_t touch = 0;  ///< LRU stamp (seal / reload)
     std::size_t payload_bytes = 0;
-    SegmentSummary summary;
+    ValueRange lamport;    ///< over options_.lamport_key (sealed only)
+    ValueRange timestamp;  ///< over options_.timestamp_key (sealed only)
   };
 
   SegmentManager(GraphStore& store, SegmentOptions options);
@@ -409,7 +305,8 @@ class SegmentManager {
   [[nodiscard]] SegmentId segment_of_locked(NodeId node) const;  // shared ok
   [[nodiscard]] bool resident_for_locked(NodeId node) const;     // shared ok
   void on_node_added_locked(NodeId node);
-  void on_property_write_locked(NodeId node);
+  void on_property_write_locked(NodeId node, PropKeyId key,
+                                const PropertyValue& value);
   void on_edge_added_locked(NodeId from, NodeId to);
   void seal_active_locked();
   void ensure_resident_locked(NodeId node);
@@ -421,21 +318,15 @@ class SegmentManager {
   void write_segment_stream_locked(SegmentId seg, std::ostream& out) const;
   [[nodiscard]] std::size_t payload_bytes_locked(SegmentId seg) const;
   [[nodiscard]] SegmentInfo info_locked(SegmentId seg) const;
-  void build_summary_locked(SegmentId seg, const ClockLookup& clocks,
-                            SegmentSummary& out) const;  // shared ok
-
-  /// Conservative Q2 admissibility of a sealed segment (shared lock held).
-  [[nodiscard]] bool q2_segment_admissible_locked(
-      SegmentId seg, const Q2Pruner& pruner) const;
-  [[nodiscard]] bool q2_segment_admissible(SegmentId seg,
-                                           const Q2Pruner& pruner) const;
+  /// Marks a segment sealed (LRU stamp, payload bytes, range summaries from
+  /// its current values); metrics are the caller's.
+  void seal_segment_locked(SegmentId seg);
 
   GraphStore& store_;
   SegmentOptions options_;
   std::vector<Segment> segments_;  ///< last entry is the active tail
   std::uint64_t touch_clock_ = 0;
   std::size_t resident_bytes_ = 0;  ///< sealed-segment payload currently in RAM
-  std::atomic<bool> pruning_{true};
   mutable std::atomic<int> read_holds_{0};
 
   // Process-wide metrics; gauges are updated by delta (add/sub) so several
@@ -447,8 +338,6 @@ class SegmentManager {
   obs::Counter* seals_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
   obs::Counter* reloads_total_ = nullptr;
-  obs::Counter* q1_skips_ = nullptr;
-  obs::Counter* q2_skips_ = nullptr;
   obs::Counter* scan_skips_ = nullptr;
 };
 

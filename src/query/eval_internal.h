@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "graph/segment.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
 
@@ -684,23 +683,6 @@ class Evaluator {
         return !node_matches(n, pattern, props);
       });
       return found;
-    }
-    // Full scan. On a segmented store, an integer equality predicate on a
-    // summarised key (lamportLogicalTime, timestamp) lets whole sealed
-    // segments drop out by value range before any node is visited; ranges
-    // come back in ascending id order, so output matches the plain scan.
-    if (graph::SegmentManager* segments = store.segments()) {
-      for (const auto& [key, want] : props) {
-        if (key == graph::kNoPropKey || !want.is_int()) continue;
-        std::vector<graph::NodeId> found;
-        for (const auto& [begin, end] :
-             segments->equality_scan_ranges(key, want.as_int())) {
-          for (graph::NodeId n = begin; n < end; ++n) {
-            if (node_matches(n, pattern, props)) found.push_back(n);
-          }
-        }
-        return found;
-      }
     }
     std::vector<graph::NodeId> found = store.all_nodes();
     std::erase_if(found, [&](graph::NodeId n) {

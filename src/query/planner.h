@@ -46,7 +46,7 @@ enum class ScanKind {
   kLabel,         // label index (insertion order == ascending id)
   kIndexEq,       // hash index equality bucket, re-sorted ascending
   kRange,         // ordered index [lo, hi], re-sorted ascending
-  kSegmentSkip,   // full scan minus segments excluded by VC summaries
+  kSegmentSkip,   // full scan minus segments excluded by range summaries
   kPatternProps,  // inline pattern properties via the legacy candidates()
 };
 

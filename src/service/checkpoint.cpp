@@ -29,15 +29,20 @@ std::string read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
+/// Writes `content` to `path` and throws unless every byte reached the file:
+/// a short write (disk full, file-size limit) must fail the checkpoint
+/// before anything publishes the epoch.
+void write_file(const fs::path& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw HorusError("checkpoint: cannot write " + path.string());
+  out << content;
+  out.flush();
+  if (!out) throw HorusError("checkpoint: write failed for " + path.string());
+}
+
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw HorusError("checkpoint: cannot write " + tmp);
-    out << content;
-    out.flush();
-    if (!out) throw HorusError("checkpoint: write failed for " + tmp);
-  }
+  write_file(tmp, content);
   fs::rename(tmp, path);
 }
 
@@ -73,11 +78,7 @@ void write_segmented_graph(graph::SegmentManager& segments,
   meta["edges"] = static_cast<std::int64_t>(graph.store().edge_count());
   meta["segments"] = std::move(seg_list);
   meta["tail"] = std::move(tail);
-  std::ofstream out(dir / "graph_meta.json", std::ios::trunc);
-  if (!out) throw HorusError("checkpoint: cannot write graph_meta.json");
-  out << meta.dump_pretty() << '\n';
-  out.flush();
-  if (!out) throw HorusError("checkpoint: write failed for graph_meta.json");
+  write_file(dir / "graph_meta.json", meta.dump_pretty() + "\n");
 }
 
 /// Loads a segmented epoch into the (empty) graph. Every file is parsed
@@ -233,14 +234,7 @@ CheckpointInfo CheckpointStore::write(
     graph.save((tmp_dir / "graph.hgraph").string());
   }
 
-  {
-    std::ofstream out(tmp_dir / "clocks.bin",
-                      std::ios::binary | std::ios::trunc);
-    if (!out) throw HorusError("checkpoint: cannot write clocks.bin");
-    out << clock_record;
-    out.flush();
-    if (!out) throw HorusError("checkpoint: write failed for clocks.bin");
-  }
+  write_file(tmp_dir / "clocks.bin", clock_record);
 
   Json meta = Json::object();
   Json offs = Json::array();
@@ -254,11 +248,7 @@ CheckpointInfo CheckpointStore::write(
   }
   meta["offsets"] = std::move(offs);
   meta["epoch"] = static_cast<std::int64_t>(epoch);
-  {
-    std::ofstream out(tmp_dir / "offsets.json", std::ios::trunc);
-    if (!out) throw HorusError("checkpoint: cannot write offsets.json");
-    out << meta.dump_pretty() << '\n';
-  }
+  write_file(tmp_dir / "offsets.json", meta.dump_pretty() + "\n");
 
   // Freeze the pending-pair WAL as of the commit gate (see header).
   fs::create_directories(tmp_dir / "wal");

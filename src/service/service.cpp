@@ -96,14 +96,6 @@ void HorusService::start(TrafficSource source) {
       broker_.seek_offsets(restored.offsets);
       restored_epoch_ = restored.epoch;
       setup_segments(restored.sealed_segments);
-      if (graph_.store().segments() != nullptr) {
-        // Adopted segments come back summary-stale; build from the restored
-        // clocks now so pruning is live before the first assignment pass.
-        daemon_.with_clocks([this](const ClockTable& clocks) {
-          return update_segment_summaries(graph_.store(), clocks,
-                                          /*force=*/true);
-        });
-      }
       diag(DiagLevel::kInfo, "service",
            "restored checkpoint epoch " + std::to_string(restored.epoch) +
                " (" + std::to_string(graph_.event_count()) +

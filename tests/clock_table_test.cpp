@@ -1,14 +1,11 @@
-// ClockTable suite (ctest label `clocks`): the chain-decomposition
-// reachability index (core/chain_index.h) held against the vector-clock
-// oracle, the HORUSVC1 record (restore-and-resume, typed version errors,
-// mangled bytes, field validation) and span stability across incremental
-// seals.
+// ClockTable suite (ctest label `clocks`): the HORUSVC1 record
+// (restore-and-resume, typed version errors, mangled bytes, field
+// validation) and span stability across incremental seals.
 //
 // Rows are compared value-for-value, not statistically: any divergence is a
-// bug in the chain relaxation, the record codec, or the arena bookkeeping.
+// bug in the record codec or the arena bookkeeping.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -18,10 +15,8 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "core/chain_index.h"
 #include "core/horus.h"
 #include "core/logical_clocks.h"
-#include "gen/chaos.h"
 #include "gen/synthetic.h"
 #include "gen/topology.h"
 
@@ -79,28 +74,6 @@ void expect_equivalent_by_event(const ClockTable& ta, const ExecutionGraph& ga,
   }
 }
 
-/// Picks Q2 endpoint pairs with real causal cuts: for each sampled `a`,
-/// the related node with the largest Lamport gap.
-std::vector<std::pair<graph::NodeId, graph::NodeId>> q2_pairs(
-    const ClockTable& clocks, graph::NodeId n, std::size_t want) {
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
-  const graph::NodeId stride = std::max<graph::NodeId>(1, n / 16);
-  for (graph::NodeId a = 0; a < n && pairs.size() < want; a += stride) {
-    graph::NodeId best = a;
-    std::int64_t best_gap = -1;
-    for (graph::NodeId b = 0; b < n; ++b) {
-      if (!clocks.happens_before(a, b)) continue;
-      const std::int64_t gap = clocks.lamport(b) - clocks.lamport(a);
-      if (gap > best_gap) {
-        best_gap = gap;
-        best = b;
-      }
-    }
-    if (best != a) pairs.emplace_back(a, best);
-  }
-  return pairs;
-}
-
 /// The saved HORUSVC1 record of a small flat build.
 std::string saved_record(const ClockTable& clocks) {
   std::stringstream buf;
@@ -123,59 +96,6 @@ void expect_corrupt(const std::string& frame, const std::string& what) {
   } catch (const HorusError& e) {
     EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
         << e.what();
-  }
-}
-
-// -- chain-decomposition reachability index ---------------------------------
-
-TEST(ChainIndexTest, AgreesWithVectorClocksOnRandomDag) {
-  const auto events = gen::random_execution(
-      {.num_processes = 6, .events_per_process = 25, .seed = 21});
-  auto horus = build(events);
-  const auto& clocks = horus->clocks();
-  const ChainIndex index(horus->graph(), clocks);
-  EXPECT_EQ(index.timeline_count(), clocks.timeline_count());
-  const auto n =
-      static_cast<graph::NodeId>(horus->graph().store().node_count());
-  for (graph::NodeId a = 0; a < n; ++a) {
-    for (graph::NodeId b = 0; b < n; ++b) {
-      ASSERT_EQ(index.happens_before(a, b), clocks.happens_before(a, b))
-          << "a=" << a << " b=" << b;
-    }
-  }
-}
-
-// The chain index as Q2 pruning oracle must keep the result byte-identical
-// to VC pruning, in both engines, sequential and fanned out.
-TEST(ChainIndexTest, Q2PruningMatchesVcOracle) {
-  for (const gen::ChaosScenario& scenario : gen::builtin_chaos_scenarios(5)) {
-    SCOPED_TRACE(scenario.name);
-    auto events = gen::microservice_topology(scenario.topology);
-    events = gen::cross_process_shuffle(events, scenario.topology.seed + 7);
-    auto horus = build(events);
-    const auto n =
-        static_cast<graph::NodeId>(horus->graph().store().node_count());
-    const ChainIndex index(horus->graph(), horus->clocks());
-    const auto pairs = q2_pairs(horus->clocks(), n, 3);
-    for (const unsigned threads : {1u, 8u}) {
-      QueryOptions vc_opts;
-      vc_opts.threads = threads;
-      vc_opts.min_parallel_items = 1;
-      QueryOptions chain_opts = vc_opts;
-      chain_opts.chain_index = &index;
-      const auto vc_engine = horus->query(vc_opts);
-      const auto chain_engine = horus->query(chain_opts);
-      for (const auto& [a, b] : pairs) {
-        const auto want = vc_engine.get_causal_graph(a, b);
-        const auto got = chain_engine.get_causal_graph(a, b);
-        EXPECT_EQ(want.nodes, got.nodes)
-            << "threads=" << threads << " a=" << a << " b=" << b;
-        EXPECT_EQ(want.edges, got.edges);
-        const auto trav = chain_engine.get_causal_graph_traversal(a, b);
-        EXPECT_EQ(want.nodes, trav.nodes);
-        EXPECT_EQ(want.edges, trav.edges);
-      }
-    }
   }
 }
 

@@ -97,6 +97,18 @@ TEST(JsonTest, RoundTripsThroughDump) {
   EXPECT_EQ(Json::parse(j.dump()), j);
 }
 
+TEST(JsonTest, IntegralDoublesStayDoubles) {
+  for (const double d : {3.0, -0.0, 0.0, 1e15, -42.0}) {
+    const Json j(d);
+    const Json back = Json::parse(j.dump());
+    EXPECT_TRUE(back.is_double()) << j.dump();
+    EXPECT_EQ(back, j) << j.dump();
+  }
+  EXPECT_EQ(Json(3.0).dump(), "3.0");
+  EXPECT_EQ(Json(std::int64_t{3}).dump(), "3");
+  EXPECT_EQ(Json(2.5).dump(), "2.5");
+}
+
 TEST(JsonTest, DumpEscapesControlCharacters) {
   const Json j(std::string("a\x01" "b"));
   EXPECT_EQ(j.dump(), "\"a\\u0001b\"");

@@ -1,10 +1,10 @@
 // Plan-differential oracle suite (ctest label `plan`): every corpus query
 // must return row-for-row identical results from the planned batch executor
 // and the legacy tuple-at-a-time pipeline — across chaos topologies, over
-// monolithic, segmented and fully-evicted stores, at 1/2/8 threads, with
-// segment pruning on and off. The legacy engine (use_planner=false,
-// threads=1, monolithic store) is the reference; everything else must agree
-// with it exactly, including column names and row order.
+// monolithic, segmented and fully-evicted stores, at 1/2/8 threads. The
+// legacy engine (use_planner=false, threads=1, monolithic store) is the
+// reference; everything else must agree with it exactly, including column
+// names and row order.
 //
 // A second set of tests pins the *plan shapes*: the planner must actually
 // choose the index/range/segment-skip scans the differential rows prove
@@ -222,17 +222,14 @@ TEST(PlanDifferentialTest, IdenticalUnderEviction) {
   expect_differential(p, "evicted", /*evict_between_queries=*/true);
 }
 
-TEST(PlanDifferentialTest, IdenticalWithPruningToggled) {
+TEST(PlanDifferentialTest, ContentionTopology) {
   gen::TopologyOptions topology;
   topology.num_services = 5;
   topology.depth = 2;
   topology.requests = 8;
   topology.contention_services = 2;
-  const Pair p = build_pair(topology, "pruning");
-  p.segments->set_pruning(false);
-  expect_differential(p, "pruning-off");
-  p.segments->set_pruning(true);
-  expect_differential(p, "pruning-on");
+  const Pair p = build_pair(topology, "contention");
+  expect_differential(p, "contention");
 }
 
 // ---------------------------------------------------------------------------

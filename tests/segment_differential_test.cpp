@@ -2,15 +2,16 @@
 // a segmented Horus instance and a monolithic one ingest identical event
 // streams and must return row-identical answers for Q1 (happens-before over
 // a sample grid), Q2 (getCausalGraph, both the index engine and its
-// traversal twin), and MATCH queries — with summaries fresh, with pruning
-// disabled, and with every sealed segment evicted mid-query (transparent
-// reload). Topologies come from the chaos scenario matrix so the streams
-// include retry storms, contention pools and long chains.
+// traversal twin), and MATCH queries — as sealed, after property writes
+// into sealed segments, and with every sealed segment evicted mid-query
+// (transparent reload). Topologies come from the chaos scenario matrix so
+// the streams include retry storms, contention pools and long chains.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,7 +55,7 @@ Pair build_pair(const gen::TopologyOptions& topology, const std::string& tag,
     p.seg->ingest(e);
   }
   p.mono->seal();
-  p.seg->seal();  // seal() also refreshes the VC summaries
+  p.seg->seal();
   EXPECT_EQ(p.mono->graph().store().node_count(),
             p.seg->graph().store().node_count());
   EXPECT_GT(p.segments->sealed_count(), 0u) << tag;
@@ -106,7 +107,7 @@ void expect_q2_identical(const Pair& p, const std::string& tag,
       ASSERT_EQ(want.edges, got.edges) << tag << ": Q2 edges (" << a << ", "
                                        << b << ")";
       // The traversal twin over the segmented store agrees too (it takes
-      // the ReadHold + pruner path).
+      // the ReadHold path).
       const CausalGraphResult trav = seg.get_causal_graph_traversal(a, b);
       ASSERT_EQ(want.nodes, trav.nodes)
           << tag << ": Q2 traversal nodes (" << a << ", " << b << ")";
@@ -120,11 +121,20 @@ void expect_q2_identical(const Pair& p, const std::string& tag,
 void expect_match_identical(const Pair& p, const std::string& tag) {
   const query::QueryEngine mono(p.mono->graph());
   const query::QueryEngine seg(p.seg->graph());
-  // The lamport equality predicate exercises equality_scan_ranges; the
-  // others cover label scans, edges and aggregation over segments.
+  // The timestamp window is the planner's segment-skip scan (timestamp has
+  // no ordered index), which reads the range summaries; the inline lamport
+  // equality is an index lookup; the others cover label scans, edges and
+  // aggregation over segments.
   const std::int64_t probe = static_cast<std::int64_t>(
       p.mono->graph().store().node_count() / 2);
+  const auto& store = p.mono->graph().store();
+  const auto* mid_ts = std::get_if<std::int64_t>(&store.property(
+      static_cast<graph::NodeId>(probe), p.mono->graph().keys().timestamp));
+  const std::string ts_probe =
+      std::to_string(std::max<std::int64_t>(0, mid_ts ? *mid_ts : 0));
   const std::vector<std::string> queries = {
+      "MATCH (n) WHERE n.timestamp >= " + ts_probe +
+          " RETURN n.eventId ORDER BY n.eventId",
       "MATCH (n:EVENT) RETURN count(*) AS total",
       "MATCH (n {lamportLogicalTime: " + std::to_string(probe) +
           "}) RETURN n.eventId ORDER BY n.eventId",
@@ -195,39 +205,58 @@ TEST(SegmentDifferentialTest, IdenticalUnderEviction) {
   EXPECT_LT(p.segments->evicted_count(), p.segments->sealed_count());
 }
 
-TEST(SegmentDifferentialTest, IdenticalWithPruningDisabled) {
+TEST(SegmentDifferentialTest, ContentionTopology) {
   gen::TopologyOptions topology;
   topology.num_services = 5;
   topology.depth = 2;
   topology.requests = 8;
   topology.contention_services = 2;
-  const Pair p = build_pair(topology, "nopruning");
-  p.segments->set_pruning(false);
-  expect_all_identical(p, "pruning-off");
-  p.segments->set_pruning(true);
-  expect_all_identical(p, "pruning-on");
+  const Pair p = build_pair(topology, "contention");
+  expect_all_identical(p, "contention");
 }
 
-TEST(SegmentDifferentialTest, StaleSummariesStayConservative) {
+TEST(SegmentDifferentialTest, IdenticalAfterWritesIntoSealedSegments) {
   gen::TopologyOptions topology;
   topology.num_services = 5;
   topology.depth = 2;
   topology.requests = 8;
-  const Pair p = build_pair(topology, "stale");
-  // Stale every summary via a property write per sealed segment: pruning
-  // must fall back to "scan" (conservative), never to a wrong skip.
+  const Pair p = build_pair(topology, "rewrite");
+  // Move one node of every sealed segment far outside the values ingest
+  // produced, in both stores. The segmented store must widen each range on
+  // write, or the skip scans below would drop the rewritten nodes.
+  const ExecutionGraphKeys& keys = p.seg->graph().keys();
+  std::int64_t big = 1'000'000'000;
+  std::size_t rewritten = 0;
   for (const graph::SegmentInfo& info : p.segments->list()) {
     if (!info.sealed) continue;
-    p.seg->graph().store().set_property(info.first, "stale_marker",
-                                        std::int64_t{1});
-  }
-  for (const graph::SegmentInfo& info : p.segments->list()) {
-    if (info.sealed) {
-      EXPECT_FALSE(info.summary_fresh);
+    const graph::NodeId node = info.first + info.count / 2;
+    for (Horus* h : {p.mono.get(), p.seg.get()}) {
+      h->graph().store().set_property(node, keys.timestamp, big);
+      h->graph().store().set_property(node, keys.lamport, big + 1);
     }
+    big += 10;
+    ++rewritten;
   }
-  expect_q1_grid_identical(p, "stale");
-  expect_q2_identical(p, "stale");
+  ASSERT_GT(rewritten, 0u);
+  // Q2 is left out: its index engine takes candidates from the stored
+  // Lamport values, which the rewrite moved away from the clock table's,
+  // so its two engines no longer agree with each other on either store.
+  expect_q1_grid_identical(p, "rewrite");
+  expect_match_identical(p, "rewrite");
+  for (const std::string& q :
+       {std::string("MATCH (n) WHERE n.timestamp >= 1000000000 "
+                    "RETURN n.eventId ORDER BY n.eventId"),
+        std::string("MATCH (n) WHERE n.timestamp = 1000000010 "
+                    "RETURN n.eventId")}) {
+    const query::QueryResult want = query::QueryEngine(p.mono->graph()).run(q);
+    const query::QueryResult got = query::QueryEngine(p.seg->graph()).run(q);
+    EXPECT_FALSE(want.rows.empty()) << q;
+    EXPECT_EQ(want.rows, got.rows) << q;
+  }
+  const query::QueryResult all = query::QueryEngine(p.seg->graph()).run(
+      "MATCH (n) WHERE n.timestamp >= 1000000000 RETURN count(*) AS c");
+  ASSERT_EQ(all.rows.size(), 1u);
+  EXPECT_EQ(all.rows[0][0], query::Value(static_cast<std::int64_t>(rewritten)));
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // SegmentManager unit suite: sealing boundaries, carving, the residency
 // state machine (evict / reload / pin / LRU budget), CRC-checked spill
-// files with typed corruption failures, summary-driven equality-scan
-// pruning, and transparent fault-in on every store access path.
+// files with typed corruption failures, range-summary scan pruning (ranges
+// current on seal, carve, adopt and write), and transparent fault-in on
+// every store access path.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,13 +21,6 @@ namespace horus::graph {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Clock lookup that knows nothing — summaries still freshen (lamport /
-/// timestamp ranges come from stored properties, timelines stay empty).
-ClockLookup no_clocks() {
-  return [](NodeId, std::int32_t&, std::int32_t&,
-            std::span<const std::int32_t>&) { return false; };
-}
 
 /// Adds `n` nodes with a lamport-ish int property that grows with the id so
 /// sealed segments get disjoint value ranges, plus chain edges.
@@ -383,95 +376,154 @@ TEST(SegmentStoreTest, WriteSegmentFileCopiesCleanSpill) {
   EXPECT_EQ(parsed.count, 8u);
 }
 
+/// Node ids a scan over `ranges` visits, in scan order.
+std::vector<NodeId> visited(
+    const std::vector<std::pair<NodeId, NodeId>>& ranges) {
+  std::vector<NodeId> out;
+  for (const auto& [begin, end] : ranges) {
+    for (NodeId n = begin; n < end; ++n) out.push_back(n);
+  }
+  return out;
+}
+
+bool contains(const std::vector<NodeId>& nodes, NodeId n) {
+  return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
+}
+
 TEST(SegmentStoreTest, EqualityScanRangesPruneBySummary) {
   GraphStore store;
   SegmentOptions options = small_segments();
   options.lamport_key = store.intern_prop_key("lamportLogicalTime");
   SegmentManager& segments = store.enable_segments(options);
-  fill(store, 40);  // lamport value == node id, so ranges are disjoint
-
-  // Before summaries: everything must be scanned (conservative).
-  const auto unpruned =
-      segments.equality_scan_ranges(options.lamport_key, 12);
-  ASSERT_EQ(unpruned.size(), 1u);
-  EXPECT_EQ(unpruned[0], (std::pair<NodeId, NodeId>{0u, 40u}));
-
-  EXPECT_GT(segments.update_summaries(no_clocks()), 0u);
+  fill(store, 36);  // lamport value == node id, so ranges are disjoint
 
   // Value 12 lives in segment 1 ([8, 16)); sealed segments 0, 2, 3 are
-  // skipped, the active tail ([32, 40)) is always scanned.
-  const auto ranges = segments.equality_scan_ranges(options.lamport_key, 12);
-  std::vector<NodeId> visited;
-  for (const auto& [begin, end] : ranges) {
-    for (NodeId n = begin; n < end; ++n) visited.push_back(n);
-  }
-  for (NodeId n = 8; n < 16; ++n) {
-    EXPECT_NE(std::find(visited.begin(), visited.end(), n), visited.end());
-  }
-  EXPECT_LT(visited.size(), 40u);
-  EXPECT_EQ(std::find(visited.begin(), visited.end(), NodeId{20}),
-            visited.end());
+  // skipped, the active tail ([32, 36)) is always scanned.
+  std::size_t skipped = 0;
+  const std::vector<NodeId> scanned = visited(
+      segments.scan_ranges(options.lamport_key, 12, 12, &skipped));
+  EXPECT_EQ(skipped, 3u);
+  for (NodeId n = 8; n < 16; ++n) EXPECT_TRUE(contains(scanned, n)) << n;
+  for (NodeId n = 32; n < 36; ++n) EXPECT_TRUE(contains(scanned, n)) << n;
+  EXPECT_EQ(scanned.size(), 12u);
 
   // Ground truth: the pruned scan finds exactly the full-scan matches.
-  std::vector<NodeId> full;
-  for (NodeId n = 0; n < store.node_count(); ++n) {
-    if (property_equals(store.property(n, options.lamport_key),
-                        std::int64_t{12})) {
-      full.push_back(n);
+  const auto matches = [&](const std::vector<NodeId>& nodes) {
+    std::vector<NodeId> out;
+    for (NodeId n : nodes) {
+      if (property_equals(store.property(n, options.lamport_key),
+                          std::int64_t{12})) {
+        out.push_back(n);
+      }
     }
-  }
-  std::vector<NodeId> pruned;
-  for (NodeId n : visited) {
-    if (property_equals(store.property(n, options.lamport_key),
-                        std::int64_t{12})) {
-      pruned.push_back(n);
-    }
-  }
-  EXPECT_EQ(pruned, full);
+    return out;
+  };
+  EXPECT_EQ(matches(scanned), matches(store.all_nodes()));
 
-  // Pruning master switch: off restores the full range.
-  segments.set_pruning(false);
-  const auto off = segments.equality_scan_ranges(options.lamport_key, 12);
-  ASSERT_EQ(off.size(), 1u);
-  EXPECT_EQ(off[0], (std::pair<NodeId, NodeId>{0u, 40u}));
-  segments.set_pruning(true);
+  // A window spanning two sealed segments keeps both, merged into one range.
+  const auto window = segments.scan_ranges(options.lamport_key, 14, 17);
+  ASSERT_EQ(window.size(), 2u);
+  EXPECT_EQ(window[0], (std::pair<NodeId, NodeId>{8u, 24u}));
+  EXPECT_EQ(window[1], (std::pair<NodeId, NodeId>{32u, 36u}));
 
-  // Unsummarised keys never prune.
+  // Unsummarised keys never prune; an empty window visits nothing.
   const PropKeyId host = store.prop_key_id("host");
-  const auto other = segments.equality_scan_ranges(host, 12);
+  const auto other = segments.scan_ranges(host, 12, 12);
   ASSERT_EQ(other.size(), 1u);
-  EXPECT_EQ(other[0], (std::pair<NodeId, NodeId>{0u, 40u}));
+  EXPECT_EQ(other[0], (std::pair<NodeId, NodeId>{0u, 36u}));
+  EXPECT_TRUE(segments.scan_ranges(options.lamport_key, 5, 4).empty());
 }
 
-TEST(SegmentStoreTest, SummaryRangeAndStalenessProtocol) {
+// Ranges are computed by the graph layer at every way a segment becomes
+// sealed — no update pass, no staleness window.
+TEST(SegmentStoreTest, ScanRangesCurrentAfterSealCarveAndAdopt) {
+  const auto lamport_options = [](GraphStore& store) {
+    SegmentOptions options = small_segments();
+    options.lamport_key = store.intern_prop_key("lamportLogicalTime");
+    return options;
+  };
+  // Seal: size boundary and epoch boundary (seal_active).
+  {
+    GraphStore store;
+    const SegmentOptions options = lamport_options(store);
+    SegmentManager& segments = store.enable_segments(options);
+    fill(store, 12);
+    segments.seal_active();  // [8, 12) sealed by epoch boundary
+    std::size_t skipped = 0;
+    const auto scanned =
+        visited(segments.scan_ranges(options.lamport_key, 9, 9, &skipped));
+    EXPECT_EQ(skipped, 1u);  // [0, 8) skipped; [8, 12) kept
+    EXPECT_EQ(scanned, (std::vector<NodeId>{8, 9, 10, 11}));
+    EXPECT_TRUE(
+        visited(segments.scan_ranges(options.lamport_key, 100, 200)).empty());
+  }
+  // Carve: enable_segments on a populated store.
+  {
+    GraphStore store;
+    fill(store, 20);
+    const SegmentOptions options = lamport_options(store);
+    SegmentManager& segments = store.enable_segments(options);
+    ASSERT_EQ(segments.sealed_count(), 2u);
+    std::size_t skipped = 0;
+    const auto scanned =
+        visited(segments.scan_ranges(options.lamport_key, 3, 3, &skipped));
+    EXPECT_EQ(skipped, 1u);  // [8, 16) skipped; [0, 8) and the tail kept
+    EXPECT_TRUE(contains(scanned, 3));
+    EXPECT_FALSE(contains(scanned, 10));
+  }
+  // Adopt: checkpoint boundaries imposed on a restored store.
+  {
+    GraphStore store;
+    fill(store, 20);
+    SegmentOptions options = lamport_options(store);
+    options.carve_existing = false;
+    SegmentManager& segments = store.enable_segments(options);
+    segments.adopt_sealed({{0, 8}, {8, 5}});
+    std::size_t skipped = 0;
+    const auto scanned =
+        visited(segments.scan_ranges(options.lamport_key, 10, 10, &skipped));
+    EXPECT_EQ(skipped, 1u);  // [0, 8) skipped; [8, 13) and [13, 20) kept
+    EXPECT_EQ(scanned.front(), 8u);
+    EXPECT_TRUE(contains(scanned, 10));
+    EXPECT_FALSE(contains(scanned, 2));
+  }
+}
+
+// A write into a sealed segment widens its range under the write's own
+// lock, so a skip scan for the new value still reaches the node.
+TEST(SegmentStoreTest, WriteIntoSealedSegmentWidensItsRange) {
   GraphStore store;
   SegmentOptions options = small_segments();
   options.lamport_key = store.intern_prop_key("lamportLogicalTime");
+  options.timestamp_key = store.intern_prop_key("timestamp");
   SegmentManager& segments = store.enable_segments(options);
   fill(store, 16);
-  EXPECT_FALSE(segments.summary_range(0, options.lamport_key).has_value());
+  ASSERT_EQ(segments.sealed_count(), 2u);
 
-  segments.update_summaries(no_clocks());
-  const auto range = segments.summary_range(0, options.lamport_key);
-  ASSERT_TRUE(range.has_value());
-  EXPECT_EQ(range->first, 0);
-  EXPECT_EQ(range->second, 7);
+  // No node carries a timestamp yet: both sealed segments skip any window.
+  std::size_t skipped = 0;
+  (void)segments.scan_ranges(options.timestamp_key, 0, 1'000, &skipped);
+  EXPECT_EQ(skipped, 2u);
 
-  // A property write into the sealed segment stales its summary...
   store.set_property(3, options.lamport_key, std::int64_t{100});
-  EXPECT_FALSE(segments.summary_range(0, options.lamport_key).has_value());
-  EXPECT_FALSE(segments.info(0).summary_fresh);
+  store.set_property(NodeId{12}, "timestamp", std::int64_t{500});
+  const auto lamport_hit =
+      visited(segments.scan_ranges(options.lamport_key, 100, 100));
+  EXPECT_TRUE(contains(lamport_hit, 3));
+  EXPECT_FALSE(contains(lamport_hit, 12));  // segment 1 still excludes 100
+  const auto ts_hit =
+      visited(segments.scan_ranges(options.timestamp_key, 500, 500));
+  EXPECT_TRUE(contains(ts_hit, 12));
+  EXPECT_FALSE(contains(ts_hit, 3));
 
-  // ...and the next update pass rebuilds only the stale one.
-  EXPECT_EQ(segments.update_summaries(no_clocks()), 1u);
-  const auto rebuilt = segments.summary_range(0, options.lamport_key);
-  ASSERT_TRUE(rebuilt.has_value());
-  EXPECT_EQ(rebuilt->second, 100);
-
-  // The active tail never reports a range.
-  EXPECT_FALSE(
-      segments.summary_range(segments.segment_count() - 1, options.lamport_key)
-          .has_value());
+  // Ranges only widen: the old value 3 stays covered (a superset is all a
+  // skip scan needs), and the range [0, 100] now also admits 50.
+  EXPECT_TRUE(contains(
+      visited(segments.scan_ranges(options.lamport_key, 50, 50)), 3));
+  // Non-integer values never narrow or poison a range.
+  store.set_property(4, options.lamport_key, std::string("n/a"));
+  EXPECT_TRUE(contains(
+      visited(segments.scan_ranges(options.lamport_key, 100, 100)), 3));
 }
 
 TEST(SegmentStoreTest, WritesToEvictedNodesFaultIn) {

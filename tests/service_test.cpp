@@ -7,8 +7,11 @@
 #include "service/service.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -566,6 +569,75 @@ TEST(ServiceCheckpointTest, EpochRetentionKeepsOnlyTheWindow) {
     if (name.rfind("ckpt-", 0) == 0) ++epochs;
   }
   EXPECT_EQ(epochs, 2u);
+}
+
+/// Child side of ShortOffsetsWriteDoesNotPublish: caps the size of every
+/// file this process writes at `limit` bytes (SIGXFSZ ignored, so a write
+/// past the cap fails with EFBIG instead of killing the process), attempts
+/// the checkpoint, and returns 0 only when it threw HorusError and the
+/// manifest still names `previous`.
+int short_write_child(
+    const service::CheckpointOptions& options, const ExecutionGraph& graph,
+    const std::string& clock_record,
+    const std::vector<queue::Broker::CommittedOffset>& offsets,
+    rlim_t limit, std::uint64_t previous) {
+  const rlimit cap{limit, limit};
+  if (setrlimit(RLIMIT_FSIZE, &cap) != 0) return 4;
+  (void)std::signal(SIGXFSZ, SIG_IGN);
+  service::CheckpointStore store(options);
+  try {
+    (void)store.write(graph, clock_record, offsets, "");
+    return 1;  // the short write went unnoticed
+  } catch (const HorusError&) {
+  } catch (...) {
+    return 2;  // wrong exception type
+  }
+  const auto latest = store.latest();
+  return latest && latest->epoch == previous ? 0 : 3;
+}
+
+// A short write of offsets.json (disk full, a file-size limit) must fail
+// the checkpoint before it publishes: MANIFEST.json keeps naming the
+// previous epoch. The write happens in a child process that caps its own
+// file sizes below the long offsets list (the snapshot and clock files
+// stay under the cap).
+TEST(ServiceCheckpointTest, ShortOffsetsWriteDoesNotPublish) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedTempDir scratch("short_offsets");
+  const service::CheckpointOptions options{scratch.str() + "/checkpoints"};
+  const auto run = reference_run(workload(20));
+  std::stringstream clocks;
+  run->clocks().save(clocks);
+  const std::string clock_record = clocks.str();
+
+  const std::vector<queue::Broker::CommittedOffset> few = {
+      {"horus-intra", "horus.events", 0, 7}};
+  const service::CheckpointInfo first =
+      service::CheckpointStore(options).write(run->graph(), clock_record, few,
+                                              "");
+  std::vector<queue::Broker::CommittedOffset> many;
+  for (int i = 0; i < 4'000; ++i) {
+    many.push_back({"horus-group-" + std::to_string(i), "horus.events", i % 8,
+                    static_cast<std::uint64_t>(i)});
+  }
+  constexpr rlim_t kLimit = 64 << 10;
+  ASSERT_LT(clock_record.size(), kLimit);
+  ASSERT_LT(fs::file_size(first.path + "/graph.hgraph"), kLimit);
+
+  EXPECT_EXIT(std::_Exit(short_write_child(options, run->graph(),
+                                           clock_record, many, kLimit,
+                                           first.epoch)),
+              ::testing::ExitedWithCode(0), "");
+
+  // The epoch the manifest names is intact and restores.
+  const service::CheckpointStore store(options);
+  const auto latest = store.latest();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->epoch, first.epoch);
+  ExecutionGraph graph;
+  const auto restored = store.restore(graph, "");
+  ASSERT_EQ(restored.offsets.size(), 1u);
+  EXPECT_EQ(restored.offsets[0].offset, 7u);
 }
 
 }  // namespace

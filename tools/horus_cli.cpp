@@ -458,20 +458,18 @@ int cmd_stats(const Args& args) {
     seg_options.shard_count = static_cast<std::size_t>(
         args.get_int_in("shards", 4, 1, 1024));
     graph::SegmentManager& segments = enable_segments(*graph, seg_options);
-    update_segment_summaries(graph->store(), assigner->clocks());
     std::printf("segments: %zu (%zu sealed, %zu evicted)\n",
                 segments.segment_count(), segments.sealed_count(),
                 segments.evicted_count());
-    std::printf("  %-5s %-10s %-8s %-6s %-9s %-8s %-8s %s\n", "seg", "first",
-                "nodes", "shard", "state", "summary", "pins", "bytes");
+    std::printf("  %-5s %-10s %-8s %-6s %-9s %-8s %s\n", "seg", "first",
+                "nodes", "shard", "state", "pins", "bytes");
     for (const graph::SegmentInfo& info : segments.list()) {
-      std::printf("  %-5u %-10u %-8u %-6zu %-9s %-8s %-8d %zu\n", info.id,
+      std::printf("  %-5u %-10u %-8u %-6zu %-9s %-8d %zu\n", info.id,
                   info.first, info.count, info.shard,
                   !info.sealed ? "active"
                   : info.resident ? "sealed"
                                   : "evicted",
-                  info.summary_fresh ? "fresh" : "stale", info.pins,
-                  info.payload_bytes);
+                  info.pins, info.payload_bytes);
     }
     std::printf("%s", segments.shard_report().c_str());
   }
