@@ -2,10 +2,11 @@
 //
 // The pipeline ingests a live event stream with short flush intervals (the
 // paper's "useful for online monitoring" configuration) while a ClockDaemon
-// keeps logical time assigned in the background. Mid-run, we answer causal
-// queries over the portion of the execution stored so far; the daemon's
-// audit-and-heal loop repairs any assignment that raced an inter-process
-// flush.
+// keeps logical time assigned in the background: the pipeline's commit hook
+// wakes the daemon after every inter-stage commit, and its interval is only
+// the idle backstop. Mid-run, we answer causal queries over the portion of
+// the execution stored so far; the daemon's audit-and-heal loop repairs any
+// assignment that raced an inter-process flush.
 //
 //   $ ./examples/online_monitoring [total-events]
 #include <chrono>
@@ -38,6 +39,7 @@ int main(int argc, char** argv) {
   options.relationship_flush_interval_ms = 15;
   Pipeline pipeline(broker, graph, options);
   ClockDaemon daemon(graph, ClockDaemon::Options{.interval_ms = 20});
+  pipeline.set_commit_hook([&daemon] { daemon.notify(); });
 
   pipeline.start();
   daemon.start();

@@ -2,20 +2,36 @@
 //
 // The paper notes that short flush intervals make data "more quickly
 // available for querying (which is useful for online monitoring)". The
-// daemon completes that story: it periodically runs the incremental clock
-// assignment over a graph that the pipeline is still writing, and exposes
-// thread-safe causal queries over the portion assigned so far.
+// daemon completes that story: it runs the incremental clock assignment
+// over a graph that the pipeline is still writing, and serves thread-safe
+// causal queries over the portion assigned so far.
 //
-// Incremental assignment is only exact when every edge incident to the
-// events being assigned has already been persisted (the flush-horizon
-// discipline). The pipeline flushes nodes (intra stage) and edges (inter
-// stage) on independent timers, so a tick can race ahead of a causal pair:
-// an event may receive an in-edge *after* its clocks were computed. The
-// daemon therefore self-heals: each tick first audits every edge between
-// assigned events (Lamport must strictly increase); on any violation it
-// discards and recomputes all clocks. Audits are O(edges) — fine at
-// monitoring cadence — and violations are rare (they need an inter flush to
-// overtake two intra flushes).
+// When it ticks: notify() asks for a tick, and the pipeline's commit hook
+// calls it after every inter-stage commit (HorusService wires it), so a
+// causal pair is clocked as soon as it is stored. Notifications coalesce
+// into at most one pending tick. Options::interval_ms is only the idle
+// backstop: without notifications the daemon still ticks that often.
+// Intra-stage commits do not wake it: they store nodes whose causal edges
+// are still in flight, and clocking those nodes early would only mean
+// healing them once the edges land.
+//
+// What a tick costs: O(new nodes + new edges). assign() resumes at the
+// first unassigned node. The audit then checks what changed since the last
+// tick and nothing else: the edges in the store's edge log (attached for
+// the daemon's lifetime, see GraphStore::attach_edge_log) and the out-edges
+// of the nodes this tick assigned. One audit of every edge runs after
+// restore_clocks() (the restored table may predate edges of the restored
+// graph) and whenever the edge log overflowed.
+//
+// Why there is an audit: incremental assignment is exact only when every
+// edge into the events being assigned is already stored (the flush-horizon
+// discipline). The inter stage stores a causal edge after the intra stage
+// stored its endpoints, so an assigned event can still gain an in-edge. The
+// audit finds each edge between assigned events whose Lamport or
+// vector-clock order is violated; repair() recomputes the forward closure
+// of their heads in place; the audit then re-checks those edges plus any
+// logged meanwhile. Only when three repairs in a row leave a violation does
+// the tick recompute every clock (reassign_all()).
 #pragma once
 
 #include <atomic>
@@ -35,9 +51,11 @@ namespace horus {
 class ClockDaemon {
  public:
   struct Options {
+    /// Longest wait between ticks when no notify() arrives.
     int interval_ms = 100;
   };
 
+  /// Attaches the store's edge log for the daemon's lifetime.
   explicit ClockDaemon(ExecutionGraph& graph)
       : ClockDaemon(graph, Options{}) {}
   ClockDaemon(ExecutionGraph& graph, Options options);
@@ -46,14 +64,20 @@ class ClockDaemon {
   ClockDaemon(const ClockDaemon&) = delete;
   ClockDaemon& operator=(const ClockDaemon&) = delete;
 
-  /// Starts the periodic background thread.
+  /// Starts the background thread.
   void start();
 
   /// Stops the background thread (runs one final tick).
   void stop();
 
-  /// Runs one assignment pass now (audit + incremental assign, or full
-  /// recompute after a detected violation). Returns nodes assigned.
+  /// Asks the background thread for a tick (thread-safe, cheap; the
+  /// pipeline's commit hook). Calls arriving before the thread wakes
+  /// coalesce into one tick.
+  void notify();
+
+  /// Runs one pass now: incremental assign, then the audit of new edges
+  /// with targeted repair (or a full recompute, see the file comment).
+  /// Returns nodes assigned.
   std::size_t tick();
 
   // -- thread-safe queries over the currently assigned portion -------------
@@ -84,7 +108,8 @@ class ClockDaemon {
 
   /// Replaces the daemon's clock state with a restored table (blocks ticks
   /// and queries for the duration). The assigned-node count is recomputed
-  /// from the table itself.
+  /// from the table itself. Clears the edge log; the next tick audits every
+  /// edge.
   void restore_clocks(ClockTable table);
 
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_.load(); }
@@ -92,10 +117,26 @@ class ClockDaemon {
   [[nodiscard]] std::size_t assigned_nodes() const;
 
  private:
-  /// Heads of edges between assigned nodes that violate the Lamport or
-  /// vector-clock invariant (stale incremental assignments); empty when the
-  /// clocks are consistent. The heads seed the targeted repair pass.
-  [[nodiscard]] std::vector<graph::NodeId> audit_locked() const;
+  /// What started a tick: the `trigger` label of horus_clock_ticks_total.
+  enum class Trigger { kCommit, kTimer, kManual };
+  using EdgeList = std::vector<graph::EdgeEnds>;
+
+  std::size_t tick(Trigger trigger);
+
+  /// True when both ends are assigned and the edge violates the Lamport or
+  /// vector-clock order (a stale incremental assignment).
+  [[nodiscard]] bool violated_locked(graph::NodeId from,
+                                     graph::NodeId to) const;
+  /// Appends the violated edges of `edges` to `stale`.
+  void audit_edges_locked(const EdgeList& edges, EdgeList& stale);
+  /// Same for the out-edges of nodes [first, end).
+  void audit_out_edges_locked(graph::NodeId first, graph::NodeId end,
+                              EdgeList& stale);
+  /// Audits the edges logged since the last drain, or every edge when the
+  /// log overflowed or a full audit is pending.
+  void audit_logged_locked(EdgeList& stale);
+  /// Sets the assigned/unassigned/arena gauges from the current state.
+  void publish_gauges_locked() const;
 
   ExecutionGraph& graph_;
   Options options_;
@@ -103,12 +144,15 @@ class ClockDaemon {
   mutable std::shared_mutex mutex_;
   LogicalClockAssigner assigner_;
   std::size_t assigned_ = 0;
+  bool full_audit_pending_ = false;  ///< set by restore_clocks()
+  EdgeList logged_;                  ///< drain buffer, reused across ticks
 
-  /// Periodic tick loop, spawned through the shared ThreadPool's service
-  /// facility (see thread_pool.h).
+  /// Tick loop, spawned through the shared ThreadPool's service facility
+  /// (see thread_pool.h).
   ThreadPool::ServiceThread worker_;
   std::mutex wake_mutex_;
   std::condition_variable wake_;
+  bool notified_ = false;  ///< guarded by wake_mutex_
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> ticks_{0};

@@ -92,19 +92,46 @@ std::string timeline_key(const Event& event, TimelineGranularity granularity) {
   return event.thread.host + "/" + std::to_string(event.thread.pid);
 }
 
+namespace {
+std::uint64_t edge_key(graph::NodeId from, graph::NodeId to) {
+  return (static_cast<std::uint64_t>(from) << 32) |
+         static_cast<std::uint64_t>(to);
+}
+}  // namespace
+
 graph::NodeId ExecutionGraph::add_event(const Event& event,
-                                        const std::string& timeline) {
+                                        const std::string& timeline,
+                                        std::optional<EventId> after) {
+  std::optional<graph::NodeId> existing;
+  std::optional<graph::NodeId> pred;
   {
     const std::lock_guard lock(mutex_);
-    auto it = node_by_event_.find(event.id);
-    if (it != node_by_event_.end()) return it->second;
+    if (auto it = node_by_event_.find(event.id); it != node_by_event_.end()) {
+      existing = it->second;
+    }
+    if (after) {
+      auto it = node_by_event_.find(*after);
+      if (it == node_by_event_.end()) {
+        throw std::logic_error("execution graph: intra edge on unknown event");
+      }
+      pred = it->second;
+    }
+  }
+  if (existing) {
+    // A replayed event: the node is stored, and the edge write is
+    // idempotent.
+    if (after) add_intra_edge(*after, event.id);
+    return *existing;
   }
   graph::PropertyList props = event_to_property_list(event);
   props.emplace_back(keys_.timeline, timeline);
   const graph::NodeId node =
-      store_.add_node_typed(to_string(event.type), std::move(props));
+      pred ? store_.add_node_after(*pred, kIntraEdgeType,
+                                   to_string(event.type), std::move(props))
+           : store_.add_node_typed(to_string(event.type), std::move(props));
   const std::lock_guard lock(mutex_);
   node_by_event_.emplace(event.id, node);
+  if (pred) intra_edges_seen_.insert(edge_key(*pred, node));
   auto [tail_it, inserted] = tails_.try_emplace(
       timeline, TimelineTail{event.id, event.timestamp});
   if (!inserted && (event.timestamp > tail_it->second.timestamp ||
@@ -122,13 +149,6 @@ std::optional<ExecutionGraph::TimelineTail> ExecutionGraph::timeline_tail(
   if (it == tails_.end()) return std::nullopt;
   return it->second;
 }
-
-namespace {
-std::uint64_t edge_key(graph::NodeId from, graph::NodeId to) {
-  return (static_cast<std::uint64_t>(from) << 32) |
-         static_cast<std::uint64_t>(to);
-}
-}  // namespace
 
 void ExecutionGraph::add_intra_edge(EventId from, EventId to) {
   const auto a = node_of(from);

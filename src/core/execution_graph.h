@@ -77,7 +77,12 @@ class ExecutionGraph {
   /// Persists an event as a graph node (idempotent per EventId).
   /// @param timeline the timeline key assigned by the intra-process encoder
   ///        (stored as the `timeline` property the clock assigner groups by).
-  graph::NodeId add_event(const Event& event, const std::string& timeline);
+  /// @param after the event's persisted program-order predecessor, if any:
+  ///        the NEXT edge after -> event is then written with the node,
+  ///        under one store write lock (GraphStore::add_node_after), so a
+  ///        concurrent reader never sees the node off its chain.
+  graph::NodeId add_event(const Event& event, const std::string& timeline,
+                          std::optional<EventId> after = std::nullopt);
 
   /// Program-order edge between two already-persisted events. Idempotent
   /// per (from, to): a crashed-and-restarted encoder replaying a window of

@@ -65,17 +65,13 @@ void IntraProcessEncoder::flush() {
   for (auto& [key, timeline] : timelines_) {
     if (timeline.buffer.empty()) continue;
 
-    // Persist nodes first, then the program-order chain.
+    // Each node lands with its program-order in-edge in one store write, so
+    // a clock tick racing this flush never sees part of a timeline off its
+    // chain (it would give those nodes reversed timeline positions).
+    std::optional<EventId> prev = timeline.tail;
     for (const Event& event : timeline.buffer) {
-      graph_.add_event(event, key);
-    }
-    for (std::size_t i = 0; i < timeline.buffer.size(); ++i) {
-      const Event& event = timeline.buffer[i];
-      if (i == 0) {
-        if (timeline.tail) graph_.add_intra_edge(*timeline.tail, event.id);
-      } else {
-        graph_.add_intra_edge(timeline.buffer[i - 1].id, event.id);
-      }
+      graph_.add_event(event, key, prev);
+      prev = event.id;
     }
     timeline.tail = timeline.buffer.back().id;
     timeline.tail_timestamp = timeline.buffer.back().timestamp;

@@ -8,11 +8,14 @@
 // causally-consistent timeline, provided all tracers on a host share the
 // same monotonic clock (the paper's stated requirement).
 //
-// On flush, buffered events are persisted as graph nodes, chained to the
-// timeline's previously flushed tail with "NEXT" (program-order) edges, and
-// forwarded downstream to the inter-process stage. The flush cadence is the
-// tunable the paper discusses: long intervals = fewer database round trips
-// but more memory and staler data; short intervals = the reverse.
+// On flush, buffered events are persisted as graph nodes, each written
+// together with its "NEXT" (program-order) edge from the timeline's previous
+// event, and forwarded downstream to the inter-process stage. The flush
+// cadence is the tunable the paper discusses: long intervals = fewer
+// database round trips but more memory and staler data; short intervals =
+// the reverse. In the pipeline it is also the reorder window: an event that
+// arrives after a later one of its timeline was flushed can no longer be
+// placed in order.
 #pragma once
 
 #include <cstdint>

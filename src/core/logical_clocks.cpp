@@ -92,6 +92,85 @@ class Cursor {
 // any other digit is a structurally valid record this binary cannot read.
 constexpr char kClockMagic[8] = {'H', 'O', 'R', 'U', 'S', 'V', 'C', '1'};
 
+/// Kahn's algorithm over a region of nodes while writers may still add
+/// edges. Each node's in-edges are read once, and both the in-degrees and
+/// the successor lists derive from those snapshots: an edge added after a
+/// node's snapshot is invisible to the whole pass. Counting an edge one way
+/// (in-degree, from an older snapshot) and walking it the other (out-edges,
+/// read later) would release a node before one of its counted predecessors,
+/// and so misplace it on its timeline.
+class RegionOrder {
+ public:
+  static constexpr std::uint32_t kOutside = ~std::uint32_t{0};
+
+  /// `index_of(node)`: the node's index in `region`, or kOutside.
+  /// `keep(pred)`: whether a predecessor's clock feeds the node's clock.
+  template <typename IndexOf, typename Keep>
+  RegionOrder(const graph::GraphStore& store,
+              std::span<const graph::NodeId> region, IndexOf index_of,
+              Keep keep)
+      : succ_begin_(region.size() + 1, 0), indegree_(region.size(), 0) {
+    pred_begin_.reserve(region.size() + 1);
+    pred_begin_.push_back(0);
+    for (std::size_t i = 0; i < region.size(); ++i) {
+      for (const graph::Edge& e : store.in_edges_snapshot(region[i])) {
+        if (!keep(e.to)) continue;  // in-edges store the source in .to
+        preds_.push_back(e.to);
+        if (const std::uint32_t p = index_of(e.to); p != kOutside) {
+          ++indegree_[i];
+          ++succ_begin_[p];
+        }
+      }
+      pred_begin_.push_back(static_cast<std::uint32_t>(preds_.size()));
+    }
+    // Successor lists (CSR): inclusive prefix sums turn each count into the
+    // end of its list, and the fill walks each end back to its start.
+    for (std::size_t i = 1; i < succ_begin_.size(); ++i) {
+      succ_begin_[i] += succ_begin_[i - 1];
+    }
+    succs_.resize(succ_begin_.back());
+    for (std::size_t i = region.size(); i-- > 0;) {
+      for (const graph::NodeId pred : preds(i)) {
+        if (const std::uint32_t p = index_of(pred); p != kOutside) {
+          succs_[--succ_begin_[p]] = static_cast<std::uint32_t>(i);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < region.size(); ++i) {
+      if (indegree_[i] == 0) ready_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+
+  /// Predecessors of region node `i` as its snapshot read them.
+  [[nodiscard]] std::span<const graph::NodeId> preds(std::size_t i) const {
+    return {preds_.data() + pred_begin_[i], pred_begin_[i + 1] - pred_begin_[i]};
+  }
+
+  /// Takes a region index whose predecessors are all done; false when none
+  /// is left.
+  bool next(std::size_t& i) {
+    if (ready_.empty()) return false;
+    i = ready_.back();
+    ready_.pop_back();
+    return true;
+  }
+
+  /// Marks `i` done, releasing successors whose last predecessor it was.
+  void done(std::size_t i) {
+    for (std::uint32_t k = succ_begin_[i]; k < succ_begin_[i + 1]; ++k) {
+      if (--indegree_[succs_[k]] == 0) ready_.push_back(succs_[k]);
+    }
+  }
+
+ private:
+  std::vector<std::uint32_t> pred_begin_;  ///< CSR offsets into preds_
+  std::vector<graph::NodeId> preds_;
+  std::vector<std::uint32_t> succ_begin_;  ///< CSR offsets into succs_
+  std::vector<std::uint32_t> succs_;       ///< region indices
+  std::vector<std::int32_t> indegree_;
+  std::vector<std::uint32_t> ready_;
+};
+
 }  // namespace
 
 // ---- lookups ----------------------------------------------------------------
@@ -360,29 +439,34 @@ std::size_t LogicalClockAssigner::assign() {
     position.resize(n, 0);
   }
 
-  // Collect the unassigned region and its internal in-degrees.
-  std::vector<graph::NodeId> frontier;
-  std::vector<std::int32_t> indegree(n, 0);
-  std::size_t unassigned = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
+  // The unassigned region, in id order. Everything below `first` is
+  // assigned.
+  const graph::NodeId first = std::min(assigned_prefix_, n);
+  std::vector<graph::NodeId> region;
+  std::vector<std::uint32_t> slot(n - first, RegionOrder::kOutside);
+  for (graph::NodeId v = first; v < n; ++v) {
     if (table_.assigned(v)) continue;
-    ++unassigned;
-    std::int32_t deg = 0;
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      // in_edges store the source in .to; sources appended concurrently
-      // (>= n) are ignored — the audit on the next pass heals if needed.
-      if (e.to < n && !table_.assigned(e.to)) ++deg;
-    }
-    indegree[v] = deg;
-    if (deg == 0) frontier.push_back(v);
+    slot[v - first] = static_cast<std::uint32_t>(region.size());
+    region.push_back(v);
   }
-  if (unassigned == 0) return 0;
+  if (region.empty()) {
+    assigned_prefix_ = n;
+    return 0;
+  }
+  // Sources appended concurrently (>= n) are left out: the node is clocked
+  // without them, and the clock daemon's audit of new edges heals it.
+  RegionOrder order(
+      store, region,
+      [&](graph::NodeId pred) {
+        return pred >= first && pred < n ? slot[pred - first]
+                                         : RegionOrder::kOutside;
+      },
+      [&](graph::NodeId pred) { return pred < n; });
 
   std::size_t processed = 0;
   std::vector<std::int32_t> v_clock;  // scratch, reused across nodes
-  while (!frontier.empty()) {
-    const graph::NodeId v = frontier.back();
-    frontier.pop_back();
+  for (std::size_t i = 0; order.next(i);) {
+    const graph::NodeId v = region[i];
     ++processed;
 
     // Timeline identity: an integer read from the interned timeline column —
@@ -398,9 +482,7 @@ std::size_t LogicalClockAssigner::assign() {
     // Vector clock: component-wise max over predecessors, then tick own
     // component to this event's position in its timeline.
     v_clock.clear();
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      const graph::NodeId pred = e.to;
-      if (pred >= n) continue;  // concurrently appended; healed next pass
+    for (const graph::NodeId pred : order.preds(i)) {
       lc = std::max(lc, lamport[pred] + 1);
       merge_pred_vc(pred, v_clock);
     }
@@ -420,27 +502,22 @@ std::size_t LogicalClockAssigner::assign() {
     if (options_.write_lamport_property) {
       graph_.store().set_property(v, keys.lamport, lc);
     }
-
-    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      // Nodes appended by a concurrent writer after this pass started are
-      // outside `indegree`; they are picked up by the next pass.
-      if (e.to >= n) continue;
-      if (table_.assigned(e.to)) continue;
-      if (--indegree[e.to] == 0) frontier.push_back(e.to);
-    }
+    order.done(i);
   }
 
-  if (processed != unassigned) {
+  if (processed != region.size()) {
     throw std::logic_error(
         "clock assigner: cycle detected in causal graph (" +
-        std::to_string(unassigned - processed) + " nodes unreachable)");
+        std::to_string(region.size() - processed) + " nodes unreachable)");
   }
+  assigned_prefix_ = n;
   return processed;
 }
 
 std::size_t LogicalClockAssigner::reassign_all() {
   table_ = ClockTable{};
   timeline_of_pool_.clear();  // table timeline ids were dropped with the table
+  assigned_prefix_ = 0;
   return assign();
 }
 
@@ -472,22 +549,23 @@ std::size_t LogicalClockAssigner::repair(
 
   // Kahn over the dirty subgraph: in-degrees count dirty predecessors only;
   // clean predecessors already hold their final clocks.
-  std::unordered_map<graph::NodeId, std::int32_t> indegree;
-  std::vector<graph::NodeId> frontier;
-  for (const graph::NodeId v : dirty) {
-    std::int32_t deg = 0;
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      if (e.to < n && dirty.contains(e.to)) ++deg;
-    }
-    indegree[v] = deg;
-    if (deg == 0) frontier.push_back(v);
+  const std::vector<graph::NodeId> region(dirty.begin(), dirty.end());
+  std::unordered_map<graph::NodeId, std::uint32_t> slot;
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    slot.emplace(region[i], static_cast<std::uint32_t>(i));
   }
+  RegionOrder order(
+      store, region,
+      [&](graph::NodeId pred) {
+        const auto it = slot.find(pred);
+        return it == slot.end() ? RegionOrder::kOutside : it->second;
+      },
+      [&](graph::NodeId pred) { return pred < n && table_.assigned(pred); });
 
   std::size_t processed = 0;
   std::vector<std::int32_t> v_clock;  // scratch, reused across nodes
-  while (!frontier.empty()) {
-    const graph::NodeId v = frontier.back();
-    frontier.pop_back();
+  for (std::size_t i = 0; order.next(i);) {
+    const graph::NodeId v = region[i];
     ++processed;
 
     // Same recurrences as assign(): the canonical values are unique, so
@@ -495,9 +573,7 @@ std::size_t LogicalClockAssigner::repair(
     // a from-scratch pass would produce (HealsAfterLateEdge asserts this).
     std::int64_t lc = 1;
     v_clock.clear();
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      const graph::NodeId pred = e.to;
-      if (pred >= n || !table_.assigned(pred)) continue;
+    for (const graph::NodeId pred : order.preds(i)) {
       lc = std::max(lc, table_.lamport_[pred] + 1);
       merge_pred_vc(pred, v_clock);
     }
@@ -515,30 +591,23 @@ std::size_t LogicalClockAssigner::repair(
     // (clearing any stale tail — absent components read as zero); otherwise
     // append a fresh slot and abandon the old one (reclaimed by the next
     // reassign_all).
-    const ClockTable::VcSlot slot = table_.vc_slots_[v];
-    if (v_clock.size() <= slot.len) {
-      const auto base =
-          table_.vc_arena_.begin() + static_cast<std::ptrdiff_t>(slot.offset);
+    const ClockTable::VcSlot vc_slot = table_.vc_slots_[v];
+    if (v_clock.size() <= vc_slot.len) {
+      const auto base = table_.vc_arena_.begin() +
+                        static_cast<std::ptrdiff_t>(vc_slot.offset);
       std::copy(v_clock.begin(), v_clock.end(), base);
       std::fill(base + static_cast<std::ptrdiff_t>(v_clock.size()),
-                base + static_cast<std::ptrdiff_t>(slot.len), 0);
+                base + static_cast<std::ptrdiff_t>(vc_slot.len), 0);
     } else {
       append_vc(v, v_clock);
     }
-
-    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      if (e.to >= n) continue;
-      const auto it = indegree.find(e.to);
-      if (it != indegree.end() && --it->second == 0) {
-        frontier.push_back(e.to);
-      }
-    }
+    order.done(i);
   }
 
-  if (processed != dirty.size()) {
+  if (processed != region.size()) {
     throw std::logic_error(
         "clock assigner: cycle detected in repair region (" +
-        std::to_string(dirty.size() - processed) + " nodes unreachable)");
+        std::to_string(region.size() - processed) + " nodes unreachable)");
   }
   return processed;
 }
@@ -548,6 +617,8 @@ void LogicalClockAssigner::restore(ClockTable table) {
   // The restored table's timeline ids were minted against the pre-crash
   // store; the cache must be rebuilt lazily against the current interning.
   timeline_of_pool_.clear();
+  assigned_prefix_ = 0;
+  while (table_.assigned(assigned_prefix_)) ++assigned_prefix_;
 }
 
 }  // namespace horus

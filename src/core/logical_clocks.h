@@ -14,8 +14,8 @@
 // read answers Q1, and a VC comparison is a scan over two contiguous spans.
 //
 // Assignment is a Kahn-style topological traversal, *incremental* by
-// design: a periodic run resumes from the frontier of each timeline and only
-// touches events added since the previous run — so the cost scales with the
+// design: each run resumes at the first unassigned node and only touches
+// events added since the previous run — so the cost scales with the
 // number of unprocessed events, not with the total graph size (the property
 // measured in Figure 6).
 //
@@ -174,6 +174,9 @@ class LogicalClockAssigner {
 
   /// Assigns clocks to every node added since the previous call (or to all
   /// nodes on the first call). Returns the number of newly assigned nodes.
+  /// Each pass assigns every node below the node count it read, so the
+  /// assigned nodes are always a prefix of the ids and the scan starts at
+  /// the first unassigned one (assigned_prefix()).
   ///
   /// Throws std::logic_error if the unassigned region contains a cycle
   /// (which would mean the encoders produced a non-DAG).
@@ -205,6 +208,11 @@ class LogicalClockAssigner {
 
   [[nodiscard]] const ClockTable& clocks() const noexcept { return table_; }
 
+  /// Every node below this id has clocks: the end of the assigned prefix.
+  [[nodiscard]] graph::NodeId assigned_prefix() const noexcept {
+    return assigned_prefix_;
+  }
+
  private:
   /// Table timeline id for a store-interned timeline pool id (interning the
   /// name on first sight). Pool ids are append-only, so the cache is stable.
@@ -222,6 +230,7 @@ class LogicalClockAssigner {
   Options options_;
   ClockTable table_;
   std::vector<std::int32_t> timeline_of_pool_;  ///< pool id -> table id cache
+  graph::NodeId assigned_prefix_ = 0;
 };
 
 }  // namespace horus

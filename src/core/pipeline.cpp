@@ -400,11 +400,13 @@ void Pipeline::run_inter(int index, const std::vector<int>& partitions) {
     pending_guard.update(static_cast<std::int64_t>(encoder.pending()));
     deferred_guard.update(static_cast<std::int64_t>(encoder.buffered()));
     notify_commit_progress();
+    if (commit_hook_) commit_hook_();
   };
 
   auto last_flush = Clock::now();
   const auto interval =
       std::chrono::milliseconds(options_.relationship_flush_interval_ms);
+  bool consumed = false;  // anything polled since the last commit
 
   while (true) {
     const auto batch = backoff_retry("inter poll", [&] {
@@ -421,11 +423,17 @@ void Pipeline::run_inter(int index, const std::vector<int>& partitions) {
       encoder.on_event(std::move(event));
       inter_processed_->inc();
     }
+    consumed = consumed || !batch.empty();
     if (kill_requested_.load(std::memory_order_acquire)) return;
     const auto now = Clock::now();
     const bool stopping = stop_requested_.load(std::memory_order_acquire);
-    if (now - last_flush >= interval || (stopping && batch.empty())) {
+    // Commit as soon as the stage has caught up (a short poll) with new
+    // input; the interval bounds the delay under sustained full polls.
+    const bool caught_up = consumed && batch.size() < options_.poll_batch;
+    if (caught_up || now - last_flush >= interval ||
+        (stopping && batch.empty())) {
       commit_cycle();
+      consumed = false;
       last_flush = now;
       if (stopping && batch.empty()) break;
     }
@@ -494,11 +502,28 @@ std::string Pipeline::stuck_partition_report() const {
 
 void Pipeline::notify_commit_progress() {
   {
-    // Empty critical section: pairs the notify with drain()'s predicate
-    // check so a signal cannot slip between the check and the wait.
+    // Under the mutex: pairs the notify with drain()'s predicate check and
+    // wait_for_commit()'s sequence read, so a signal cannot slip between a
+    // waiter's check and its wait.
     const std::lock_guard lock(drain_mutex_);
+    ++commit_seq_;
   }
   drain_cv_.notify_all();
+}
+
+std::uint64_t Pipeline::commits() const {
+  const std::lock_guard lock(drain_mutex_);
+  return commit_seq_;
+}
+
+bool Pipeline::wait_for_commit(std::uint64_t seen, Clock::time_point deadline) {
+  std::unique_lock lock(drain_mutex_);
+  return drain_cv_.wait_until(lock, deadline,
+                              [&] { return commit_seq_ != seen; });
+}
+
+void Pipeline::set_commit_hook(std::function<void()> hook) {
+  commit_hook_ = std::move(hook);
 }
 
 bool Pipeline::drain() {

@@ -16,6 +16,23 @@
 //
 // Encoders therefore need no cross-worker synchronization.
 //
+// Flush policy: each stage runs its flush, the WAL spill (inter stage) and
+// the offset commit as one commit point.
+//   - The intra stage commits every event_flush_interval_ms. That interval
+//     is the reorder window of the paper's timelines (Section IV-A): events
+//     of one timeline that arrive out of order within it are still stored
+//     in timestamp order. It is the only hold left between publish and
+//     query visibility.
+//   - The inter stage commits as soon as it has caught up: when a poll
+//     returns fewer than poll_batch messages and it has consumed something
+//     since its last commit. relationship_flush_interval_ms is the maximum
+//     delay under sustained load (every poll full), and the idle cadence.
+//   - After every inter commit, the commit hook (set_commit_hook) runs; the
+//     service wires it to the clock daemon's notify(), so a stored causal
+//     pair is clocked at once rather than at the next clock interval.
+// Consumers block on their topic's append signal, so a worker wakes on the
+// first message on any of its partitions.
+//
 // Crash recovery: consumers resume from committed offsets (at-least-once;
 // the intra stage suppresses replayed duplicates and the graph stores edges
 // idempotently) and a restarted intra worker recovers each timeline's chain
@@ -71,9 +88,11 @@ struct PipelineOptions {
   int partitions = 4;         ///< partitions per topic
   int intra_workers = 1;
   int inter_workers = 1;
-  /// Flush cadence of the intra stage (events), per the paper's tunable.
+  /// Flush cadence of the intra stage (events), per the paper's tunable:
+  /// the reorder window of each timeline (see the file comment).
   int event_flush_interval_ms = 100;
-  /// Flush cadence of the inter stage (causal relationships).
+  /// Longest delay of an inter-stage commit (causal relationships); the
+  /// stage commits earlier whenever it has caught up with its input.
   int relationship_flush_interval_ms = 200;
   std::size_t poll_batch = 512;
   std::string sources_topic = "horus.events";
@@ -143,6 +162,22 @@ class Pipeline {
   /// tests use this to crash the daemon at arbitrary points.
   void kill();
 
+  /// Sets the function every inter worker calls after each of its commits
+  /// (outside the commit gate): the clock daemon's notify(), so new causal
+  /// edges are clocked as soon as they are stored. Call before start().
+  void set_commit_hook(std::function<void()> hook);
+
+  /// Commit progress: a sequence every worker bumps after each offset
+  /// commit. Read it, check a condition on the pipeline (say, backlog()),
+  /// then wait_for_commit() on the value read: a commit that raced the
+  /// check still ends the wait.
+  [[nodiscard]] std::uint64_t commits() const;
+
+  /// Blocks until commits() differs from `seen` or `deadline` passes;
+  /// returns true when a commit happened.
+  bool wait_for_commit(std::uint64_t seen,
+                       std::chrono::steady_clock::time_point deadline);
+
   /// Uncommitted broker backlog across both stages: sum over every
   /// (group, partition) of end-of-log minus committed offset. The service
   /// overload controller reads this as its ingest-pressure signal.
@@ -205,7 +240,7 @@ class Pipeline {
   /// Per-shard segment rollup for the same diagnostic; empty when the
   /// store is monolithic.
   [[nodiscard]] std::string segment_report() const;
-  /// Wakes drain() after a worker commits offsets.
+  /// Bumps the commit sequence and wakes drain() and wait_for_commit().
   void notify_commit_progress();
   [[nodiscard]] std::string wal_path(int index) const;
 
@@ -224,8 +259,10 @@ class Pipeline {
   /// Serializes start()/stop()/destructor so only one caller ever joins and
   /// clears workers_ (a second concurrent stop() waits, then no-ops).
   std::mutex lifecycle_mutex_;
-  std::mutex drain_mutex_;
+  mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
+  std::uint64_t commit_seq_ = 0;  ///< guarded by drain_mutex_
+  std::function<void()> commit_hook_;
 
   std::string instance_;  ///< process-unique id, the `pipeline` label value
   obs::Counter* published_;

@@ -95,7 +95,8 @@ void load_v1_nodes(GraphStore& store, LineReader& reader, std::size_t nodes) {
       }
       const NodeId assigned =
           store.add_node(j.at("label").as_string(), std::move(props));
-      if (assigned != static_cast<NodeId>(j.at("id").as_int())) {
+      // Compared as written: narrowing first would load 2^32 + k as k.
+      if (static_cast<std::int64_t>(assigned) != j.at("id").as_int()) {
         throw HorusError("graph io: node ids are not dense");
       }
     } catch (const HorusError&) {
@@ -145,7 +146,7 @@ void load_v2_nodes(GraphStore& store, LineReader& reader, std::size_t nodes) {
       }
       const NodeId assigned =
           store.add_node_typed(j.at("label").as_string(), std::move(props));
-      if (assigned != static_cast<NodeId>(j.at("id").as_int())) {
+      if (static_cast<std::int64_t>(assigned) != j.at("id").as_int()) {
         throw HorusError("graph io: node ids are not dense");
       }
     } catch (const HorusError&) {

@@ -343,8 +343,8 @@ PropertyList GraphStore::intern_map_locked(PropertyMap properties) {
 // writes
 // ---------------------------------------------------------------------------
 
-NodeId GraphStore::add_node_locked(std::string_view label,
-                                   PropertyList properties) {
+NodeId GraphStore::push_node_locked(std::string_view label,
+                                    PropertyList properties) {
   const auto id = static_cast<NodeId>(nodes_.size());
   NodeRecord rec;
   rec.label = intern_label(label);
@@ -353,6 +353,12 @@ NodeId GraphStore::add_node_locked(std::string_view label,
   for (auto& [key, value] : properties) {
     set_property_locked(id, key, std::move(value));
   }
+  return id;
+}
+
+NodeId GraphStore::add_node_locked(std::string_view label,
+                                   PropertyList properties) {
+  const NodeId id = push_node_locked(label, std::move(properties));
   // After the property loop: sealing (and a possible budget eviction) must
   // only ever see fully-written nodes.
   if (segments_ != nullptr) segments_->on_node_added_locked(id);
@@ -364,15 +370,19 @@ NodeId GraphStore::add_node(std::string_view label, PropertyMap properties) {
   return add_node_locked(label, intern_map_locked(std::move(properties)));
 }
 
-NodeId GraphStore::add_node_typed(std::string_view label,
-                                  PropertyList properties) {
-  const std::unique_lock lock(mutex_);
+void GraphStore::check_prop_keys_locked(const PropertyList& properties) const {
   for (const auto& [key, value] : properties) {
     if (key >= prop_keys_.size()) {
       throw std::out_of_range("graph: unknown property key id " +
                               std::to_string(key));
     }
   }
+}
+
+NodeId GraphStore::add_node_typed(std::string_view label,
+                                  PropertyList properties) {
+  const std::unique_lock lock(mutex_);
+  check_prop_keys_locked(properties);
   return add_node_locked(label, std::move(properties));
 }
 
@@ -386,6 +396,21 @@ NodeId GraphStore::add_nodes_batch(std::string_view label,
   return first;
 }
 
+void GraphStore::add_edge_locked(NodeId from, NodeId to, EdgeTypeId type) {
+  nodes_[from].out.push_back(Edge{to, type});
+  nodes_[to].in.push_back(Edge{from, type});
+  ++edge_count_;
+  if (segments_ != nullptr) segments_->on_edge_added_locked(from, to);
+  if (edge_log_attached_ && !edge_log_overflowed_) {
+    if (edge_log_.size() < kEdgeLogCapacity) {
+      edge_log_.push_back(EdgeEnds{from, to});
+    } else {
+      edge_log_overflowed_ = true;
+      std::vector<EdgeEnds>().swap(edge_log_);
+    }
+  }
+}
+
 void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
   const std::unique_lock lock(mutex_);
   if (from >= nodes_.size()) bad_node(from);
@@ -395,11 +420,49 @@ void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
     segments_->ensure_resident_locked(from);
     segments_->ensure_resident_locked(to);
   }
-  const EdgeTypeId tid = intern_edge_type(type);
-  nodes_[from].out.push_back(Edge{to, tid});
-  nodes_[to].in.push_back(Edge{from, tid});
-  ++edge_count_;
-  if (segments_ != nullptr) segments_->on_edge_added_locked(from, to);
+  add_edge_locked(from, to, intern_edge_type(type));
+}
+
+NodeId GraphStore::add_node_after(NodeId from, std::string_view edge_type,
+                                  std::string_view label,
+                                  PropertyList properties) {
+  const std::unique_lock lock(mutex_);
+  if (from >= nodes_.size()) bad_node(from);
+  check_prop_keys_locked(properties);
+  if (segments_ != nullptr) segments_->ensure_resident_locked(from);
+  const EdgeTypeId type = intern_edge_type(edge_type);
+  const NodeId id = push_node_locked(label, std::move(properties));
+  add_edge_locked(from, id, type);
+  // Last, as in add_node_locked: a seal sees the node with its edge.
+  if (segments_ != nullptr) segments_->on_node_added_locked(id);
+  return id;
+}
+
+void GraphStore::attach_edge_log() {
+  const std::unique_lock lock(mutex_);
+  edge_log_attached_ = true;
+}
+
+void GraphStore::detach_edge_log() {
+  const std::unique_lock lock(mutex_);
+  edge_log_attached_ = false;
+  edge_log_overflowed_ = false;
+  std::vector<EdgeEnds>().swap(edge_log_);
+}
+
+bool GraphStore::drain_edge_log(std::vector<EdgeEnds>& out) {
+  out.clear();
+  const std::unique_lock lock(mutex_);
+  out.swap(edge_log_);
+  const bool complete = !edge_log_overflowed_;
+  edge_log_overflowed_ = false;
+  return complete;
+}
+
+void GraphStore::clear_edge_log() {
+  const std::unique_lock lock(mutex_);
+  edge_log_overflowed_ = false;
+  std::vector<EdgeEnds>().swap(edge_log_);
 }
 
 void GraphStore::set_property(NodeId node, std::string_view key,

@@ -56,6 +56,14 @@ struct Edge {
   [[nodiscard]] bool operator==(const Edge&) const = default;
 };
 
+/// Both endpoints of one stored edge: an entry of the edge log.
+struct EdgeEnds {
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+
+  [[nodiscard]] bool operator==(const EdgeEnds&) const = default;
+};
+
 class GraphStore;
 
 /// Dense read-only view over a direct column (e.g. lamportLogicalTime,
@@ -193,6 +201,14 @@ class GraphStore {
   /// Adds a directed typed edge.
   void add_edge(NodeId from, NodeId to, std::string_view type);
 
+  /// Typed insert of a node together with its one in-edge `from -> node`
+  /// of `edge_type`, under one write lock: no reader ever sees the node
+  /// without that edge. The intra encoder writes each event with its
+  /// program-order edge this way, so clock assignment, which places a node
+  /// on its timeline by that edge, never sees a timeline half chained.
+  NodeId add_node_after(NodeId from, std::string_view edge_type,
+                        std::string_view label, PropertyList properties);
+
   /// Sets (or overwrites) one property, maintaining any indexes on its key.
   void set_property(NodeId node, std::string_view key, PropertyValue value);
   void set_property(NodeId node, PropKeyId key, PropertyValue value);
@@ -201,6 +217,28 @@ class GraphStore {
   /// (ids are consecutive). Used by the encoders' periodic flushes.
   NodeId add_nodes_batch(std::string_view label,
                          std::vector<PropertyMap> batch);
+
+  // ---- edge log ------------------------------------------------------------
+
+  /// Most edges the log holds between two drains; past it the log drops
+  /// its entries and reports an overflow (a bound on its memory).
+  static constexpr std::size_t kEdgeLogCapacity = std::size_t{1} << 20;
+
+  /// While attached, every added edge is appended to the edge log, so a
+  /// consumer that keeps state derived from the edges (the clock daemon's
+  /// audit) can visit only the new ones. Detached, edge writes pay nothing
+  /// (offline loads). One consumer at a time attaches and drains the log.
+  void attach_edge_log();
+  void detach_edge_log();
+
+  /// Moves the edges logged since the previous drain into `out` (replacing
+  /// its contents), in write order. Returns false when more than
+  /// kEdgeLogCapacity edges landed in between: the log kept none of them,
+  /// and the caller must treat every stored edge as new.
+  [[nodiscard]] bool drain_edge_log(std::vector<EdgeEnds>& out);
+
+  /// Empties the log and forgets an overflow.
+  void clear_edge_log();
 
   // ---- index management ----------------------------------------------------
 
@@ -371,7 +409,13 @@ class GraphStore {
                            const PropertyValue& value);
   void index_erase_locked(NodeId node, PropKeyId key,
                           const PropertyValue& value);
+  /// Appends the node record and its properties, without the segment
+  /// callback (callers run on_node_added_locked once the node is complete).
+  NodeId push_node_locked(std::string_view label, PropertyList properties);
   NodeId add_node_locked(std::string_view label, PropertyList properties);
+  void add_edge_locked(NodeId from, NodeId to, EdgeTypeId type);
+  /// Throws std::out_of_range on a key id this store never interned.
+  void check_prop_keys_locked(const PropertyList& properties) const;
   void set_property_locked(NodeId node, PropKeyId key, PropertyValue value);
   /// Pointer to the node's value for `key` (column or bag), or nullptr.
   /// For interned columns the returned pointer aliases the pool entry.
@@ -390,6 +434,11 @@ class GraphStore {
 
   std::vector<NodeRecord> nodes_;
   std::size_t edge_count_ = 0;
+
+  /// Edge log (see attach_edge_log), guarded by mutex_.
+  bool edge_log_attached_ = false;
+  bool edge_log_overflowed_ = false;
+  std::vector<EdgeEnds> edge_log_;
 
   std::vector<std::string> labels_;
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>

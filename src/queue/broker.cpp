@@ -22,7 +22,7 @@ Topic::Topic(std::string name, int num_partitions)
   }
   partitions_.reserve(static_cast<std::size_t>(num_partitions));
   for (int i = 0; i < num_partitions; ++i) {
-    partitions_.push_back(std::make_unique<Partition>());
+    partitions_.push_back(std::make_unique<Partition>(&append_signal_));
   }
 }
 

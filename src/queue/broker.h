@@ -52,6 +52,12 @@ class Topic {
   [[nodiscard]] Partition& partition(int index);
   [[nodiscard]] const Partition& partition(int index) const;
 
+  /// Raised by every append to any partition of this topic (consumers
+  /// block on it, see Consumer::poll).
+  [[nodiscard]] const AppendSignal& append_signal() const noexcept {
+    return append_signal_;
+  }
+
   /// Total messages across all partitions.
   [[nodiscard]] std::uint64_t total_messages() const;
 
@@ -60,6 +66,7 @@ class Topic {
 
  private:
   std::string name_;
+  AppendSignal append_signal_;  ///< outlives partitions_, which point at it
   std::vector<std::unique_ptr<Partition>> partitions_;
   FaultInjector* fault_ = nullptr;
   obs::Counter* produced_;  ///< horus_queue_produced_total{topic=...}

@@ -1,5 +1,7 @@
 #include "queue/consumer.h"
 
+#include <chrono>
+
 namespace horus::queue {
 
 Consumer::Consumer(Broker& broker, std::string group, std::string topic,
@@ -26,39 +28,26 @@ std::vector<ConsumedMessage> Consumer::poll(std::size_t max_messages,
   }
   std::vector<ConsumedMessage> out;
   Topic& topic = broker_.topic(topic_name_);
-
-  auto drain = [&](bool blocking) {
+  const AppendSignal& appended = topic.append_signal();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    // Read the sequence before the sweep, so an append racing the sweep
+    // still ends the wait below.
+    const std::uint64_t seen = appended.seq();
     for (std::size_t i = 0; i < partitions_.size() && out.size() < max_messages;
          ++i) {
       std::vector<Message> batch;
-      const std::size_t want = max_messages - out.size();
-      std::size_t got = 0;
-      Partition& part = topic.partition(partitions_[i]);
-      if (blocking) {
-        got = part.fetch_wait(positions_[i], want, timeout_ms, batch);
-      } else {
-        got = part.fetch(positions_[i], want, batch);
-      }
+      const std::size_t got = topic.partition(partitions_[i])
+                                  .fetch(positions_[i],
+                                         max_messages - out.size(), batch);
       positions_[i] += got;
       for (Message& m : batch) {
         out.push_back(ConsumedMessage{partitions_[i], std::move(m)});
       }
-      if (blocking && got > 0) return;  // only block on the first empty one
     }
-  };
-
-  drain(/*blocking=*/false);
-  if (out.empty() && timeout_ms > 0 && !partitions_.empty()) {
-    // Block on partition 0 as the wake-up signal, then sweep again.
-    std::vector<Message> batch;
-    Partition& part = topic.partition(partitions_[0]);
-    const std::size_t got =
-        part.fetch_wait(positions_[0], max_messages, timeout_ms, batch);
-    positions_[0] += got;
-    for (Message& m : batch) {
-      out.push_back(ConsumedMessage{partitions_[0], std::move(m)});
-    }
-    drain(/*blocking=*/false);
+    if (!out.empty() || timeout_ms <= 0 || partitions_.empty()) break;
+    if (!appended.wait_past(seen, deadline)) break;
   }
   if (injector != nullptr && !out.empty()) {
     if (injector->should_redeliver()) {

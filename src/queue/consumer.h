@@ -26,6 +26,8 @@ class Consumer {
 
   /// Fetches up to `max_messages` available messages across assigned
   /// partitions, blocking up to `timeout_ms` if none are available anywhere.
+  /// The wait ends at the first append to any partition of the topic (its
+  /// AppendSignal), so traffic on any assigned partition wakes the poll.
   /// Returned messages advance this consumer's *position* but are not
   /// committed until commit() is called.
   ///

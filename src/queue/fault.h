@@ -10,7 +10,7 @@
 //                         producer-retry duplicates (the message is appended
 //                         twice, as a producer that retried after a lost ack
 //                         would);
-//   Partition::fetch*   — bounded delivery delay: a partition "stalls" and
+//   Partition::fetch    — bounded delivery delay: a partition "stalls" and
 //                         serves nothing for a bounded number of fetch
 //                         attempts (a broker hiccup; per-partition FIFO
 //                         order is preserved, only delayed);
@@ -92,7 +92,7 @@ class FaultInjector {
   [[nodiscard]] bool should_fail_produce();
   [[nodiscard]] bool should_duplicate();
 
-  // -- consumer-side hooks (Consumer::poll, Partition::fetch*) -------------
+  // -- consumer-side hooks (Consumer::poll, Partition::fetch) --------------
   [[nodiscard]] bool should_fail_poll();
   [[nodiscard]] bool should_redeliver();
 

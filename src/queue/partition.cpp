@@ -1,20 +1,42 @@
 #include "queue/partition.h"
 
-#include <chrono>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/json.h"
 #include "queue/fault.h"
 
 namespace horus::queue {
 
-std::uint64_t Partition::append(std::string key, std::string value) {
+std::uint64_t AppendSignal::seq() const {
   const std::lock_guard lock(mutex_);
-  const std::uint64_t offset = log_.size();
-  log_.push_back(Message{offset, std::move(key), std::move(value)});
+  return seq_;
+}
+
+void AppendSignal::notify() {
+  {
+    const std::lock_guard lock(mutex_);
+    ++seq_;
+  }
   cv_.notify_all();
+}
+
+bool AppendSignal::wait_past(
+    std::uint64_t seen, std::chrono::steady_clock::time_point deadline) const {
+  std::unique_lock lock(mutex_);
+  return cv_.wait_until(lock, deadline, [&] { return seq_ != seen; });
+}
+
+std::uint64_t Partition::append(std::string key, std::string value) {
+  std::uint64_t offset = 0;
+  {
+    const std::lock_guard lock(mutex_);
+    offset = log_.size();
+    log_.push_back(Message{offset, std::move(key), std::move(value)});
+  }
+  // Raised after the message is visible: a consumer that read the sequence
+  // before its sweep either fetched this message or sees the sequence move.
+  if (on_append_ != nullptr) on_append_->notify();
   return offset;
 }
 
@@ -22,26 +44,6 @@ std::size_t Partition::fetch(std::uint64_t offset, std::size_t max_messages,
                              std::vector<Message>& out) const {
   const std::lock_guard lock(mutex_);
   if (fault_ != nullptr && fault_->consume_stall(fault_label_)) return 0;
-  std::size_t n = 0;
-  while (offset + n < log_.size() && n < max_messages) {
-    out.push_back(log_[offset + n]);
-    ++n;
-  }
-  return n;
-}
-
-std::size_t Partition::fetch_wait(std::uint64_t offset,
-                                  std::size_t max_messages, int timeout_ms,
-                                  std::vector<Message>& out) const {
-  std::unique_lock lock(mutex_);
-  if (fault_ != nullptr && fault_->consume_stall(fault_label_)) {
-    // Simulate the latency of the hiccup without busy-spinning callers.
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return 0;
-  }
-  cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-               [&] { return offset < log_.size(); });
   std::size_t n = 0;
   while (offset + n < log_.size() && n < max_messages) {
     out.push_back(log_[offset + n]);
@@ -84,9 +86,11 @@ void Partition::load(const std::string& path) {
         static_cast<std::uint64_t>(j.at("offset").as_int()),
         j.at("key").as_string(), j.at("value").as_string()});
   }
-  const std::lock_guard lock(mutex_);
-  log_ = std::move(loaded);
-  cv_.notify_all();
+  {
+    const std::lock_guard lock(mutex_);
+    log_ = std::move(loaded);
+  }
+  if (on_append_ != nullptr) on_append_->notify();
 }
 
 void Partition::set_fault_injector(FaultInjector* injector, std::string label) {

@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <sstream>
@@ -64,6 +65,9 @@ HorusService::HorusService(queue::Broker& broker, ExecutionGraph& graph,
   plan_cost_rejections_ = &registry.counter(
       "horus_service_plan_cost_rejections_total",
       "Queries rejected under overload by planner cost estimate");
+  // Every inter commit stores new causal edges: clock them now, not at the
+  // next clock interval (which stays as the idle backstop).
+  pipeline_.set_commit_hook([this] { daemon_.notify(); });
 }
 
 HorusService::~HorusService() { stop(); }
@@ -185,11 +189,18 @@ std::uint64_t HorusService::checkpoint_now() {
 }
 
 void HorusService::publish(const Event& event) {
+  // Commits are what shrink the backlog, so a blocked publish sleeps until
+  // the next one. Each wait is capped so that shutdown is noticed even when
+  // no worker commits (a stopped or wedged pipeline).
+  constexpr auto kStopCheck = std::chrono::milliseconds(50);
   bool waited = false;
   const auto deadline =
       Clock::now() +
       std::chrono::milliseconds(options_.backpressure_timeout_ms);
-  while (pipeline_.backlog() > options_.max_ingest_backlog) {
+  for (;;) {
+    const std::uint64_t seen = pipeline_.commits();
+    const std::uint64_t backlog = pipeline_.backlog();
+    if (backlog <= options_.max_ingest_backlog) break;
     if (!waited) {
       waited = true;
       backpressure_waits_->inc();
@@ -197,13 +208,13 @@ void HorusService::publish(const Event& event) {
     if (stopping_.load(std::memory_order_relaxed)) {
       throw OverloadError("service: shutting down, ingest closed");
     }
-    if (Clock::now() >= deadline) {
-      throw OverloadError(
-          "service: ingest backpressure timeout (backlog " +
-          std::to_string(pipeline_.backlog()) + " > bound " +
-          std::to_string(options_.max_ingest_backlog) + ")");
+    const auto now = Clock::now();
+    if (now >= deadline) {
+      throw OverloadError("service: ingest backpressure timeout (backlog " +
+                          std::to_string(backlog) + " > bound " +
+                          std::to_string(options_.max_ingest_backlog) + ")");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pipeline_.wait_for_commit(seen, std::min(deadline, now + kStopCheck));
   }
   pipeline_.publish(event);
   ingested_.fetch_add(1, std::memory_order_relaxed);

@@ -11,7 +11,8 @@
 //                     backlog exceeds the bound); paused under overload
 //   pipeline workers  the existing two-stage encoder pipeline, running
 //                     incrementally (never drained)
-//   clock daemon      periodic incremental clock assignment (src/core)
+//   clock daemon      incremental clock assignment after every inter-stage
+//                     commit, and at least every clock_interval_ms (src/core)
 //   checkpoint loop   periodic atomic checkpoint (service/checkpoint.h)
 //   supervisor loop   feeds obs signals into the OverloadController and
 //                     applies its level (pause traffic / tighten limits /
@@ -58,6 +59,8 @@ struct ServiceOptions {
   std::string data_dir;      ///< checkpoints + WAL root (required)
 
   int checkpoint_interval_ms = 500;
+  /// Idle backstop of the clock daemon: it ticks after every inter commit,
+  /// and at least this often.
   int clock_interval_ms = 25;
   int supervisor_interval_ms = 50;
   int traffic_interval_ms = 5;  ///< sleep between exhausted-source polls
@@ -66,9 +69,10 @@ struct ServiceOptions {
   /// with OverloadError (and always rejected at level kRejectSessions).
   int max_concurrent_sessions = 8;
 
-  /// Ingest backpressure: publishing blocks while the uncommitted broker
-  /// backlog exceeds this bound, and fails with OverloadError after the
-  /// timeout (a stuck pipeline must surface, not wedge the producer).
+  /// Ingest backpressure: publishing blocks (waking on each pipeline
+  /// commit) while the uncommitted broker backlog exceeds this bound, and
+  /// fails with OverloadError after the timeout (a stuck pipeline must
+  /// surface, not wedge the producer).
   std::uint64_t max_ingest_backlog = 1 << 16;
   int backpressure_timeout_ms = 10'000;
 

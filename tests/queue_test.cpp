@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "queue/broker.h"
@@ -38,25 +39,6 @@ TEST(PartitionTest, FetchRespectsMax) {
   EXPECT_EQ(p.fetch(0, 2, out), 2u);
 }
 
-TEST(PartitionTest, FetchWaitTimesOut) {
-  Partition p;
-  std::vector<Message> out;
-  EXPECT_EQ(p.fetch_wait(0, 10, /*timeout_ms=*/10, out), 0u);
-}
-
-TEST(PartitionTest, FetchWaitWakesOnAppend) {
-  Partition p;
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    std::vector<Message> out;
-    if (p.fetch_wait(0, 10, /*timeout_ms=*/2000, out) > 0) got = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  p.append("k", "v");
-  consumer.join();
-  EXPECT_TRUE(got.load());
-}
-
 TEST(PartitionTest, PersistAndLoadRoundTrip) {
   const ScopedTempDir dir("partition");
   const std::string path = dir.file("part.log");
@@ -92,6 +74,31 @@ TEST(TopicTest, ProduceRoutesByKey) {
 
 TEST(TopicTest, RejectsZeroPartitions) {
   EXPECT_THROW(Topic("bad", 0), std::invalid_argument);
+}
+
+TEST(TopicTest, AppendSignalWaitTimesOut) {
+  Topic t("events", 2);
+  const std::uint64_t seen = t.append_signal().seq();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(t.append_signal().wait_past(
+      seen, start + std::chrono::milliseconds(10)));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(10));
+}
+
+TEST(TopicTest, AppendSignalWakesOnAppendToAnyPartition) {
+  Topic t("events", 3);
+  const std::uint64_t seen = t.append_signal().seq();
+  std::atomic<bool> woke{false};
+  std::thread waiter([&] {
+    woke = t.append_signal().wait_past(
+        seen, std::chrono::steady_clock::now() + std::chrono::seconds(2));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  t.partition(2).append("k", "v");
+  waiter.join();
+  EXPECT_TRUE(woke.load());
+  EXPECT_NE(t.append_signal().seq(), seen);
 }
 
 TEST(BrokerTest, CreateTopicIdempotent) {
@@ -138,6 +145,26 @@ TEST(ConsumerTest, PollDrainsAssignedPartitions) {
   Consumer c(b, "g", "t", {0, 1});
   const auto batch = c.poll(10, 0);
   EXPECT_EQ(batch.size(), 2u);
+}
+
+TEST(ConsumerTest, BlockedPollWakesOnItsSecondPartition) {
+  // The wait covers every assigned partition: a message on partition 1
+  // ends a poll that found all of them empty, long before its timeout.
+  Broker b;
+  Topic& t = b.create_topic("t", 2);
+  Consumer c(b, "g", "t", {0, 1});
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    t.partition(1).append("k", "late");
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto batch = c.poll(10, /*timeout_ms=*/2000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  producer.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].partition, 1);
+  EXPECT_EQ(batch[0].message.value, "late");
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
 }
 
 TEST(ConsumerTest, PerPartitionFifoOrder) {

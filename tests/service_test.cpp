@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "common/error.h"
 #include "core/horus.h"
 #include "gen/synthetic.h"
+#include "obs/metrics.h"
 #include "scoped_temp_dir.h"
 #include "service/checkpoint.h"
 #include "service/overload.h"
@@ -366,6 +368,97 @@ TEST(ServiceBackpressureTest, StuckPipelineSurfacesTypedOverloadError) {
   const auto events = workload(10);
   daemon.publish(events[0]);  // backlog was 0 at entry: admitted
   EXPECT_THROW(daemon.publish(events[1]), service::OverloadError);
+}
+
+TEST(ServiceBackpressureTest, BlockedPublishesResumeOnCommits) {
+  // A running daemon with a tiny backlog bound: publishes block, each wait
+  // ends at a pipeline commit, and none of them times out.
+  const ScopedTempDir scratch("backpressure-running");
+  queue::Broker broker;
+  ExecutionGraph graph;
+  service::ServiceOptions options = fast_service_options(scratch.str());
+  options.pipeline.event_flush_interval_ms = 1;
+  options.max_ingest_backlog = 8;
+  obs::Counter& waits = obs::Registry::global().counter(
+      "horus_service_backpressure_waits_total", "");
+  const std::uint64_t waits_before = waits.value();
+  service::HorusService daemon(broker, graph, options);
+  daemon.start();
+  const auto events = workload(2000);
+  std::size_t overloads = 0;
+  for (const Event& e : events) {
+    try {
+      daemon.publish(e);
+    } catch (const service::OverloadError&) {
+      ++overloads;
+    }
+  }
+  EXPECT_EQ(overloads, 0u);
+  EXPECT_GT(waits.value(), waits_before);
+  ASSERT_TRUE(daemon.pipeline().drain());
+  daemon.stop();
+  EXPECT_EQ(graph.event_count(), events.size());
+}
+
+// ---------------------------------------------------------------------------
+// Freshness: commits, not timers, make events queryable
+// ---------------------------------------------------------------------------
+
+TEST(ServiceFreshnessTest, EventsAreClockedWithoutWaitingForIntervals) {
+  // Clock and inter-stage intervals far longer than the test: only the
+  // inter stage's commit-on-catch-up and the commit hook into the clock
+  // daemon can make these events queryable in time.
+  const ScopedTempDir scratch("freshness");
+  queue::Broker broker;
+  ExecutionGraph graph;
+  service::ServiceOptions options = fast_service_options(scratch.str());
+  options.clock_interval_ms = 60'000;
+  options.pipeline.relationship_flush_interval_ms = 60'000;
+  service::HorusService daemon(broker, graph, options);
+  daemon.start();
+
+  const auto events = workload();
+  const auto ref_ptr = reference_run(events);
+  const Horus& ref = *ref_ptr;
+  for (const Event& e : events) daemon.publish(e);
+
+  const std::size_t step = std::max<std::size_t>(1, events.size() / 20);
+  auto clocked = [&] {
+    return daemon.clock_daemon().with_clocks([&](const ClockTable& clocks) {
+      for (const Event& e : events) {
+        const auto node = graph.node_of(e.id);
+        if (!node || !clocks.assigned(*node)) return false;
+      }
+      return true;
+    });
+  };
+  auto q1_agrees = [&] {
+    for (std::size_t i = 0; i < events.size(); i += step) {
+      for (std::size_t j = 0; j < events.size(); j += step) {
+        const bool expected = ref.clocks().happens_before(
+            *ref.node_of(events[i].id), *ref.node_of(events[j].id));
+        if (daemon.clock_daemon().happens_before(
+                *graph.node_of(events[i].id), *graph.node_of(events[j].id)) !=
+            expected) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(2);
+  bool all_clocked = false;
+  bool agrees = false;
+  while (std::chrono::steady_clock::now() < deadline) {
+    all_clocked = clocked();
+    agrees = all_clocked && q1_agrees();
+    if (agrees) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(all_clocked) << "events still without clocks after 2 s";
+  EXPECT_TRUE(agrees) << "Q1 disagrees with the batch facade after 2 s";
+  daemon.stop();
 }
 
 // ---------------------------------------------------------------------------

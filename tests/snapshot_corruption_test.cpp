@@ -7,11 +7,14 @@
 // half-written checkpoint can never load as a plausible smaller graph.
 // Trailer-less legacy files (v1, pre-trailer v2) still load.
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/error.h"
 #include "graph/graph_io.h"
 #include "graph/graph_store.h"
@@ -51,6 +54,25 @@ void expect_load_fails(const std::string& text, const std::string& tag) {
   graph::GraphStore store;
   std::istringstream in(text);
   EXPECT_THROW(graph::load_graph(store, in), HorusError) << tag;
+}
+
+/// Rewrites the trailer's checksum as the CRC of the lines before it, so an
+/// edit inside a v3 snapshot reaches the loader's other checks instead of
+/// failing the CRC.
+std::string restamp_checksum(std::string text) {
+  const std::string key = "{\"checksum\":";
+  const std::size_t trailer = text.rfind(key);
+  const std::size_t digits = trailer + key.size();
+  const std::size_t end = text.find_first_not_of("0123456789", digits);
+  const std::uint32_t crc = crc32(std::string_view(text).substr(0, trailer));
+  text.replace(digits, end - digits, std::to_string(crc));
+  return text;
+}
+
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(fixture_path(name));
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 TEST(SnapshotCorruptionTest, IntactSnapshotLoads) {
@@ -171,6 +193,30 @@ TEST(SnapshotCorruptionTest, ErrorsNameTheOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SnapshotCorruptionTest, NodeIdWiderThan32BitsFails) {
+  // 2^32 narrows to node id 0: the loaders must compare the id as written.
+  const std::string forged = "{\"id\":4294967296,";
+  std::string text = sample_snapshot_text();
+  {
+    // The restamped but unedited file loads, so the edit below is what
+    // must fail, not the checksum.
+    graph::GraphStore store;
+    std::istringstream in(restamp_checksum(text));
+    ASSERT_NO_THROW(graph::load_graph(store, in));
+  }
+  const std::size_t pos = text.find("{\"id\":0,");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 8, forged);
+  expect_load_fails(restamp_checksum(text), "v3 node id 2^32");
+
+  // A v1 file (no trailer) goes through the other node reader.
+  std::string v1 = read_fixture("v1_small.hgraph");
+  const std::size_t v1_pos = v1.find("{\"id\":0,");
+  ASSERT_NE(v1_pos, std::string::npos);
+  v1.replace(v1_pos, 8, forged);
+  expect_load_fails(v1, "v1 node id 2^32");
 }
 
 TEST(SnapshotCorruptionTest, MissingFileFails) {

@@ -754,6 +754,26 @@ int cmd_serve(const Args& args) {
       static_cast<unsigned long long>(daemon.events_ingested()),
       graph.store().node_count(), graph.store().edge_count(),
       service::to_string(daemon.overload_level()));
+  {
+    // How far behind the graph is, and what the clock daemon's ticks cost:
+    // what started them, and how many edges their audits checked.
+    obs::Registry& metrics = obs::Registry::global();
+    obs::Family<obs::Counter>& ticks =
+        metrics.counters("horus_clock_ticks_total", "");
+    std::printf(
+        "horusd: clock ticks commit=%llu timer=%llu manual=%llu "
+        "unassigned-nodes=%lld audited-edges=%llu\n",
+        static_cast<unsigned long long>(
+            ticks.with({{"trigger", "commit"}}).value()),
+        static_cast<unsigned long long>(
+            ticks.with({{"trigger", "timer"}}).value()),
+        static_cast<unsigned long long>(
+            ticks.with({{"trigger", "manual"}}).value()),
+        static_cast<long long>(
+            metrics.gauge("horus_clock_unassigned_nodes", "").value()),
+        static_cast<unsigned long long>(
+            metrics.counter("horus_clock_audited_edges_total", "").value()));
+  }
   if (const graph::SegmentManager* segments = graph.store().segments()) {
     std::printf("horusd: segments=%zu sealed=%zu evicted=%zu "
                 "resident-bytes=%zu\n%s",
@@ -761,8 +781,9 @@ int cmd_serve(const Args& args) {
                 segments->evicted_count(), segments->resident_bytes(),
                 segments->shard_report().c_str());
     // Churn counters: reloads ~ evictions means the budget is thrashing
-    // (something keeps faulting spilled segments back in); heals fault the
-    // whole graph in by design (reassign_all walks every edge).
+    // (something keeps faulting spilled segments back in). A heal repairs
+    // the forward closure of late edges; only one that fails three times
+    // recomputes every clock and faults the whole graph in.
     obs::Registry& metrics = obs::Registry::global();
     std::printf(
         "horusd: segment-churn evictions=%llu reloads=%llu clock-heals=%llu\n",
