@@ -116,32 +116,45 @@ void ClockDaemon::audit_edges_locked(const EdgeList& edges, EdgeList& stale) {
   metrics().audited_edges.inc(edges.size());
 }
 
-void ClockDaemon::audit_out_edges_locked(graph::NodeId first,
-                                         graph::NodeId end, EdgeList& stale) {
-  const graph::GraphStore& store = graph_.store();
+void ClockDaemon::audit_or_carry_locked(EdgeList& edges, EdgeList& stale) {
+  const ClockTable& clocks = assigner_.clocks();
   std::uint64_t audited = 0;
-  for (graph::NodeId v = first; v < end; ++v) {
-    if (!assigner_.clocks().assigned(v)) continue;
-    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      if (violated_locked(v, e.to)) stale.push_back(graph::EdgeEnds{v, e.to});
-      ++audited;
+  for (const graph::EdgeEnds& e : edges) {
+    if (!clocks.assigned(e.from)) {
+      carried_.push_back(e);
+      continue;
     }
+    if (violated_locked(e.from, e.to)) stale.push_back(e);
+    ++audited;
   }
+  edges.clear();
   metrics().audited_edges.inc(audited);
 }
 
 void ClockDaemon::audit_logged_locked(EdgeList& stale) {
   graph::GraphStore& store = graph_.store();
+  // Edges carried from earlier passes first: their sources may have clocks
+  // by now.
+  EdgeList carried;
+  carried.swap(carried_);
+  audit_or_carry_locked(carried, stale);
   const bool complete = store.drain_edge_log(logged_);
   if (complete && !full_audit_pending_) {
-    audit_edges_locked(logged_, stale);
+    audit_or_carry_locked(logged_, stale);
     return;
   }
   // Every edge: no evicted range is skipped, since residency says nothing
   // about which edges are new (this pass may fault spilled segments in).
   full_audit_pending_ = false;
-  audit_out_edges_locked(0, static_cast<graph::NodeId>(store.node_count()),
-                         stale);
+  carried_.clear();
+  logged_.clear();
+  const auto n = static_cast<graph::NodeId>(store.node_count());
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
+      logged_.push_back(graph::EdgeEnds{v, e.to});
+    }
+    audit_or_carry_locked(logged_, stale);
+  }
 }
 
 std::size_t ClockDaemon::tick() { return tick(Trigger::kManual); }
@@ -157,16 +170,13 @@ std::size_t ClockDaemon::tick(Trigger trigger) {
       .inc();
   // Assign first, audit after: the audit then sees both kinds of staleness
   // in one pass — causal pairs that landed after their endpoints were
-  // assigned (logged edges), and edges from a just-assigned node into an
-  // earlier-assigned one, such as a replayed upstream event (the new
-  // nodes' out-edges; such an edge may have been logged and drained while
-  // its source still lacked clocks).
-  const graph::NodeId first = assigner_.assigned_prefix();
+  // assigned, and edges from a just-assigned node into an earlier-assigned
+  // one, such as a replayed upstream event (logged, and carried while its
+  // source still lacked clocks).
   const std::size_t assigned = assigner_.assign();
   assigned_ += assigned;
   EdgeList stale;
   audit_logged_locked(stale);
-  audit_out_edges_locked(first, assigner_.assigned_prefix(), stale);
   // Heal the forward closure of violated edges only: a late edge can only
   // raise clocks downstream of its head, and the targeted repair — unlike
   // reassign_all() — does not fault evicted segments back in. Under live
@@ -239,6 +249,7 @@ void ClockDaemon::restore_clocks(ClockTable table) {
   // The log describes edges relative to the replaced clocks; the table may
   // also predate edges of the restored graph. Audit everything once.
   graph_.store().clear_edge_log();
+  carried_.clear();
   full_audit_pending_ = true;
   publish_gauges_locked();
 }

@@ -18,10 +18,12 @@
 // What a tick costs: O(new nodes + new edges). assign() resumes at the
 // first unassigned node. The audit then checks what changed since the last
 // tick and nothing else: the edges in the store's edge log (attached for
-// the daemon's lifetime, see GraphStore::attach_edge_log) and the out-edges
-// of the nodes this tick assigned. One audit of every edge runs after
-// restore_clocks() (the restored table may predate edges of the restored
-// graph) and whenever the edge log overflowed.
+// the daemon's lifetime, see GraphStore::attach_edge_log), each once. A
+// logged edge whose source has no clocks yet (stored after assign() took
+// its count) is carried and audited by the tick that clocks its source —
+// the next one, so the carry list stays bounded. One audit of every edge
+// runs after restore_clocks() (the restored table may predate edges of the
+// restored graph) and whenever the edge log overflowed.
 //
 // Why there is an audit: incremental assignment is exact only when every
 // edge into the events being assigned is already stored (the flush-horizon
@@ -129,11 +131,11 @@ class ClockDaemon {
                                      graph::NodeId to) const;
   /// Appends the violated edges of `edges` to `stale`.
   void audit_edges_locked(const EdgeList& edges, EdgeList& stale);
-  /// Same for the out-edges of nodes [first, end).
-  void audit_out_edges_locked(graph::NodeId first, graph::NodeId end,
-                              EdgeList& stale);
-  /// Audits the edges logged since the last drain, or every edge when the
-  /// log overflowed or a full audit is pending.
+  /// Audits the edges of `edges` whose source has clocks, moves the rest to
+  /// the carry list, and empties `edges`.
+  void audit_or_carry_locked(EdgeList& edges, EdgeList& stale);
+  /// Audits the carried edges and those logged since the last drain, or
+  /// every edge when the log overflowed or a full audit is pending.
   void audit_logged_locked(EdgeList& stale);
   /// Sets the assigned/unassigned/arena gauges from the current state.
   void publish_gauges_locked() const;
@@ -146,6 +148,7 @@ class ClockDaemon {
   std::size_t assigned_ = 0;
   bool full_audit_pending_ = false;  ///< set by restore_clocks()
   EdgeList logged_;                  ///< drain buffer, reused across ticks
+  EdgeList carried_;  ///< logged edges whose source had no clocks yet
 
   /// Tick loop, spawned through the shared ThreadPool's service facility
   /// (see thread_pool.h).

@@ -73,6 +73,19 @@ class Cursor {
   }
 
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+
+  /// A count of entries that each take at least `bytes_each` of what is
+  /// left: a larger count is corruption, refused before anything is
+  /// reserved for it.
+  std::uint64_t count(std::size_t bytes_each, const char* what) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / bytes_each) {
+      throw HorusError(std::string("clock table: ") + what +
+                       " count exceeds the record (corrupt)");
+    }
+    return n;
+  }
 
  private:
   const char* bytes(std::size_t n) {
@@ -259,9 +272,18 @@ std::string read_clock_payload(std::istream& in) {
   if (payload_len > (1ULL << 36)) {
     throw HorusError("clock table: implausible payload length (corrupt)");
   }
-  std::string payload(payload_len, '\0');
-  if (!in.read(payload.data(), static_cast<std::streamsize>(payload_len))) {
-    throw HorusError("clock table: truncated record (payload short read)");
+  // Read in chunks, so a forged length allocates no more than the stream
+  // actually holds.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string payload;
+  while (payload.size() < payload_len) {
+    const std::size_t have = payload.size();
+    const std::size_t step =
+        static_cast<std::size_t>(std::min<std::uint64_t>(payload_len - have, kChunk));
+    payload.resize(have + step);
+    if (!in.read(payload.data() + have, static_cast<std::streamsize>(step))) {
+      throw HorusError("clock table: truncated record (payload short read)");
+    }
   }
   char crc_bytes[4];
   if (!in.read(crc_bytes, sizeof(crc_bytes))) {
@@ -304,10 +326,11 @@ ClockTable ClockTable::load(std::istream& in) {
   Cursor cur(payload);
   ClockTable table;
 
-  const std::uint64_t n = cur.u64();
+  // Per node: Lamport (8), VC slot (8), timeline (4), position (4).
+  const std::uint64_t n = cur.count(24, "node");
   table.lamport_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) table.lamport_.push_back(cur.i64());
-  const std::uint64_t arena = cur.u64();
+  const std::uint64_t arena = cur.count(4, "VC arena");
   table.vc_arena_.reserve(arena);
   for (std::uint64_t i = 0; i < arena; ++i) {
     table.vc_arena_.push_back(cur.i32());
@@ -326,7 +349,8 @@ ClockTable ClockTable::load(std::istream& in) {
   for (std::uint64_t i = 0; i < n; ++i) table.timeline_of_.push_back(cur.i32());
   table.position_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) table.position_.push_back(cur.i32());
-  const std::uint64_t timelines = cur.u64();
+  // Per timeline: name length (4) and size (4), at least.
+  const std::uint64_t timelines = cur.count(8, "timeline");
   for (std::uint64_t i = 0; i < timelines; ++i) {
     const std::uint32_t name_len = cur.u32();
     std::string name = cur.str(name_len);

@@ -1,21 +1,20 @@
-// Durable storage for the property-graph store: a JSON-lines snapshot
-// format. Loading replays through the regular write path, so all indexes
-// are rebuilt consistently.
+// Durable storage for the property-graph store: a whole store as one
+// binary graph snapshot.
 //
-// Version 3 (written by save_graph): header line, then a key-table line
-// {"keys":[...]} listing interned property keys in store-id order, then one
-// line per node with props as [[keyIdx, value], ...] arrays, then one line
-// per edge, then an integrity trailer {"checksum":crc32,"nodes":N,"edges":M}
-// covering every preceding byte. The trailer is REQUIRED for version >= 3:
-// a file cut before it (a partially written snapshot) is rejected instead
-// of silently loading a short graph. Version 1 (legacy: props as
-// {"name": value} objects, no key table) and version 2 (same body as v3,
-// trailer optional) are still loaded transparently.
+// A snapshot is a graph file of the record codec in graph/record_io.h: one
+// segment covering nodes [0, n) without in-lists — a header, the store's
+// key, label and edge-type tables, one record per node (label and typed
+// properties), one out-list per node, and a trailer with the node and edge
+// counts, all in CRC-32-checked frames. Segment spill files and checkpoint
+// segments are the same format with in-lists (graph/segment.h).
 //
-// Loading is hardened against corrupt input: truncation, malformed JSON,
-// out-of-range edge endpoints, count mismatches and checksum failures all
-// raise HorusError (with the offending line number) instead of crashing or
-// silently producing a wrong graph.
+// Loading replays through the regular write path (add_node_typed with the
+// file's key table mapped once, add_edge_typed with each edge type
+// interned once), so indexes created on the store beforehand are
+// maintained. Corrupt input — a cut at any byte, a flipped byte, a forged
+// id or count, a frame length past the end, a JSON-lines file of earlier
+// versions — raises HorusError naming the byte offset; the partly loaded
+// store is then to be discarded.
 //
 // This gives stored executions a life beyond the process — traces can be
 // captured once and re-analyzed later or shipped elsewhere, the same role
@@ -29,19 +28,16 @@
 
 namespace horus::graph {
 
-/// Snapshot version written by save_graph. load_graph accepts 1..kSnapshotVersion.
-inline constexpr int kSnapshotVersion = 3;
-
-/// Serializes the entire store. Deterministic output (node order, sorted
-/// properties) — diffable and golden-testable.
+/// Serializes the entire store. Deterministic output (node order, store
+/// table order, sorted properties). The store must not gain edges during
+/// the write; if it does, the write throws HorusError.
 void save_graph(const GraphStore& store, std::ostream& out);
 void save_graph_file(const GraphStore& store, const std::string& path);
 
-/// Loads a snapshot into `store` (which must be empty; throws otherwise).
-/// All writes go through add_node/add_edge, so any indexes created on the
-/// store beforehand are maintained. v1..v3 snapshots are accepted; corrupt
-/// or truncated input raises HorusError (for v3 this includes a missing
-/// integrity trailer).
+/// Loads a snapshot into `store`, which must hold no nodes (throws
+/// std::logic_error otherwise); keys, labels, edge types and indexes it
+/// already has are kept and used. Corrupt or truncated input raises
+/// HorusError.
 void load_graph(GraphStore& store, std::istream& in);
 void load_graph_file(GraphStore& store, const std::string& path);
 

@@ -97,7 +97,7 @@ std::uint32_t GraphStore::intern_label(std::string_view label) {
   return id;
 }
 
-EdgeTypeId GraphStore::intern_edge_type(std::string_view type) {
+EdgeTypeId GraphStore::intern_edge_type_locked(std::string_view type) {
   auto it = edge_type_ids_.find(type);
   if (it != edge_type_ids_.end()) return it->second;
   const auto id = static_cast<EdgeTypeId>(edge_types_.size());
@@ -411,8 +411,8 @@ void GraphStore::add_edge_locked(NodeId from, NodeId to, EdgeTypeId type) {
   }
 }
 
-void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
-  const std::unique_lock lock(mutex_);
+void GraphStore::add_checked_edge_locked(NodeId from, NodeId to,
+                                         EdgeTypeId type) {
   if (from >= nodes_.size()) bad_node(from);
   if (to >= nodes_.size()) bad_node(to);
   if (segments_ != nullptr) {
@@ -420,7 +420,21 @@ void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
     segments_->ensure_resident_locked(from);
     segments_->ensure_resident_locked(to);
   }
-  add_edge_locked(from, to, intern_edge_type(type));
+  add_edge_locked(from, to, type);
+}
+
+void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
+  const std::unique_lock lock(mutex_);
+  add_checked_edge_locked(from, to, intern_edge_type_locked(type));
+}
+
+void GraphStore::add_edge_typed(NodeId from, NodeId to, EdgeTypeId type) {
+  const std::unique_lock lock(mutex_);
+  if (type >= edge_types_.size()) {
+    throw std::out_of_range("graph: unknown edge type id " +
+                            std::to_string(type));
+  }
+  add_checked_edge_locked(from, to, type);
 }
 
 NodeId GraphStore::add_node_after(NodeId from, std::string_view edge_type,
@@ -430,7 +444,7 @@ NodeId GraphStore::add_node_after(NodeId from, std::string_view edge_type,
   if (from >= nodes_.size()) bad_node(from);
   check_prop_keys_locked(properties);
   if (segments_ != nullptr) segments_->ensure_resident_locked(from);
-  const EdgeTypeId type = intern_edge_type(edge_type);
+  const EdgeTypeId type = intern_edge_type_locked(edge_type);
   const NodeId id = push_node_locked(label, std::move(properties));
   add_edge_locked(from, id, type);
   // Last, as in add_node_locked: a seal sees the node with its edge.
@@ -702,6 +716,21 @@ std::vector<Edge> GraphStore::in_edges_snapshot(NodeId node) const {
 const std::string& GraphStore::edge_type_name(EdgeTypeId type) const {
   const std::shared_lock lock(mutex_);
   return edge_types_.at(type);
+}
+
+EdgeTypeId GraphStore::intern_edge_type(std::string_view type) {
+  const std::unique_lock lock(mutex_);
+  return intern_edge_type_locked(type);
+}
+
+std::vector<std::string> GraphStore::label_names() const {
+  const std::shared_lock lock(mutex_);
+  return labels_;
+}
+
+std::vector<std::string> GraphStore::edge_type_names() const {
+  const std::shared_lock lock(mutex_);
+  return edge_types_;
 }
 
 std::optional<EdgeTypeId> GraphStore::edge_type_id(

@@ -201,6 +201,10 @@ class GraphStore {
   /// Adds a directed typed edge.
   void add_edge(NodeId from, NodeId to, std::string_view type);
 
+  /// Typed edge insert: `type` comes from intern_edge_type, so a caller
+  /// adding many edges resolves each type name once.
+  void add_edge_typed(NodeId from, NodeId to, EdgeTypeId type);
+
   /// Typed insert of a node together with its one in-edge `from -> node`
   /// of `edge_type`, under one write lock: no reader ever sees the node
   /// without that edge. The intra encoder writes each event with its
@@ -306,6 +310,13 @@ class GraphStore {
   /// Interned id of a type name, or nullopt if never seen.
   [[nodiscard]] std::optional<EdgeTypeId> edge_type_id(
       std::string_view type) const;
+  /// Interns an edge type name, returning its id (idempotent).
+  EdgeTypeId intern_edge_type(std::string_view type);
+
+  /// Copies of the interned label and edge-type names, indexed by id
+  /// (node_label_id, Edge::type): the tables a snapshot writes.
+  [[nodiscard]] std::vector<std::string> label_names() const;
+  [[nodiscard]] std::vector<std::string> edge_type_names() const;
 
   /// All nodes carrying `label` (insertion order).
   [[nodiscard]] std::vector<NodeId> nodes_with_label(
@@ -403,7 +414,7 @@ class GraphStore {
 
   // Must be called with lock held.
   std::uint32_t intern_label(std::string_view label);
-  EdgeTypeId intern_edge_type(std::string_view type);
+  EdgeTypeId intern_edge_type_locked(std::string_view type);
   PropKeyId intern_prop_key_locked(std::string_view key);
   void index_insert_locked(NodeId node, PropKeyId key,
                            const PropertyValue& value);
@@ -414,6 +425,8 @@ class GraphStore {
   NodeId push_node_locked(std::string_view label, PropertyList properties);
   NodeId add_node_locked(std::string_view label, PropertyList properties);
   void add_edge_locked(NodeId from, NodeId to, EdgeTypeId type);
+  /// add_edge_locked after checking both ends and faulting them in.
+  void add_checked_edge_locked(NodeId from, NodeId to, EdgeTypeId type);
   /// Throws std::out_of_range on a key id this store never interned.
   void check_prop_keys_locked(const PropertyList& properties) const;
   void set_property_locked(NodeId node, PropKeyId key, PropertyValue value);

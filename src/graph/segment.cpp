@@ -5,10 +5,8 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
-#include "common/crc32.h"
-#include "common/json.h"
+#include "graph/record_io.h"
 #include "obs/metrics.h"
 
 namespace horus::graph {
@@ -16,34 +14,6 @@ namespace horus::graph {
 namespace fs = std::filesystem;
 
 namespace {
-
-Json property_to_json(const PropertyValue& v) {
-  if (const auto* b = std::get_if<bool>(&v)) return Json(*b);
-  if (const auto* i = std::get_if<std::int64_t>(&v)) return Json(*i);
-  if (const auto* d = std::get_if<double>(&v)) return Json(*d);
-  if (const auto* s = std::get_if<std::string>(&v)) return Json(*s);
-  return Json();
-}
-
-PropertyValue property_from_json(const Json& j) {
-  if (j.is_bool()) return j.as_bool();
-  if (j.is_int()) return j.as_int();
-  if (j.is_double()) return j.as_double();
-  if (j.is_string()) return j.as_string();
-  return std::monostate{};
-}
-
-/// True when a decoded id or count fits the 32-bit field it is stored in
-/// (NodeId, SegmentId, node count); kNoNode stays reserved.
-bool fits_u32(std::int64_t v) {
-  return v >= 0 && v < std::int64_t{kNoNode};
-}
-
-[[noreturn]] void corrupt(const std::string& what, std::size_t line,
-                          const std::string& reason) {
-  throw SegmentCorruptError("segment io: " + what + ": line " +
-                            std::to_string(line) + ": " + reason);
-}
 
 /// Rough resident size of one node's evictable payload: the property bag
 /// (entries + string storage) and both adjacency vectors. An estimate — the
@@ -70,172 +40,34 @@ std::size_t record_payload_bytes(const PropertyList& bag,
 
 ParsedSegmentFile read_segment_stream(std::istream& in,
                                       const std::string& what) {
-  // Phase 1: slurp every line, tracking a running CRC so the trailer can be
-  // verified against exactly the bytes preceding it — *before* any parsing
-  // commits state anywhere.
-  std::vector<std::string> lines;
-  std::vector<std::uint32_t> crc_before;  // CRC of everything before line i
-  std::uint32_t crc = crc32_init();
-  std::string line;
-  while (std::getline(in, line)) {
-    crc_before.push_back(crc);
-    crc = crc32_update(crc, line);
-    crc = crc32_update(crc, "\n");
-    lines.push_back(std::move(line));
-  }
-  while (!lines.empty() && lines.back().empty()) {
-    lines.pop_back();
-    crc_before.pop_back();
-  }
-  if (lines.size() < 3) {
-    throw SegmentCorruptError("segment io: " + what +
-                              ": truncated segment file (" +
-                              std::to_string(lines.size()) + " lines)");
-  }
-
-  const auto parse_line = [&](std::size_t i) -> Json {
-    try {
-      return Json::parse(lines[i]);
-    } catch (const std::exception& e) {
-      corrupt(what, i + 1, std::string("malformed JSON (") + e.what() + ")");
-    }
-  };
-
-  // Trailer first: CRC gate everything else.
-  const std::size_t trailer_idx = lines.size() - 1;
-  const Json trailer = parse_line(trailer_idx);
-  if (!trailer.is_object() || !trailer.contains("checksum")) {
-    corrupt(what, trailer_idx + 1,
-            "missing integrity trailer (file truncated?)");
-  }
-  try {
-    const auto stored =
-        static_cast<std::uint32_t>(trailer.at("checksum").as_int());
-    const std::uint32_t actual = crc32_final(crc_before[trailer_idx]);
-    if (stored != actual) {
-      corrupt(what, trailer_idx + 1,
-              "checksum mismatch: segment file is corrupt");
-    }
-  } catch (const SegmentCorruptError&) {
-    throw;
-  } catch (const std::exception& e) {
-    corrupt(what, trailer_idx + 1,
-            std::string("bad integrity trailer (") + e.what() + ")");
-  }
-
+  // Every frame is CRC-checked and decoded here, before any store is
+  // touched: a corrupt file raises SegmentCorruptError with nothing applied.
+  GraphFileReader reader(in, what, GraphFileKind::kSegment);
+  const GraphFileHeader& header = reader.header();
   ParsedSegmentFile out;
-  const Json header = parse_line(0);
-  try {
-    if (header.get_or("format", std::string{}) != "horus-segment") {
-      corrupt(what, 1, "not a horus-segment file");
-    }
-    const std::int64_t version = header.get_or("version", std::int64_t{0});
-    if (version != 1) {
-      corrupt(what, 1,
-              "unsupported segment version " + std::to_string(version));
-    }
-    const std::int64_t segment = header.at("segment").as_int();
-    const std::int64_t first = header.at("first").as_int();
-    const std::int64_t count = header.at("nodes").as_int();
-    const std::int64_t edges = header.at("edges").as_int();
-    if (!fits_u32(segment) || !fits_u32(first) || !fits_u32(count) ||
-        !fits_u32(first + count) || edges < 0) {
-      corrupt(what, 1, "section id or count out of range");
-    }
-    out.segment = static_cast<SegmentId>(segment);
-    out.first = static_cast<NodeId>(first);
-    out.count = static_cast<std::uint32_t>(count);
-    out.edges = static_cast<std::size_t>(edges);
-  } catch (const SegmentCorruptError&) {
-    throw;
-  } catch (const std::exception& e) {
-    corrupt(what, 1, std::string("bad header (") + e.what() + ")");
-  }
-
-  const Json tables = parse_line(1);
-  try {
-    for (const Json& name : tables.at("keys").as_array()) {
-      out.keys.push_back(name.as_string());
-    }
-    for (const Json& name : tables.at("edge_types").as_array()) {
-      out.edge_types.push_back(name.as_string());
-    }
-  } catch (const SegmentCorruptError&) {
-    throw;
-  } catch (const std::exception& e) {
-    corrupt(what, 2, std::string("bad key/type tables (") + e.what() + ")");
-  }
-
-  if (lines.size() != 2 + out.count + 1) {
-    throw SegmentCorruptError(
-        "segment io: " + what + ": header declares " +
-        std::to_string(out.count) + " nodes, file has " +
-        std::to_string(lines.size() - 3) + " node lines");
-  }
-
-  std::size_t edge_entries = 0;
-  out.nodes.reserve(out.count);
-  for (std::size_t i = 0; i < out.count; ++i) {
-    const std::size_t line_idx = 2 + i;
-    const Json j = parse_line(line_idx);
+  out.segment = header.segment;
+  out.first = header.first;
+  out.count = header.count;
+  out.edges = header.edges;
+  out.keys = reader.tables().keys;
+  out.edge_types = reader.tables().edge_types;
+  std::uint32_t label = 0;
+  for (std::uint32_t i = 0; i < header.count; ++i) {
     ParsedSegmentNode node;
-    try {
-      const std::int64_t id = j.at("id").as_int();
-      if (id != std::int64_t{out.first} + static_cast<std::int64_t>(i)) {
-        corrupt(what, line_idx + 1, "node ids are not dense within segment");
-      }
-      node.id = static_cast<NodeId>(id);
-      node.label = j.at("label").as_string();
-      for (const Json& entry : j.at("props").as_array()) {
-        const auto& pair = entry.as_array();
-        if (pair.size() != 2) {
-          corrupt(what, line_idx + 1, "malformed property entry");
-        }
-        const auto idx = static_cast<std::size_t>(pair[0].as_int());
-        if (idx >= out.keys.size()) {
-          corrupt(what, line_idx + 1, "property key index out of range");
-        }
-        node.props.emplace_back(static_cast<PropKeyId>(idx),
-                                property_from_json(pair[1]));
-      }
-      const auto read_adjacency =
-          [&](const char* field,
-              std::vector<std::pair<NodeId, std::uint32_t>>& dst) {
-            for (const Json& entry : j.at(field).as_array()) {
-              const auto& pair = entry.as_array();
-              if (pair.size() != 2) {
-                corrupt(what, line_idx + 1, "malformed edge entry");
-              }
-              const std::int64_t peer = pair[0].as_int();
-              const auto type = static_cast<std::size_t>(pair[1].as_int());
-              if (!fits_u32(peer) || type >= out.edge_types.size()) {
-                corrupt(what, line_idx + 1, "edge endpoint/type out of range");
-              }
-              dst.emplace_back(static_cast<NodeId>(peer),
-                               static_cast<std::uint32_t>(type));
-            }
-          };
-      read_adjacency("out", node.out);
-      read_adjacency("in", node.in);
-    } catch (const SegmentCorruptError&) {
-      throw;
-    } catch (const std::exception& e) {
-      corrupt(what, line_idx + 1,
-              std::string("bad node record (") + e.what() + ")");
-    }
-    edge_entries += node.out.size();
+    node.id = header.first + i;
+    reader.next_node(label, node.props);
+    node.label = reader.tables().labels[label];
     out.nodes.push_back(std::move(node));
   }
-  if (edge_entries != out.edges) {
-    throw SegmentCorruptError("segment io: " + what + ": header declares " +
-                              std::to_string(out.edges) + " edges, file has " +
-                              std::to_string(edge_entries));
+  for (ParsedSegmentNode& node : out.nodes) {
+    reader.next_adjacency(node.out, &node.in);
   }
+  reader.finish();
   return out;
 }
 
 ParsedSegmentFile read_segment_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw SegmentCorruptError("segment io: cannot open " + path);
   }
@@ -670,22 +502,16 @@ void SegmentManager::reload_locked(SegmentId seg) {
   std::vector<EdgeTypeId> type_map;
   type_map.reserve(file.edge_types.size());
   for (const std::string& name : file.edge_types) {
-    type_map.push_back(store_.intern_edge_type(name));
+    type_map.push_back(store_.intern_edge_type_locked(name));
   }
   for (const ParsedSegmentNode& node : file.nodes) {
-    for (const auto& [peer, type] : node.out) {
-      if (peer >= node_count) {
-        throw SegmentCorruptError("segment io: " + path +
-                                  ": edge endpoint out of range");
+    for (const auto* list : {&node.out, &node.in}) {
+      for (const FileEdge& e : *list) {
+        if (e.peer >= node_count) {
+          throw SegmentCorruptError("segment io: " + path +
+                                    ": edge endpoint out of range");
+        }
       }
-      (void)type;
-    }
-    for (const auto& [peer, type] : node.in) {
-      if (peer >= node_count) {
-        throw SegmentCorruptError("segment io: " + path +
-                                  ": edge endpoint out of range");
-      }
-      (void)type;
     }
   }
 
@@ -705,12 +531,12 @@ void SegmentManager::reload_locked(SegmentId seg) {
               [](const auto& a, const auto& b) { return a.first < b.first; });
     rec.properties = std::move(bag);
     rec.out.reserve(node.out.size());
-    for (const auto& [peer, type] : node.out) {
-      rec.out.push_back(Edge{peer, type_map[type]});
+    for (const FileEdge& e : node.out) {
+      rec.out.push_back(Edge{e.peer, type_map[e.type]});
     }
     rec.in.reserve(node.in.size());
-    for (const auto& [peer, type] : node.in) {
-      rec.in.push_back(Edge{peer, type_map[type]});
+    for (const FileEdge& e : node.in) {
+      rec.in.push_back(Edge{e.peer, type_map[e.type]});
     }
   }
   s.resident = true;
@@ -726,90 +552,41 @@ void SegmentManager::reload_locked(SegmentId seg) {
 // spill / checkpoint serialization
 // ---------------------------------------------------------------------------
 
-void SegmentManager::write_segment_stream_locked(SegmentId seg,
-                                                 std::ostream& out) const {
+void SegmentManager::write_segment_locked(SegmentId seg,
+                                          const std::string& path) const {
   const Segment& s = segments_[seg];
-  std::uint32_t crc = crc32_init();
-  const auto emit = [&](const std::string& line) {
-    crc = crc32_update(crc, line);
-    crc = crc32_update(crc, "\n");
-    out << line << '\n';
-  };
-
-  std::size_t edges = 0;
   const NodeId end = s.first + s.count;
+  GraphFileHeader header;
+  header.kind = GraphFileKind::kSegment;
+  header.segment = seg;
+  header.first = s.first;
+  header.count = s.count;
+  header.in_lists = true;
   for (NodeId v = s.first; v < end; ++v) {
-    edges += store_.nodes_[v].out.size();
+    header.edges += store_.nodes_[v].out.size();
   }
-
-  Json header = Json::object();
-  header["format"] = "horus-segment";
-  header["version"] = std::int64_t{1};
-  header["segment"] = static_cast<std::int64_t>(seg);
-  header["first"] = static_cast<std::int64_t>(s.first);
-  header["nodes"] = static_cast<std::int64_t>(s.count);
-  header["edges"] = static_cast<std::int64_t>(edges);
-  emit(header.dump());
-
-  Json keys = Json::array();
-  for (const std::string& name : store_.prop_keys_) keys.push_back(Json(name));
-  Json types = Json::array();
-  for (const std::string& name : store_.edge_types_) {
-    types.push_back(Json(name));
-  }
-  Json tables = Json::object();
-  tables["keys"] = std::move(keys);
-  tables["edge_types"] = std::move(types);
-  emit(tables.dump());
-
-  for (NodeId v = s.first; v < end; ++v) {
-    const auto& rec = store_.nodes_[v];
-    Json node = Json::object();
-    node["id"] = static_cast<std::int64_t>(v);
-    node["label"] = store_.labels_[rec.label];
-    Json props = Json::array();
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw HorusError("segment io: cannot open " + tmp);
+    GraphFileWriter writer(
+        out, header,
+        GraphFileTables{store_.prop_keys_, store_.labels_, store_.edge_types_});
     // Full property set (columns included) so checkpoint restore can
     // reconstruct the node; evicted-segment reload skips column keys.
-    for (const auto& [key, value] : store_.collect_properties_locked(v)) {
-      Json entry = Json::array();
-      entry.push_back(Json(static_cast<std::int64_t>(key)));
-      entry.push_back(property_to_json(value));
-      props.push_back(std::move(entry));
+    for (NodeId v = s.first; v < end; ++v) {
+      writer.node(store_.nodes_[v].label, store_.collect_properties_locked(v));
     }
-    node["props"] = std::move(props);
-    const auto adjacency = [](const std::vector<Edge>& list) {
-      Json arr = Json::array();
-      for (const Edge& e : list) {
-        Json entry = Json::array();
-        entry.push_back(Json(static_cast<std::int64_t>(e.to)));
-        entry.push_back(Json(static_cast<std::int64_t>(e.type)));
-        arr.push_back(std::move(entry));
-      }
-      return arr;
-    };
-    node["out"] = adjacency(rec.out);
-    node["in"] = adjacency(rec.in);
-    emit(node.dump());
+    for (NodeId v = s.first; v < end; ++v) {
+      writer.adjacency(store_.nodes_[v].out, store_.nodes_[v].in);
+    }
+    writer.finish();
   }
-
-  Json trailer = Json::object();
-  trailer["checksum"] = static_cast<std::int64_t>(crc32_final(crc));
-  trailer["nodes"] = static_cast<std::int64_t>(s.count);
-  trailer["edges"] = static_cast<std::int64_t>(edges);
-  out << trailer.dump() << '\n';
+  fs::rename(tmp, path);
 }
 
 void SegmentManager::write_spill_locked(SegmentId seg) {
-  const std::string path = spill_path(seg);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw HorusError("segment io: cannot open " + tmp);
-    write_segment_stream_locked(seg, out);
-    out.flush();
-    if (!out) throw HorusError("segment io: write failed for " + tmp);
-  }
-  fs::rename(tmp, path);
+  write_segment_locked(seg, spill_path(seg));
   segments_[seg].spill_clean = true;
 }
 
@@ -820,22 +597,13 @@ void SegmentManager::write_segment_file(SegmentId seg,
     throw std::out_of_range("graph: invalid segment id " +
                             std::to_string(seg));
   }
-  const Segment& s = segments_[seg];
-  if (!s.resident) {
+  if (!segments_[seg].resident) {
     // Evicted implies a clean spill file; reuse its bytes instead of
     // faulting the segment in just to re-serialize identical content.
     fs::copy_file(spill_path(seg), path, fs::copy_options::overwrite_existing);
     return;
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw HorusError("segment io: cannot open " + tmp);
-    write_segment_stream_locked(seg, out);
-    out.flush();
-    if (!out) throw HorusError("segment io: write failed for " + tmp);
-  }
-  fs::rename(tmp, path);
+  write_segment_locked(seg, path);
 }
 
 void SegmentManager::adopt_sealed(

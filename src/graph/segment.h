@@ -19,9 +19,13 @@
 // range excludes the predicate. Q1 and Q2 consult no summary: the clock
 // table is always resident and answers them exactly in O(1) per node.
 //
-// Sealed segments are **LRU-evictable** to spill files in the v3
-// JSON-lines snapshot family (CRC-32 trailer included) and transparently
-// reloaded on access: evicting frees the per-node property bags and
+// Sealed segments are **LRU-evictable** to spill files and transparently
+// reloaded on access. A spill file (and a per-segment checkpoint file, the
+// same bytes) is a graph file of the binary record codec in
+// graph/record_io.h, the format monolithic snapshots use too: a header
+// naming the segment and its node range, the store's tables, one record per
+// node with every property (columns included), and both adjacency lists,
+// in CRC-32-checked frames. Evicting frees the per-node property bags and
 // adjacency vectors while labels, dense columns and all indexes stay
 // resident, so index lookups and column scans never fault. The residency
 // state machine is
@@ -33,8 +37,9 @@
 // and a resident-byte budget (`resident_budget_bytes`) drives LRU eviction
 // from the write path and from `evict_to_budget()` (called by the service
 // supervisor, which also feeds resident bytes into the overload
-// controller). A corrupted spill file fails reload with a typed
-// SegmentCorruptError after CRC verification — never a crash, never a
+// controller). Reload decodes and verifies the whole file before it
+// touches the store, so a corrupted spill file fails with a typed
+// SegmentCorruptError naming the byte offset — never a crash, never a
 // silently short segment.
 //
 // Thread safety: the manager shares the owning GraphStore's shared_mutex;
@@ -52,6 +57,7 @@
 
 #include "common/error.h"
 #include "graph/graph_store.h"
+#include "graph/record_io.h"
 
 namespace horus::obs {
 class Counter;
@@ -127,9 +133,9 @@ struct ShardCounts {
 struct ParsedSegmentNode {
   NodeId id = kNoNode;
   std::string label;
-  PropertyList props;  ///< keyed by file key index
-  std::vector<std::pair<NodeId, std::uint32_t>> out;  ///< (to, type index)
-  std::vector<std::pair<NodeId, std::uint32_t>> in;   ///< (from, type index)
+  PropertyList props;        ///< keyed by file key index
+  std::vector<FileEdge> out;  ///< (to, type index)
+  std::vector<FileEdge> in;   ///< (from, type index)
 };
 
 /// A fully parsed, CRC-verified segment file. Nothing is applied to any
@@ -145,8 +151,9 @@ struct ParsedSegmentFile {
   std::vector<ParsedSegmentNode> nodes;
 };
 
-/// Reads and validates a segment file (format, structure, CRC-32 trailer).
-/// `what` names the source in error messages. Throws SegmentCorruptError.
+/// Reads and validates a whole segment file (frame CRCs, structure, ranges,
+/// trailer). `what` names the source in error messages. Throws
+/// SegmentCorruptError.
 [[nodiscard]] ParsedSegmentFile read_segment_stream(std::istream& in,
                                                     const std::string& what);
 [[nodiscard]] ParsedSegmentFile read_segment_file(const std::string& path);
@@ -315,7 +322,8 @@ class SegmentManager {
   std::size_t evict_to_budget_locked();
   void reload_all_locked();  ///< index (re)builds need every bag resident
   void write_spill_locked(SegmentId seg);
-  void write_segment_stream_locked(SegmentId seg, std::ostream& out) const;
+  /// Writes the segment file to `path` through a temp file and a rename.
+  void write_segment_locked(SegmentId seg, const std::string& path) const;
   [[nodiscard]] std::size_t payload_bytes_locked(SegmentId seg) const;
   [[nodiscard]] SegmentInfo info_locked(SegmentId seg) const;
   /// Marks a segment sealed (LRU stamp, payload bytes, range summaries from

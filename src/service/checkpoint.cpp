@@ -46,8 +46,8 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   fs::rename(tmp, path);
 }
 
-/// Writes the per-segment graph bundle (see header): one CRC-trailered
-/// .hseg per segment plus graph_meta.json naming the boundaries. The
+/// Writes the per-segment graph bundle (see header): one binary segment
+/// file (.hseg) per segment plus graph_meta.json naming the boundaries. The
 /// caller holds the pipeline commit gate, so the layout cannot shift
 /// between list() and the per-segment writes.
 void write_segmented_graph(graph::SegmentManager& segments,
@@ -153,24 +153,36 @@ std::vector<std::pair<graph::NodeId, std::uint32_t>> load_segmented_graph(
       for (const auto& [idx, value] : node.props) {
         props.emplace_back(key_map[idx], value);
       }
-      const graph::NodeId assigned =
-          store.add_node_typed(node.label, std::move(props));
+      graph::NodeId assigned = graph::kNoNode;
+      try {
+        assigned = store.add_node_typed(node.label, std::move(props));
+      } catch (const std::logic_error& e) {
+        throw HorusError(std::string("checkpoint: segment node rejected by "
+                                     "the store (") +
+                         e.what() + ")");
+      }
       if (assigned != node.id) {
         throw HorusError("checkpoint: segment node ids are not dense");
       }
     }
   }
 
-  // Phase B: out-edge replay (cross-segment edges need every node present).
+  // Phase B: out-edge replay (cross-segment edges need every node present),
+  // each file's edge types interned once.
   std::size_t edges = 0;
   const auto n = static_cast<graph::NodeId>(store.node_count());
   for (const graph::ParsedSegmentFile& file : files) {
+    std::vector<graph::EdgeTypeId> type_map;
+    type_map.reserve(file.edge_types.size());
+    for (const std::string& name : file.edge_types) {
+      type_map.push_back(store.intern_edge_type(name));
+    }
     for (const graph::ParsedSegmentNode& node : file.nodes) {
-      for (const auto& [to, type_idx] : node.out) {
-        if (to >= n) {
+      for (const graph::FileEdge& e : node.out) {
+        if (e.peer >= n) {
           throw HorusError("checkpoint: segment edge endpoint out of range");
         }
-        store.add_edge(node.id, to, file.edge_types[type_idx]);
+        store.add_edge_typed(node.id, e.peer, type_map[e.type]);
         ++edges;
       }
     }

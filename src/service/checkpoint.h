@@ -2,9 +2,9 @@
 // SIGKILL'd daemon restarts from.
 //
 // One checkpoint (an *epoch*) bundles four things that must describe the
-// same instant: the graph snapshot (v3, CRC-trailered), the serialized
-// logical-clock table, every committed broker offset, and a copy of the
-// inter stage's pending-pair WAL files. The service writes them while
+// same instant: the graph snapshot (the binary, CRC-framed format of
+// graph/graph_io.h), the serialized logical-clock table, every committed
+// broker offset, and a copy of the inter stage's pending-pair WAL files. The service writes them while
 // holding the pipeline's commit gate (Pipeline::quiesce_commits()), under
 // which all four are mutually consistent: workers only mutate the graph,
 // the WAL, and the offsets inside the gated flush+commit section.

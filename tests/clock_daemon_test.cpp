@@ -354,6 +354,35 @@ TEST(ClockDaemonTest, RestoredStaleTableIsHealedByOneTick) {
   expect_clocks_match_fresh(restored, graph);
 }
 
+// Each new edge is audited once per tick that sees it: from the edge log,
+// not a second time as an out-edge of its newly clocked source.
+TEST(ClockDaemonTest, TickAuditsEachNewEdgeOnce) {
+  obs::Counter& audited =
+      obs::Registry::global().counter("horus_clock_audited_edges_total", "");
+  ExecutionGraph graph;
+  Rng rng(11);
+  RandomCausalWriter writer(graph, rng, 5);
+  ClockDaemon daemon(graph, ClockDaemon::Options{.interval_ms = 3'600'000});
+  // Round 0 writes nodes and cross-timeline edges into an empty graph;
+  // round 1 only appends nodes, whose chain edges start at clocked tails.
+  // Neither leaves a violated edge, so no tick heals.
+  for (int round = 0; round < 2; ++round) {
+    const std::size_t edges_before = graph.store().edge_count();
+    for (int i = 0; i < 400; ++i) writer.add_node();
+    if (round == 0) {
+      for (int i = 0; i < 150; ++i) (void)writer.add_edge();
+    }
+    const std::size_t new_edges = graph.store().edge_count() - edges_before;
+    ASSERT_GE(new_edges, 395u);
+    const std::uint64_t audited_before = audited.value();
+    const std::uint64_t heals_before = daemon.heals();
+    daemon.tick();
+    ASSERT_EQ(daemon.heals(), heals_before) << "round " << round;
+    EXPECT_EQ(audited.value() - audited_before, new_edges) << "round " << round;
+  }
+  expect_clocks_match_fresh(daemon, graph);
+}
+
 TEST(ClockDaemonTest, MetricsShowTriggersLagAndAuditSize) {
   obs::Registry& registry = obs::Registry::global();
   obs::Family<obs::Counter>& ticks = registry.counters(

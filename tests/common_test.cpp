@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
+#include "common/crc32.h"
 #include "common/diag.h"
 #include "common/ids.h"
 #include "common/rng.h"
@@ -8,6 +12,25 @@
 
 namespace horus {
 namespace {
+
+// The standard CRC-32 check value, and the same CRC however the input is
+// split: the 8-byte steps and the byte tail must agree at every boundary.
+TEST(Crc32Test, MatchesCheckValueAndStreams) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  std::string data;
+  for (int i = 0; i < 300; ++i) data.push_back(static_cast<char>(i * 37 + 11));
+  std::uint32_t bytewise = crc32_init();
+  for (const char c : data) bytewise = crc32_update(bytewise, std::string_view(&c, 1));
+  const std::uint32_t whole = crc32(data);
+  EXPECT_EQ(crc32_final(bytewise), whole);
+  for (std::size_t cut = 0; cut <= data.size(); cut += 7) {
+    const std::string_view view(data);
+    const std::uint32_t split = crc32_update(
+        crc32_update(crc32_init(), view.substr(0, cut)), view.substr(cut));
+    EXPECT_EQ(crc32_final(split), whole) << "cut " << cut;
+  }
+}
 
 TEST(IdsTest, ThreadRefFormatting) {
   const ThreadRef t{"node1", 12, 3};

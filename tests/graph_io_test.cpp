@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "common/error.h"
 
 #include "core/horus.h"
 #include "core/validator.h"
@@ -60,6 +67,116 @@ TEST(GraphIoTest, RejectsForeignFormats) {
   graph::GraphStore g2;
   std::istringstream empty("");
   EXPECT_THROW(graph::load_graph(g2, empty), std::runtime_error);
+}
+
+// One snapshot format is read: the binary record format of this version.
+// The JSON-lines snapshots of earlier versions (v1-v3, or any other version
+// number) fail typed, and the error names the format that is read. (An
+// unknown binary version digit: SnapshotCorruptionTest.UnsupportedVersionFails.)
+TEST(SnapshotCompatTest, RejectsUnknownVersion) {
+  for (const int version : {1, 2, 3, 99}) {
+    graph::GraphStore store;
+    std::istringstream in("{\"edges\":0,\"format\":\"horus-graph\","
+                          "\"nodes\":0,\"version\":" +
+                          std::to_string(version) +
+                          "}\n{\"keys\":[]}\n"
+                          "{\"checksum\":0,\"edges\":0,\"nodes\":0}\n");
+    try {
+      graph::load_graph(store, in);
+      ADD_FAILURE() << "a JSON-lines v" << version << " snapshot loaded";
+    } catch (const HorusError& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot format"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Every value type comes back with its type and bits: 3.0 stays a double,
+// int64 extremes survive the zig-zag varints, strings are binary-safe, and
+// a property a node never had stays absent.
+TEST(GraphIoTest, TypedValuesRoundTripExactly) {
+  const std::string with_nul("a\0b\0", 4);
+  const std::string utf8 = "caf\xC3\xA9 \xE2\x86\x92 \xF0\x9F\x93\x9C";
+  graph::GraphStore g;
+  const auto a = g.add_node(
+      "LOG", {{"t", true},
+              {"f", false},
+              {"min", std::numeric_limits<std::int64_t>::min()},
+              {"max", std::numeric_limits<std::int64_t>::max()},
+              {"zero", std::int64_t{0}},
+              {"three", 3.0},
+              {"tiny", -0.0},
+              {"empty", std::string()},
+              {"nul", with_nul},
+              {"utf8", utf8}});
+  const auto b = g.add_node("SND \"quoted\"", {{"only_b", std::int64_t{-1}}});
+  g.add_edge(a, b, "NEXT");
+  g.add_edge(b, a, "\xE2\x86\x92");
+
+  std::stringstream buffer;
+  graph::save_graph(g, buffer);
+  graph::GraphStore loaded;
+  graph::load_graph(loaded, buffer);
+
+  for (const graph::NodeId v : {a, b}) {
+    EXPECT_EQ(loaded.node_label(v), g.node_label(v));
+    const graph::PropertyList want = g.node_property_list(v);
+    const graph::PropertyList got = loaded.node_property_list(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(loaded.prop_key_name(got[i].first),
+                g.prop_key_name(want[i].first));
+      // Same alternative and same value: no int/double coercion.
+      EXPECT_EQ(got[i].second, want[i].second)
+          << g.prop_key_name(want[i].first);
+    }
+  }
+  EXPECT_TRUE(std::holds_alternative<double>(loaded.property(a, "three")));
+  EXPECT_TRUE(std::signbit(std::get<double>(loaded.property(a, "tiny"))));
+  EXPECT_EQ(std::get<std::string>(loaded.property(a, "nul")), with_nul);
+  EXPECT_TRUE(graph::is_null(loaded.property(a, "only_b")));
+  EXPECT_TRUE(graph::is_null(loaded.property(b, "utf8")));
+  ASSERT_EQ(loaded.out_edges(b).size(), 1u);
+  EXPECT_EQ(loaded.edge_type_name(loaded.out_edges(b)[0].type),
+            "\xE2\x86\x92");
+  EXPECT_EQ(loaded.in_edges(a).size(), 1u);
+}
+
+TEST(GraphIoTest, LoadMapsForeignKeyIndices) {
+  // A loading store may already have keys interned in a different order
+  // (ExecutionGraph pre-interns its schema), and indexes and columns
+  // declared: the file's key indexes are positions in the file's table,
+  // not store ids, and the load maintains what the store declared.
+  graph::GraphStore source;
+  for (std::int64_t i = 0; i < 6; ++i) {
+    source.add_node("A", {{"zeta", i}, {"alpha", i * 10},
+                          {"host", std::string(i % 2 == 0 ? "x" : "y")}});
+  }
+  source.add_edge(0, 1, "HB");
+  std::stringstream buffer;
+  graph::save_graph(source, buffer);
+
+  graph::GraphStore target;
+  // Pre-intern in an order that cannot match the file's table.
+  target.intern_prop_key("alpha");
+  target.intern_prop_key("unrelated");
+  target.intern_edge_type("OTHER");
+  target.declare_interned_column("host");
+  target.create_index("zeta");
+  target.create_ordered_index("alpha");
+  graph::load_graph(target, buffer);
+  EXPECT_TRUE(graph::property_equals(target.property(0, "zeta"),
+                                     graph::PropertyValue{std::int64_t{0}}));
+  EXPECT_TRUE(graph::property_equals(target.property(3, "alpha"),
+                                     graph::PropertyValue{std::int64_t{30}}));
+  EXPECT_EQ(target.find_nodes("zeta", std::int64_t{4}),
+            std::vector<graph::NodeId>{4});
+  EXPECT_EQ(target.range_scan("alpha", 15, 35),
+            (std::vector<graph::NodeId>{2, 3}));
+  EXPECT_EQ(target.interned_distinct(target.prop_key_id("host")), 2u);
+  ASSERT_EQ(target.out_edges(0).size(), 1u);
+  EXPECT_EQ(target.edge_type_name(target.out_edges(0)[0].type), "HB");
 }
 
 TEST(GraphIoTest, DeterministicOutput) {

@@ -1,12 +1,14 @@
 // SegmentManager unit suite: sealing boundaries, carving, the residency
-// state machine (evict / reload / pin / LRU budget), CRC-checked spill
-// files with typed corruption failures, range-summary scan pruning (ranges
+// state machine (evict / reload / pin / LRU budget), CRC-checked binary
+// spill files with typed corruption failures, range-summary scan pruning (ranges
 // current on seal, carve, adopt and write), and transparent fault-in on
 // every store access path.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +41,11 @@ void fill(GraphStore& store, std::size_t n, bool edges = true) {
                      base + static_cast<NodeId>(i), "HB");
     }
   }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 SegmentOptions small_segments(const std::string& spill_dir = "",
@@ -345,20 +352,35 @@ TEST(SegmentStoreTest, SegmentFileRoundTripAndTamperDetection) {
   EXPECT_EQ(parsed.edges, expect_edges);
 
   // Tampering with the payload flips the CRC.
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  const auto pos = text.find("\"LOG\"");
+  std::string bytes = read_bytes(path);
+  const auto pos = bytes.find("LOG");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 5, "\"BAD\"");
-  std::ofstream(path) << text;
+  bytes.replace(pos, 3, "BAD");
+  std::ofstream(path, std::ios::binary) << bytes;
   EXPECT_THROW(read_segment_file(path), SegmentCorruptError);
   try {
     (void)read_segment_file(path);
     FAIL() << "expected SegmentCorruptError";
   } catch (const SegmentCorruptError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
+  }
+}
+
+TEST(SegmentStoreTest, SpillFileCutAtEveryByteFails) {
+  ScopedTempDir dir("spillcut");
+  GraphStore store;
+  SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
+  fill(store, 20);
+  ASSERT_GT(segments.evict(0), 0u);
+  const std::string bytes = read_bytes((dir.path() / "seg-0.hseg").string());
+  {
+    std::istringstream whole(bytes);
+    EXPECT_EQ(read_segment_stream(whole, "whole").count, 8u);
+  }
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::istringstream in(bytes.substr(0, cut));
+    EXPECT_THROW((void)read_segment_stream(in, "cut"), SegmentCorruptError)
+        << "cut at byte " << cut;
   }
 }
 

@@ -733,5 +733,40 @@ TEST(ServiceCheckpointTest, ShortOffsetsWriteDoesNotPublish) {
   EXPECT_EQ(restored.offsets[0].offset, 7u);
 }
 
+// A short write of graph.hgraph fails the checkpoint the same way: the
+// snapshot writer checks the stream after every frame, and MANIFEST.json
+// keeps naming the previous epoch. The child caps its file sizes at half
+// the snapshot.
+TEST(ServiceCheckpointTest, ShortGraphWriteDoesNotPublish) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedTempDir scratch("short_graph");
+  const service::CheckpointOptions options{scratch.str() + "/checkpoints"};
+  const auto run = reference_run(workload(400));
+  std::stringstream clocks;
+  run->clocks().save(clocks);
+  const std::string clock_record = clocks.str();
+  const std::vector<queue::Broker::CommittedOffset> offsets = {
+      {"horus-intra", "horus.events", 0, 7}};
+  const service::CheckpointInfo first =
+      service::CheckpointStore(options).write(run->graph(), clock_record,
+                                              offsets, "");
+  const auto graph_bytes = fs::file_size(first.path + "/graph.hgraph");
+  ASSERT_GT(graph_bytes, 16u << 10);
+  const auto limit = static_cast<rlim_t>(graph_bytes / 2);
+
+  EXPECT_EXIT(std::_Exit(short_write_child(options, run->graph(),
+                                           clock_record, offsets, limit,
+                                           first.epoch)),
+              ::testing::ExitedWithCode(0), "");
+
+  const service::CheckpointStore store(options);
+  const auto latest = store.latest();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->epoch, first.epoch);
+  ExecutionGraph graph;
+  (void)store.restore(graph, "");
+  EXPECT_EQ(graph.store().node_count(), run->graph().store().node_count());
+}
+
 }  // namespace
 }  // namespace horus
