@@ -4,13 +4,14 @@
 // Adversarial graphs (retry storms, cross-request contention, huge causal
 // cuts) can make a single query visit millions of nodes or materialize
 // unbounded row sets. A QueryGuard turns those runaways into *partial
-// results with a reason*: the evaluator, both Q2 engines and the traversal
-// floods consult the same guard object and stop cooperatively the moment a
-// deadline passes, a row budget is exhausted, a visited-node budget is
-// exhausted, or cancel() is called from another thread.
+// results with a reason*: the evaluator, the Q2 engine, the horus.*
+// procedures and the all-paths baselines consult the same guard object and
+// stop cooperatively the moment a deadline passes, a row budget is
+// exhausted, a visited-node budget is exhausted, or cancel() is called from
+// another thread.
 //
 // Thread safety: all methods are safe to call concurrently (the parallel
-// clause fan-out and frontier-parallel floods share one guard). The stop
+// clause fan-out and the Q2 engine's chunked prune share one guard). The stop
 // flag is a single relaxed atomic, so the per-item cost on hot loops is one
 // load; the deadline clock is only read every kDeadlineCheckInterval
 // bookkeeping calls.
@@ -23,15 +24,16 @@
 namespace horus {
 
 /// Per-query resource limits. Zero means "unlimited" for every field.
-/// Threaded from the CLI (`--deadline-ms`, `--max-rows`,
-/// `--max-visited-nodes`) down through QueryOptions.
+/// Threaded from the CLI (`--deadline-ms`, `--max-rows`, `--max-visited`)
+/// down through QueryOptions.
 struct QueryLimits {
   /// Wall-clock budget for the whole query, in milliseconds.
   std::int64_t deadline_ms = 0;
   /// Max rows any single clause may materialize (working-set bound; also
   /// caps procedure yields and the final result).
   std::uint64_t max_rows = 0;
-  /// Max graph nodes a query may visit across scans, prunes and floods.
+  /// Max graph nodes a query may visit across scans, prunes and path
+  /// enumerations.
   std::uint64_t max_visited_nodes = 0;
 
   [[nodiscard]] bool any() const noexcept {

@@ -54,6 +54,13 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+std::future<void> ThreadPool::submit(std::function<void()> fn) {
+  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
+  std::future<void> future = task->get_future();
+  enqueue([task] { (*task)(); });
+  return future;
+}
+
 void ThreadPool::enqueue(std::function<void()> task) {
   const std::size_t target =
       next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
@@ -113,8 +120,8 @@ bool ThreadPool::try_run_one() {
   }
   if (!found) return false;
   queue_depth_->sub(1);
-  // try_run_one() is only reached from wait loops (parallel_for's wait and
-  // wait_helping), so every successful run here is a help-while-wait hit.
+  // try_run_one() is only reached from parallel_for's wait loop, so every
+  // successful run here is a help-while-wait hit.
   help_hits_total_->inc();
   task();
   return true;

@@ -3,11 +3,11 @@
 //
 // Two facilities, matching the two kinds of concurrency Horus has:
 //
-//  * Short CPU-bound tasks (query fan-out, frontier partitions): submit()
-//    and parallel_for() run them on a fixed set of worker threads, each
-//    with its own deque. A worker pops its own deque LIFO (cache-warm) and
-//    steals FIFO from a victim when empty, so an uneven fan-out rebalances
-//    without a global queue bottleneck.
+//  * Short CPU-bound tasks (query fan-out): parallel_for() runs them on a
+//    fixed set of worker threads, each with its own deque. A worker pops
+//    its own deque LIFO (cache-warm) and steals FIFO from a victim when
+//    empty, so an uneven fan-out rebalances without a global queue
+//    bottleneck.
 //
 //  * Long-running service loops (pipeline encoder workers, the clock
 //    daemon): spawn_service() hands back an RAII ServiceThread. Services
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -39,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -113,17 +111,6 @@ class ThreadPool {
     return services_live_.load(std::memory_order_relaxed);
   }
 
-  /// Enqueues one task; the future reports its result (or exception).
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>> {
-    using R = std::invoke_result_t<std::decay_t<Fn>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
   /// Runs `body` over the fixed-grain chunking of [0, n) on up to
   /// `max_threads` threads (the caller plus helpers from the pool; 0 =
   /// default_parallelism()). Blocks until every chunk has finished; caller
@@ -131,21 +118,6 @@ class ThreadPool {
   /// `body` propagate to the caller (first one wins).
   void parallel_for(std::size_t n, std::size_t grain, unsigned max_threads,
                     const std::function<void(ChunkRange)>& body);
-
-  /// Blocks until `future` is ready, executing other pending pool tasks
-  /// while waiting (the same no-deadlock discipline as parallel_for). Use
-  /// this instead of future::get() whenever the waiter might itself be
-  /// running on a pool thread.
-  template <typename R>
-  R wait_helping(std::future<R>& future) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!try_run_one()) {
-        future.wait_for(std::chrono::microseconds(200));
-      }
-    }
-    return future.get();
-  }
 
   /// Number of chunks parallel_for() partitions [0, n) into.
   [[nodiscard]] static std::size_t chunk_count(std::size_t n,
@@ -170,6 +142,8 @@ class ThreadPool {
     std::deque<std::function<void()>> tasks;
   };
 
+  /// Enqueues one parallel_for() helper; the future reports its completion.
+  std::future<void> submit(std::function<void()> fn);
   void enqueue(std::function<void()> task);
   void worker_loop(std::size_t self);
   bool try_pop(std::size_t self, std::function<void()>& out);

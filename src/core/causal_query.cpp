@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "graph/segment.h"
-#include "graph/traversal.h"
 #include "obs/metrics.h"
 
 namespace horus {
@@ -17,9 +16,9 @@ double seconds_since(QueryClock::time_point start) {
   return std::chrono::duration<double>(QueryClock::now() - start).count();
 }
 
-/// Registry series shared by both Q2 implementations. Resolved once per
-/// process; each query flushes its locally accumulated stage costs here in
-/// one shot — never per candidate, so the <5% bench budget stays intact.
+/// Registry series of the Q2 engine. Resolved once per process; each query
+/// flushes its locally accumulated stage costs here in one shot — never per
+/// candidate, so the <5% bench budget stays intact.
 struct Q2Metrics {
   obs::Histogram& plan_seconds;
   obs::Histogram& prune_seconds;
@@ -262,79 +261,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
     metrics.prune_seconds.observe(prune_seconds);
     metrics.traverse_seconds.observe(traverse_seconds);
     options_.profile->add_plan(plan_seconds, result.lc_candidates);
-    options_.profile->add_prune(prune_seconds, admitted, rejected);
-    options_.profile->add_traverse(traverse_seconds, result.nodes.size(),
-                                   result.edges.size());
-  }
-  return result;
-}
-
-CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
-    graph::NodeId a, graph::NodeId b, bool only_logs) const {
-  CausalGraphResult result;
-
-  const std::int64_t lc_a = clocks_.lamport(a);
-  const std::int64_t lc_b = clocks_.lamport(b);
-  if (lc_a == 0 || lc_b == 0 || lc_a > lc_b) return result;
-  if (a != b && !clocks_.happens_before(a, b)) return result;
-
-  // Segmented store: same eviction hold as get_causal_graph.
-  graph::SegmentManager::ReadHold hold;
-  if (graph::SegmentManager* segments = graph_.store().segments()) {
-    hold = segments->read_hold();
-  }
-
-  // Pruned double flood: every node on a causal path from a to b satisfies
-  // the admit predicate, and (prefix/suffix closure of the cut) is reachable
-  // from a / reaches b through admitted nodes only, so the floods explore
-  // exactly the cut.
-  graph::ParallelOptions traversal_options;
-  traversal_options.threads = options_.threads;
-  traversal_options.pool = options_.pool;
-  traversal_options.guard = options_.guard;
-
-  // Same gating as get_causal_graph: stage clocks only under --profile.
-  const bool timed = options_.profile != nullptr;
-  const auto prune_start = timed ? QueryClock::now() : QueryClock::time_point{};
-  // Same b-side span as get_causal_graph: the flood tests hb(v,b) as one
-  // component read of VC(b) per visit.
-  const auto vc_b = clocks_.vc_span(b);
-  graph::SubgraphResult between = graph::between_subgraph_parallel(
-      graph_.store(), a, b, traversal_options, [&](graph::NodeId v) {
-        if (v == a || v == b) return true;
-        const std::int32_t tv = clocks_.timeline_of(v);
-        if (tv < 0) return false;
-        const std::int32_t cb =
-            static_cast<std::size_t>(tv) < vc_b.size()
-                ? vc_b[static_cast<std::size_t>(tv)]
-                : 0;
-        if (cb < clocks_.position(v)) return false;  // !hb(v, b)
-        return clocks_.happens_before(a, v);
-      });
-  result.lc_candidates = between.visited;
-  result.truncated = between.truncated;
-  // The pruned flood fuses planning and pruning: visited nodes stand in for
-  // candidates, non-admitted visits for rejections.
-  const double prune_seconds = timed ? seconds_since(prune_start) : 0.0;
-  const std::uint64_t admitted = between.nodes.size();
-  const std::uint64_t rejected =
-      between.visited >= between.nodes.size()
-          ? between.visited - between.nodes.size()
-          : 0;
-
-  const auto traverse_start =
-      timed ? QueryClock::now() : QueryClock::time_point{};
-  finalize(std::move(between.nodes), a, b, only_logs, result);
-  const double traverse_seconds = timed ? seconds_since(traverse_start) : 0.0;
-
-  const Q2Metrics& metrics = Q2Metrics::get();
-  metrics.queries.inc();
-  metrics.admitted.inc(admitted);
-  metrics.rejected.inc(rejected);
-  if (timed) {
-    metrics.prune_seconds.observe(prune_seconds);
-    metrics.traverse_seconds.observe(traverse_seconds);
-    options_.profile->add_plan(0.0, between.visited);
     options_.profile->add_prune(prune_seconds, admitted, rejected);
     options_.profile->add_traverse(traverse_seconds, result.nodes.size(),
                                    result.edges.size());

@@ -10,7 +10,10 @@
 //        V'  = { v : LC(a) <= LC(v) <= LC(b) }   — ordered-index range scan
 //        V'' = { v in V' : VC(a) < VC(v) < VC(b) } — vector-clock pruning
 //        E'' = { x->y in E : x,y in V'' }          — induced edges
-//      (Baseline: exhaustive all-paths enumeration.)
+//      (Baseline: exhaustive all-paths enumeration. Oracle: the clock-free
+//      reachability cut graph::between_subgraph, with the same induced
+//      edges — the differential suites and the chaos matrix compare every
+//      answer against it as sets.)
 //
 // Both Q2 steps fan out across the shared thread pool when QueryOptions
 // requests more than one thread: the VC prune partitions the LC-ordered
@@ -76,8 +79,7 @@ struct CausalGraphResult {
   /// Induced edges between nodes of the result set (raw node ids).
   std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
   /// Size of the LC-bounded over-approximation V' (instrumentation: how much
-  /// the VC pruning step removed). For the traversal-based variant this is
-  /// the number of nodes the pruned floods expanded instead.
+  /// the VC pruning step removed).
   std::size_t lc_candidates = 0;
   /// True when QueryOptions::guard tripped mid-query: nodes/edges are a
   /// well-formed subset of the full answer (consult the guard's reason()).
@@ -112,23 +114,13 @@ class CausalQueryEngine {
                                                    graph::NodeId b,
                                                    bool only_logs = false) const;
 
-  /// Q2 computed the traversal way, but with the vector-clock prune applied
-  /// per discovered edge: descendants-of-a and ancestors-of-b floods run as
-  /// concurrent frontier-parallel tasks, each admitting only nodes v with
-  /// VC(a) < VC(v) < VC(b). Because the causal cut is closed under path
-  /// prefixes/suffixes, the pruned floods never leave the cut, and the
-  /// result (nodes and edges) is identical to get_causal_graph() — the
-  /// built-in second implementation backing the differential test oracle.
-  [[nodiscard]] CausalGraphResult get_causal_graph_traversal(
-      graph::NodeId a, graph::NodeId b, bool only_logs = false) const;
-
   [[nodiscard]] const QueryOptions& options() const noexcept {
     return options_;
   }
 
  private:
-  /// Shared tail of both Q2 implementations: only-logs filter, causal sort,
-  /// induced edge set.
+  /// Tail of get_causal_graph: only-logs filter, causal sort, induced edge
+  /// set.
   void finalize(std::vector<graph::NodeId> kept, graph::NodeId a,
                 graph::NodeId b, bool only_logs,
                 CausalGraphResult& result) const;

@@ -10,9 +10,9 @@
 //
 //   1. against the fault-free embedded Horus reference (same events, same
 //      typed edges, same Lamport clocks, same happens-before answers);
-//   2. Horus sequential vs `--threads N` parallel engines, and the
-//      index-driven Q2 vs its traversal-based twin (all four legs must
-//      return identical causal graphs);
+//   2. the Q2 engine against the clock-free reachability cut
+//      (graph::between_subgraph: same node set, same induced edges), and
+//      the sequential engine against `--threads N` (identical answers);
 //   3. against the Falcon difference-constraint solver: Falcon's clocks
 //      must form a linear extension of Horus' happens-before relation;
 //   4. against naive timestamp ordering, counting inversions — pairs where
@@ -73,7 +73,7 @@ struct ChaosScenario {
   /// Sample-grid resolution for the happens-before / Falcon / timestamp
   /// checks (the grid is hb_samples x hb_samples event pairs).
   std::size_t hb_samples = 40;
-  /// Max endpoint pairs fed through the 4-way Q2 matrix.
+  /// Max endpoint pairs leg 2 checks.
   std::size_t q2_pairs = 6;
 };
 
@@ -88,7 +88,8 @@ struct DifferentialReport {
   /// Leg 1: disagreements with the fault-free embedded reference
   /// (missing events, differing edge triples, Lamport or hb mismatches).
   std::uint64_t reference_mismatches = 0;
-  /// Leg 2: sequential-vs-parallel and index-vs-traversal Q2 mismatches.
+  /// Leg 2: sequential-vs-parallel Q2 mismatches, and Q2 answers that are
+  /// not the reachability cut.
   std::uint64_t parallel_mismatches = 0;
   std::uint64_t q2_mismatches = 0;
   /// Leg 3: Falcon solver.

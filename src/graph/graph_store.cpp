@@ -510,19 +510,7 @@ void GraphStore::set_property(NodeId node, PropKeyId key, PropertyValue value) {
 // ---------------------------------------------------------------------------
 
 void GraphStore::create_index(std::string_view key) {
-  const std::unique_lock lock(mutex_);
-  const PropKeyId id = intern_prop_key_locked(key);
-  auto [it, inserted] = hash_indexes_.try_emplace(id);
-  if (!inserted) return;
-  // Backfill scans every bag; evicted segments must come back first.
-  if (segments_ != nullptr && !columns_.contains(id)) {
-    segments_->reload_all_locked();
-  }
-  for (NodeId node = 0; node < nodes_.size(); ++node) {
-    if (const PropertyValue* v = find_property_locked(node, id)) {
-      it->second[*v].push_back(node);
-    }
-  }
+  create_index(intern_prop_key(key));
 }
 
 void GraphStore::create_index(PropKeyId key) {
@@ -533,6 +521,7 @@ void GraphStore::create_index(PropKeyId key) {
   }
   auto [it, inserted] = hash_indexes_.try_emplace(key);
   if (!inserted) return;
+  // Backfill scans every bag; evicted segments must come back first.
   if (segments_ != nullptr && !columns_.contains(key)) {
     segments_->reload_all_locked();
   }
@@ -544,20 +533,7 @@ void GraphStore::create_index(PropKeyId key) {
 }
 
 void GraphStore::create_ordered_index(std::string_view key) {
-  const std::unique_lock lock(mutex_);
-  const PropKeyId id = intern_prop_key_locked(key);
-  auto [it, inserted] = ordered_indexes_.try_emplace(id);
-  if (!inserted) return;
-  if (segments_ != nullptr && !columns_.contains(id)) {
-    segments_->reload_all_locked();
-  }
-  for (NodeId node = 0; node < nodes_.size(); ++node) {
-    if (const PropertyValue* v = find_property_locked(node, id)) {
-      if (const auto* i = std::get_if<std::int64_t>(v)) {
-        it->second[*i].push_back(node);
-      }
-    }
-  }
+  create_ordered_index(intern_prop_key(key));
 }
 
 void GraphStore::create_ordered_index(PropKeyId key) {

@@ -1,10 +1,7 @@
 #include "graph/traversal.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <future>
-#include <memory>
 
 namespace horus::graph {
 
@@ -187,11 +184,9 @@ AllPathsResult all_paths_undirected(const GraphStore& g, NodeId from,
 namespace {
 
 /// DFS from `start` over out-edges (forward) or in-edges (backward), marking
-/// reached nodes in `seen`; returns number of expansions. Sets *truncated
-/// when the guard trips before the flood completes.
+/// reached nodes in `seen`; returns number of expansions.
 std::size_t flood(const GraphStore& g, NodeId start, bool forward,
-                  std::vector<bool>& seen, QueryGuard* guard = nullptr,
-                  bool* truncated = nullptr) {
+                  std::vector<bool>& seen) {
   std::size_t visited = 0;
   std::vector<NodeId> stack{start};
   seen[start] = true;
@@ -199,10 +194,6 @@ std::size_t flood(const GraphStore& g, NodeId start, bool forward,
     const NodeId cur = stack.back();
     stack.pop_back();
     ++visited;
-    if (guard != nullptr && !guard->admit_visited()) {
-      if (truncated != nullptr) *truncated = true;
-      break;
-    }
     const auto edges = forward ? g.out_edges(cur) : g.in_edges(cur);
     for (const Edge& e : edges) {
       if (!seen[e.to]) {
@@ -244,160 +235,32 @@ ReachResult reachable(const GraphStore& g, NodeId from, NodeId to) {
   return out;
 }
 
-SubgraphResult between_subgraph(const GraphStore& g, NodeId from, NodeId to,
-                                QueryGuard* guard) {
+SubgraphResult between_subgraph(const GraphStore& g, NodeId from, NodeId to) {
   SubgraphResult out;
   const std::size_t n = g.node_count();
   std::vector<bool> fwd(n, false);
   std::vector<bool> bwd(n, false);
-  out.visited += flood(g, from, /*forward=*/true, fwd, guard, &out.truncated);
-  out.visited += flood(g, to, /*forward=*/false, bwd, guard, &out.truncated);
+  out.visited += flood(g, from, /*forward=*/true, fwd);
+  out.visited += flood(g, to, /*forward=*/false, bwd);
   for (NodeId v = 0; v < n; ++v) {
     if (fwd[v] && bwd[v]) out.nodes.push_back(v);
   }
+  out.edges = induced_edges(g, out.nodes);
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Frontier-parallel traversals
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Level-synchronous flood core. `seen` entries are claimed with an atomic
-/// exchange so each node enters exactly one chunk's next-frontier vector;
-/// the vectors are concatenated in chunk order, keeping the visited *set*
-/// (all any caller derives results from) equal to the sequential flood's.
-FloodResult flood_frontier(const GraphStore& g, NodeId start, bool forward,
-                           const ParallelOptions& options,
-                           const NodeFilter& admit) {
-  const std::size_t n = g.node_count();
-  FloodResult result;
-  result.seen.assign(n, 0);
-  if (start >= n) return result;
-
-  const auto seen =
-      std::make_unique<std::atomic<char>[]>(n);  // zero-initialized
-  seen[start].store(1, std::memory_order_relaxed);
-
-  ThreadPool& pool = options.effective_pool();
-  const unsigned threads =
-      options.threads == 0 ? ThreadPool::default_parallelism()
-                           : options.threads;
-
-  std::vector<NodeId> frontier{start};
-  std::size_t visited = 0;
-  while (!frontier.empty()) {
-    // The guard is consulted once per BFS level (not per node): every node
-    // already in the frontier gets expanded, so a tripped guard leaves a
-    // level-aligned, well-formed partial reachability set.
-    if (options.guard != nullptr &&
-        !options.guard->admit_visited(frontier.size())) {
-      result.truncated = true;
-      break;
-    }
-    visited += frontier.size();
-    const std::size_t chunks =
-        ThreadPool::chunk_count(frontier.size(), options.grain);
-    std::vector<std::vector<NodeId>> next(chunks);
-    pool.parallel_for(
-        frontier.size(), options.grain, threads,
-        [&](ThreadPool::ChunkRange chunk) {
-          std::vector<NodeId>& local = next[chunk.index];
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            const NodeId cur = frontier[i];
-            const auto edges = forward ? g.out_edges(cur) : g.in_edges(cur);
-            for (const Edge& e : edges) {
-              if (seen[e.to].load(std::memory_order_relaxed) != 0) continue;
-              if (admit && !admit(e.to)) continue;
-              if (seen[e.to].exchange(1, std::memory_order_relaxed) == 0) {
-                local.push_back(e.to);
-              }
-            }
-          }
-        });
-    frontier.clear();
-    for (const std::vector<NodeId>& local : next) {
-      frontier.insert(frontier.end(), local.begin(), local.end());
+std::vector<std::pair<NodeId, NodeId>> induced_edges(
+    const GraphStore& g, const std::vector<NodeId>& nodes) {
+  std::vector<bool> in_set(g.node_count(), false);
+  for (const NodeId v : nodes) in_set[v] = true;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const NodeId v : nodes) {
+    for (const Edge& e : g.out_edges(v)) {
+      if (in_set[e.to]) edges.emplace_back(v, e.to);
     }
   }
-
-  for (std::size_t v = 0; v < n; ++v) {
-    result.seen[v] = seen[v].load(std::memory_order_relaxed);
-  }
-  result.visited = visited;
-  return result;
-}
-
-}  // namespace
-
-FloodResult flood_parallel(const GraphStore& g, NodeId start, bool forward,
-                           const ParallelOptions& options,
-                           const NodeFilter& admit) {
-  return flood_frontier(g, start, forward, options, admit);
-}
-
-ReachResult reachable_parallel(const GraphStore& g, NodeId from, NodeId to,
-                               const ParallelOptions& options) {
-  ReachResult out;
-  if (from == to) {
-    out.reachable = true;
-    out.visited = 1;
-    return out;
-  }
-  const FloodResult flooded = flood_frontier(g, from, /*forward=*/true,
-                                             options, /*admit=*/{});
-  out.visited = flooded.visited;
-  out.reachable = to < flooded.seen.size() && flooded.seen[to] != 0;
-  return out;
-}
-
-SubgraphResult between_subgraph_parallel(const GraphStore& g, NodeId from,
-                                         NodeId to,
-                                         const ParallelOptions& options,
-                                         const NodeFilter& admit) {
-  SubgraphResult out;
-  const std::size_t n = g.node_count();
-  ThreadPool& pool = options.effective_pool();
-
-  // Descendants of `from` and ancestors of `to` as two concurrent tasks
-  // (each internally frontier-parallel over half the thread budget).
-  ParallelOptions half = options;
-  const unsigned threads = options.threads == 0
-                               ? ThreadPool::default_parallelism()
-                               : options.threads;
-  half.threads = threads > 1 ? (threads + 1) / 2 : 1;
-  std::future<FloodResult> backward;
-  if (threads > 1) {
-    backward = pool.submit([&] {
-      return flood_frontier(g, to, /*forward=*/false, half, admit);
-    });
-  }
-  const FloodResult fwd = flood_frontier(g, from, /*forward=*/true, half,
-                                         admit);
-  const FloodResult bwd =
-      threads > 1 ? pool.wait_helping(backward)
-                  : flood_frontier(g, to, /*forward=*/false, half, admit);
-  out.visited = fwd.visited + bwd.visited;
-  out.truncated = fwd.truncated || bwd.truncated;
-
-  // Parallel intersection: per-chunk vectors over ascending id ranges,
-  // concatenated in chunk order — same sorted output as the sequential scan.
-  const std::size_t grain = std::max<std::size_t>(options.grain, 1024);
-  const std::size_t chunks = ThreadPool::chunk_count(n, grain);
-  std::vector<std::vector<NodeId>> partial(chunks);
-  pool.parallel_for(n, grain, threads, [&](ThreadPool::ChunkRange chunk) {
-    std::vector<NodeId>& local = partial[chunk.index];
-    for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
-      if (fwd.seen[v] != 0 && bwd.seen[v] != 0) {
-        local.push_back(static_cast<NodeId>(v));
-      }
-    }
-  });
-  for (const std::vector<NodeId>& local : partial) {
-    out.nodes.insert(out.nodes.end(), local.begin(), local.end());
-  }
-  return out;
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
 }  // namespace horus::graph

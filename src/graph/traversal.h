@@ -14,12 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/query_guard.h"
-#include "common/thread_pool.h"
 #include "graph/graph_store.h"
 
 namespace horus::graph {
@@ -81,88 +79,24 @@ struct ReachResult {
                                     NodeId to);
 
 /// The union of nodes lying on any path from `from` to `to`: the set
-/// {v : from ⇝ v and v ⇝ to}. Computed the traversal way — forward DFS from
-/// `from` intersected with backward DFS from `to`. Baseline counterpart of
-/// Horus' getCausalGraph.
+/// {v : from ⇝ v and v ⇝ to}, with its induced edges. Computed the
+/// traversal way — forward DFS from `from` intersected with backward DFS
+/// from `to`. Baseline counterpart of Horus' getCausalGraph, and its test
+/// oracle: happens-before *is* reachability, so this answer uses no clock
+/// and shares no code with the engine it checks.
 struct SubgraphResult {
   std::vector<NodeId> nodes;  ///< sorted
+  /// induced_edges(g, nodes): one (x, y) pair per stored edge x->y.
+  std::vector<std::pair<NodeId, NodeId>> edges;
   std::size_t visited = 0;
-  /// True when a QueryGuard tripped mid-flood; `nodes` is then a partial
-  /// (but well-formed) subset.
-  bool truncated = false;
 };
 
 [[nodiscard]] SubgraphResult between_subgraph(const GraphStore& g, NodeId from,
-                                              NodeId to,
-                                              QueryGuard* guard = nullptr);
+                                              NodeId to);
 
-// ---------------------------------------------------------------------------
-// Frontier-parallel traversals
-// ---------------------------------------------------------------------------
-//
-// Level-synchronous BFS: each frontier is partitioned into fixed chunks
-// dispatched across the pool; workers claim newly discovered nodes with an
-// atomic test-and-set and append them to a per-chunk next-frontier vector.
-// The next frontier is the concatenation of those vectors in chunk order,
-// so the *set* of visited nodes (and every result derived from it below) is
-// identical to the sequential algorithm for any thread count. The graph
-// must be quiesced (no concurrent writers), per GraphStore's read contract.
-
-struct ParallelOptions {
-  /// Max threads the traversal may use: 1 = sequential, 0 = the pool's
-  /// default_parallelism().
-  unsigned threads = 1;
-  /// Pool supplying helper threads; nullptr = ThreadPool::shared().
-  ThreadPool* pool = nullptr;
-  /// Frontier chunk size (scheduling granularity; does not affect results).
-  std::size_t grain = 128;
-  /// Optional shared query guard. Each BFS level's nodes are charged to it
-  /// before expansion; when it trips the flood stops at a level boundary
-  /// (truncated = true), so partial results are still closed under "every
-  /// reported node was genuinely reached".
-  QueryGuard* guard = nullptr;
-
-  [[nodiscard]] ThreadPool& effective_pool() const {
-    return pool != nullptr ? *pool : ThreadPool::shared();
-  }
-};
-
-/// Optional per-node admission predicate: a discovered node is entered into
-/// the traversal only if `admit(node)` is true (the hook the causal engine
-/// uses for its per-edge vector-clock prune). Must be thread-safe.
-using NodeFilter = std::function<bool(NodeId)>;
-
-struct FloodResult {
-  /// seen[v] != 0 iff v was reached (start included).
-  std::vector<char> seen;
-  /// Nodes expanded (same count as the sequential flood).
-  std::size_t visited = 0;
-  /// True when the flood stopped early because options.guard tripped.
-  bool truncated = false;
-};
-
-/// Parallel counterpart of the internal DFS flood: marks every node
-/// reachable from `start` over out-edges (forward) or in-edges (backward),
-/// restricted to admitted nodes. `admit` gates discovered neighbors; the
-/// start node is always entered.
-[[nodiscard]] FloodResult flood_parallel(const GraphStore& g, NodeId start,
-                                         bool forward,
-                                         const ParallelOptions& options = {},
-                                         const NodeFilter& admit = {});
-
-/// Directed reachability via the frontier-parallel flood. The reachable bit
-/// is identical to reachable() for every thread count; visited reflects the
-/// full flood (the sequential version stops early on a hit).
-[[nodiscard]] ReachResult reachable_parallel(
-    const GraphStore& g, NodeId from, NodeId to,
-    const ParallelOptions& options = {});
-
-/// between_subgraph() with the forward and backward floods running as
-/// concurrent tasks (each internally frontier-parallel) and a parallel
-/// intersection. `admit` restricts both floods. Node order is identical to
-/// the sequential version (sorted by node id).
-[[nodiscard]] SubgraphResult between_subgraph_parallel(
-    const GraphStore& g, NodeId from, NodeId to,
-    const ParallelOptions& options = {}, const NodeFilter& admit = {});
+/// Every out-edge x->y of `g` with both ends in `nodes` (in any order,
+/// without duplicates), as sorted (x, y) pairs.
+[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> induced_edges(
+    const GraphStore& g, const std::vector<NodeId>& nodes);
 
 }  // namespace horus::graph

@@ -1,12 +1,24 @@
 #include "query/procedures.h"
 
+#include <cstdint>
+#include <string>
+
 namespace horus::query {
 
 namespace {
 
+/// A node argument, or an integer node id in [0, kNoNode): a wider integer
+/// would wrap to some other node's id.
 graph::NodeId node_arg(const Value& v, const char* proc) {
   if (v.is_node()) return v.as_node().id;
-  if (v.is_int()) return static_cast<graph::NodeId>(v.as_int());
+  if (v.is_int()) {
+    const std::int64_t id = v.as_int();
+    if (id < 0 || id >= static_cast<std::int64_t>(graph::kNoNode)) {
+      throw QueryError(std::string(proc) + ": node id " + std::to_string(id) +
+                       " is out of range");
+    }
+    return static_cast<graph::NodeId>(id);
+  }
   throw QueryError(std::string(proc) + ": argument must be a node");
 }
 

@@ -1,7 +1,8 @@
 // Chaos suite (ctest label `chaos`): the scenario factory's adversarial
 // workloads, each pushed through the faulted distributed pipeline and
-// differentially verified four ways (embedded reference, sequential vs
-// parallel, index vs traversal Q2, Falcon solver, timestamp ordering).
+// differentially verified four ways (embedded reference, Q2 against the
+// reachability cut and sequential vs parallel, Falcon solver, timestamp
+// ordering).
 // The sanitize (TSan) and asan presets run this label too.
 #include <algorithm>
 #include <map>

@@ -1,7 +1,8 @@
 // Query guardrails: QueryLimits/QueryGuard semantics and the cooperative
-// cancellation threaded through the evaluator, both Q2 engines and the
-// traversal floods — runaway queries must return well-formed partial
-// results with the tripped limit named, never hang or blow up.
+// cancellation threaded through the evaluator, the Q2 engine and the
+// procedures — runaway queries must return well-formed partial results
+// with the tripped limit named, never hang or blow up.
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "common/query_guard.h"
 #include "core/horus.h"
 #include "gen/topology.h"
-#include "graph/traversal.h"
 #include "query/evaluator.h"
 #include "query/procedures.h"
 
@@ -137,16 +137,6 @@ TEST_F(GuardedQueryTest, CausalGraphHonorsVisitedBudget) {
   }
 }
 
-TEST_F(GuardedQueryTest, TraversalEngineHonorsTheSameGuard) {
-  QueryGuard guard(QueryLimits{.max_visited_nodes = 25});
-  QueryOptions options;
-  options.guard = &guard;
-  const CausalGraphResult partial =
-      horus_.query(options).get_causal_graph_traversal(first_, last_);
-  EXPECT_TRUE(partial.truncated);
-  EXPECT_STREQ(guard.reason(), "max_visited_nodes");
-}
-
 TEST_F(GuardedQueryTest, ParallelEngineStopsCooperatively) {
   QueryGuard guard(QueryLimits{.max_visited_nodes = 25});
   QueryOptions options;
@@ -199,16 +189,6 @@ TEST_F(GuardedQueryTest, ProceduresYieldNothingOnceTripped) {
       "CALL horus.happensBefore(0, 1) YIELD result RETURN result");
   EXPECT_TRUE(result.rows.empty());
   EXPECT_TRUE(result.truncated);
-}
-
-TEST_F(GuardedQueryTest, FloodTraversalReportsLevelAlignedTruncation) {
-  graph::ParallelOptions options;
-  QueryGuard guard(QueryLimits{.max_visited_nodes = 10});
-  options.guard = &guard;
-  const graph::FloodResult flood = graph::flood_parallel(
-      horus_.graph().store(), first_, /*forward=*/true, options);
-  EXPECT_TRUE(flood.truncated);
-  EXPECT_GT(flood.visited, 0u);
 }
 
 }  // namespace

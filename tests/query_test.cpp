@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/horus.h"
 #include "gen/synthetic.h"
@@ -208,6 +211,39 @@ TEST_F(QueryFixture, GetCausalEdgesProcedure) {
   EXPECT_EQ(r.rows[0][1].as_int(), 2);
   EXPECT_EQ(r.rows.back()[0].as_int(), 4);
   EXPECT_EQ(r.rows.back()[1].as_int(), 5);
+}
+
+TEST_F(QueryFixture, ProcedureNodeIdsOutOfRangeAreRejected) {
+  // Node ids are 32-bit: 2^32 used to wrap to node 0 (so it "happened
+  // before" node 1 exactly as node 0 does), and -1 to the kNoNode sentinel.
+  EXPECT_TRUE(run("CALL horus.happensBefore(0, 1) YIELD result RETURN result")
+                  .rows[0][0]
+                  .as_bool());
+  const std::vector<std::pair<std::string, std::string>> calls = {
+      {"horus.happensBefore", "result"},
+      {"horus.getCausalGraph", "node"},
+      {"horus.getCausalEdges", "from"}};
+  // (argument expression, the id it evaluates to)
+  const std::vector<std::pair<std::string, std::string>> ids = {
+      {"4294967296", "4294967296"},
+      {"4294967295", "4294967295"},
+      {"0 - 1", "-1"}};
+  for (const auto& [proc, yield] : calls) {
+    for (const auto& [expr, id] : ids) {
+      for (const std::string& args : {expr + ", 1", "0, " + expr}) {
+        const std::string text = "CALL " + proc + "(" + args + ") YIELD " +
+                                 yield + " RETURN " + yield;
+        try {
+          (void)run(text);
+          ADD_FAILURE() << "accepted: " << text;
+        } catch (const QueryError& e) {
+          EXPECT_NE(std::string(e.what()).find(proc + ": node id " + id),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST_F(QueryFixture, YieldSubsetSelectsColumns) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace horus::graph {
 namespace {
 
@@ -103,16 +106,24 @@ TEST(TraversalTest, Reachability) {
 
 TEST(TraversalTest, BetweenSubgraphIsForwardBackwardIntersection) {
   Diamond x;
+  using Edges = std::vector<std::pair<NodeId, NodeId>>;
   const auto r = between_subgraph(x.g, x.a, x.d);
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{x.a, x.b, x.c, x.d}));
+  // Induced edges only: d -> e leaves the cut.
+  EXPECT_EQ(r.edges, (Edges{{x.a, x.b}, {x.a, x.c}, {x.b, x.d}, {x.c, x.d}}));
   const auto r2 = between_subgraph(x.g, x.b, x.e);
   EXPECT_EQ(r2.nodes, (std::vector<NodeId>{x.b, x.d, x.e}));
+  EXPECT_EQ(r2.edges, (Edges{{x.b, x.d}, {x.d, x.e}}));
+  const auto self = between_subgraph(x.g, x.c, x.c);
+  EXPECT_EQ(self.nodes, (std::vector<NodeId>{x.c}));
+  EXPECT_TRUE(self.edges.empty());
 }
 
 TEST(TraversalTest, BetweenSubgraphDisconnected) {
   Diamond x;
   const auto r = between_subgraph(x.g, x.e, x.a);
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{}));
+  EXPECT_TRUE(r.edges.empty());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 # Seed sweep over the chaos scenario factory: runs bench_chaos once per seed
 # and reports any differential-verification mismatch (bench_chaos exits
 # non-zero when a scenario's matrix disagrees — reference, seq-vs-parallel,
-# Q2 index-vs-traversal, or Falcon leg).
+# Q2 vs the reachability cut, or Falcon leg).
 #
 # Usage: tools/chaos_sweep.sh [build-dir] [--seeds N] [--start S] [--full]
 #   build-dir  defaults to ./build (bench_chaos must be built there)
