@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <optional>
+#include <span>
 
 #include "graph/segment.h"
 #include "obs/metrics.h"
@@ -70,71 +73,80 @@ void CausalQueryEngine::finalize(std::vector<graph::NodeId> kept,
                                  CausalGraphResult& result) const {
   const graph::GraphStore& store = graph_.store();
   QueryGuard* guard = options_.guard;
+  const unsigned threads = options_.effective_threads();
+  const bool parallel =
+      threads > 1 && kept.size() >= options_.min_parallel_items;
+  const std::size_t grain = 1024;
+  // Runs `fn` over the fixed-grain chunks of [0, n), or over one chunk.
+  const auto for_each_chunk =
+      [&](std::size_t n, const std::function<void(ThreadPool::ChunkRange)>& fn) {
+        if (parallel) {
+          options_.effective_pool().parallel_for(n, grain, threads, fn);
+        } else {
+          fn(ThreadPool::ChunkRange{0, 0, n});
+        }
+      };
 
-  if (only_logs) {
-    std::erase_if(kept, [&](graph::NodeId v) {
-      if (v == a || v == b) return false;
-      return store.node_label(v) != "LOG";
-    });
+  // Label ids and out-edges are copied under one store lock per chunk, never
+  // read through spans: horusd runs Q2 while the encoders append edges,
+  // which can reallocate an out-list under a span.
+  std::vector<graph::AdjacencyCopy> copies(
+      parallel ? ThreadPool::chunk_count(kept.size(), grain) : 1);
+  for_each_chunk(kept.size(), [&](ThreadPool::ChunkRange chunk) {
+    store.copy_adjacency(
+        std::span(kept).subspan(chunk.begin, chunk.end - chunk.begin),
+        graph::EdgeDirection::kOut, graph::kNoPropKey, copies[chunk.index]);
+  });
+  const std::size_t per_copy = parallel ? grain : kept.size() + 1;
+
+  // (node, index in kept) of the returned nodes: only-logs keeps LOG events
+  // and the endpoints, filtered before the sort.
+  std::vector<std::pair<graph::NodeId, std::uint32_t>> order;
+  order.reserve(kept.size());
+  const std::optional<std::uint32_t> log =
+      only_logs ? store.label_id("LOG") : std::nullopt;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const graph::NodeId v = kept[i];
+    if (only_logs && v != a && v != b &&
+        (!log || copies[i / per_copy].labels[i % per_copy] != *log)) {
+      continue;
+    }
+    order.emplace_back(v, static_cast<std::uint32_t>(i));
   }
-
   // Stable causal presentation order: Lamport clock, node id as tiebreaker.
-  std::sort(kept.begin(), kept.end(), [&](graph::NodeId x, graph::NodeId y) {
-    const auto lx = clocks_.lamport(x);
-    const auto ly = clocks_.lamport(y);
+  std::sort(order.begin(), order.end(), [&](const auto& x, const auto& y) {
+    const auto lx = clocks_.lamport(x.first);
+    const auto ly = clocks_.lamport(y.first);
     if (lx != ly) return lx < ly;
-    return x < y;
+    return x.first < y.first;
   });
 
   // Induced edge set. The membership bitmap is written before the fan-out
-  // and only read inside it.
-  std::vector<bool> in_set;
+  // and only read inside it; per-chunk edge vectors over the sorted nodes
+  // concatenate in chunk order — identical edge order to the sequential
+  // scan.
   graph::NodeId max_id = 0;
-  for (const graph::NodeId v : kept) max_id = std::max(max_id, v);
-  in_set.resize(static_cast<std::size_t>(max_id) + 1, false);
-  for (const graph::NodeId v : kept) in_set[v] = true;
-
-  const unsigned threads = options_.effective_threads();
-  if (threads <= 1 || kept.size() < options_.min_parallel_items) {
-    for (const graph::NodeId v : kept) {
-      if (guard != nullptr && !guard->keep_going()) {
-        result.truncated = true;
-        break;
-      }
-      for (const graph::Edge& e : store.out_edges(v)) {
-        if (e.to < in_set.size() && in_set[e.to]) {
-          result.edges.emplace_back(v, e.to);
-        }
+  for (const auto& [v, i] : order) max_id = std::max(max_id, v);
+  std::vector<bool> in_set(static_cast<std::size_t>(max_id) + 1, false);
+  for (const auto& [v, i] : order) in_set[v] = true;
+  std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>> partial(
+      parallel ? ThreadPool::chunk_count(order.size(), grain) : 1);
+  for_each_chunk(order.size(), [&](ThreadPool::ChunkRange chunk) {
+    auto& local = partial[chunk.index];
+    for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
+      if (guard != nullptr && !guard->keep_going()) return;
+      const auto [v, i] = order[k];
+      for (const graph::Edge& e : copies[i / per_copy].of(i % per_copy)) {
+        if (e.to < in_set.size() && in_set[e.to]) local.emplace_back(v, e.to);
       }
     }
-  } else {
-    // Per-chunk edge vectors over the sorted node list, concatenated in
-    // chunk order — identical edge order to the sequential loop.
-    ThreadPool& pool = options_.effective_pool();
-    const std::size_t grain = 1024;
-    const std::size_t chunks = ThreadPool::chunk_count(kept.size(), grain);
-    std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>> partial(
-        chunks);
-    pool.parallel_for(kept.size(), grain, threads,
-                      [&](ThreadPool::ChunkRange chunk) {
-                        if (guard != nullptr && !guard->keep_going()) return;
-                        auto& local = partial[chunk.index];
-                        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-                          const graph::NodeId v = kept[i];
-                          for (const graph::Edge& e : store.out_edges(v)) {
-                            if (e.to < in_set.size() && in_set[e.to]) {
-                              local.emplace_back(v, e.to);
-                            }
-                          }
-                        }
-                      });
-    for (const auto& local : partial) {
-      result.edges.insert(result.edges.end(), local.begin(), local.end());
-    }
-    if (guard != nullptr && guard->stopped()) result.truncated = true;
+  });
+  if (guard != nullptr && guard->stopped()) result.truncated = true;
+  for (const auto& local : partial) {
+    result.edges.insert(result.edges.end(), local.begin(), local.end());
   }
-
-  result.nodes = std::move(kept);
+  result.nodes.reserve(order.size());
+  for (const auto& [v, i] : order) result.nodes.push_back(v);
 }
 
 CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,

@@ -92,13 +92,6 @@ std::string timeline_key(const Event& event, TimelineGranularity granularity) {
   return event.thread.host + "/" + std::to_string(event.thread.pid);
 }
 
-namespace {
-std::uint64_t edge_key(graph::NodeId from, graph::NodeId to) {
-  return (static_cast<std::uint64_t>(from) << 32) |
-         static_cast<std::uint64_t>(to);
-}
-}  // namespace
-
 graph::NodeId ExecutionGraph::add_event(const Event& event,
                                         const std::string& timeline,
                                         std::optional<EventId> after) {
@@ -131,7 +124,6 @@ graph::NodeId ExecutionGraph::add_event(const Event& event,
            : store_.add_node_typed(to_string(event.type), std::move(props));
   const std::lock_guard lock(mutex_);
   node_by_event_.emplace(event.id, node);
-  if (pred) intra_edges_seen_.insert(edge_key(*pred, node));
   auto [tail_it, inserted] = tails_.try_emplace(
       timeline, TimelineTail{event.id, event.timestamp});
   if (!inserted && (event.timestamp > tail_it->second.timestamp ||
@@ -156,11 +148,7 @@ void ExecutionGraph::add_intra_edge(EventId from, EventId to) {
   if (!a || !b) {
     throw std::logic_error("execution graph: intra edge on unknown event");
   }
-  {
-    const std::lock_guard lock(mutex_);
-    if (!intra_edges_seen_.insert(edge_key(*a, *b)).second) return;
-  }
-  store_.add_edge(*a, *b, kIntraEdgeType);
+  store_.add_edge_if_absent(*a, *b, kIntraEdgeType);
 }
 
 void ExecutionGraph::add_inter_edge(EventId from, EventId to) {
@@ -169,11 +157,7 @@ void ExecutionGraph::add_inter_edge(EventId from, EventId to) {
   if (!a || !b) {
     throw std::logic_error("execution graph: inter edge on unknown event");
   }
-  {
-    const std::lock_guard lock(mutex_);
-    if (!inter_edges_seen_.insert(edge_key(*a, *b)).second) return;
-  }
-  store_.add_edge(*a, *b, kInterEdgeType);
+  store_.add_edge_if_absent(*a, *b, kInterEdgeType);
 }
 
 std::optional<graph::NodeId> ExecutionGraph::node_of(EventId id) const {
@@ -207,37 +191,36 @@ void ExecutionGraph::load(const std::string& path) {
 
 void ExecutionGraph::reindex_loaded_store() {
   const std::lock_guard lock(mutex_);
-  for (graph::NodeId v = 0; v < store_.node_count(); ++v) {
-    const graph::PropertyValue& id = store_.property(v, keys_.event_id);
-    const auto* i = std::get_if<std::int64_t>(&id);
-    if (i == nullptr) continue;
-    const auto event_id = static_cast<EventId>(static_cast<std::uint64_t>(*i));
+  // One pass over three column views: the store was just loaded and no
+  // writer runs yet. Tails are kept per timeline pool id and named once.
+  const graph::Int64ColumnView ids = store_.int64_column(keys_.event_id);
+  const graph::Int64ColumnView times = store_.int64_column(keys_.timestamp);
+  const graph::InternedColumnView timelines =
+      store_.interned_column(keys_.timeline);
+  const auto n = static_cast<graph::NodeId>(store_.node_count());
+  node_by_event_.reserve(node_by_event_.size() + n);
+  std::vector<std::optional<TimelineTail>> tails(timelines.distinct());
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (!ids.has(v)) continue;
+    const auto event_id =
+        static_cast<EventId>(static_cast<std::uint64_t>(ids.value_or(v, 0)));
     node_by_event_.emplace(event_id, v);
 
-    const graph::PropertyValue& timeline = store_.property(v, keys_.timeline);
-    const graph::PropertyValue& ts = store_.property(v, keys_.timestamp);
-    const auto* tl = std::get_if<std::string>(&timeline);
-    const auto* t = std::get_if<std::int64_t>(&ts);
-    if (tl == nullptr || t == nullptr) continue;
-    auto [tail_it, inserted] =
-        tails_.try_emplace(*tl, TimelineTail{event_id, *t});
-    if (!inserted && (*t > tail_it->second.timestamp ||
-                      (*t == tail_it->second.timestamp &&
-                       event_id > tail_it->second.id))) {
-      tail_it->second = TimelineTail{event_id, *t};
+    const std::uint32_t timeline = timelines.id_of(v);
+    if (timeline == graph::InternedColumnView::kAbsent || !times.has(v)) {
+      continue;
+    }
+    const TimeNs t = times.value_or(v, 0);
+    std::optional<TimelineTail>& tail = tails[timeline];
+    if (!tail || t > tail->timestamp ||
+        (t == tail->timestamp && event_id > tail->id)) {
+      tail = TimelineTail{event_id, t};
     }
   }
-  // Seed the edge-dedup sets so encoders writing into a loaded graph stay
-  // idempotent against the snapshotted edges.
-  const auto intra_type = store_.edge_type_id(kIntraEdgeType);
-  const auto inter_type = store_.edge_type_id(kInterEdgeType);
-  for (graph::NodeId v = 0; v < store_.node_count(); ++v) {
-    for (const graph::Edge& e : store_.out_edges(v)) {
-      if (intra_type && e.type == *intra_type) {
-        intra_edges_seen_.insert(edge_key(v, e.to));
-      } else if (inter_type && e.type == *inter_type) {
-        inter_edges_seen_.insert(edge_key(v, e.to));
-      }
+  tails_.reserve(tails_.size() + tails.size());
+  for (std::uint32_t timeline = 0; timeline < tails.size(); ++timeline) {
+    if (tails[timeline]) {
+      tails_.try_emplace(timelines.name(timeline), *tails[timeline]);
     }
   }
 }

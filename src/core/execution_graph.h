@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "event/event.h"
@@ -87,7 +86,8 @@ class ExecutionGraph {
   /// Program-order edge between two already-persisted events. Idempotent
   /// per (from, to): a crashed-and-restarted encoder replaying a window of
   /// the queue may re-derive edges it already stored, and must not grow the
-  /// graph doing so.
+  /// graph doing so (GraphStore::add_edge_if_absent checks the source's
+  /// out-list under the store's write lock).
   void add_intra_edge(EventId from, EventId to);
 
   /// Inter-process causal edge (stored as an edge of type "HB"). Idempotent
@@ -133,11 +133,12 @@ class ExecutionGraph {
   /// snapshot — run a LogicalClockAssigner afterwards.
   void load(const std::string& path);
 
-  /// Rebuilds the EventId -> NodeId map, timeline tails, and edge-dedup
-  /// sets from the store's current contents. For restore paths that
-  /// populate the store directly (the segmented checkpoint loader) instead
-  /// of going through load(); must only be called once, while this
-  /// wrapper's own maps are still empty.
+  /// Rebuilds the EventId -> NodeId map and the timeline tails from the
+  /// store's eventId, timestamp and timeline columns, read once. For
+  /// restore paths that populate the store directly (the segmented
+  /// checkpoint loader) instead of going through load(); must only be
+  /// called once, while this wrapper's own maps are still empty and before
+  /// any writer runs.
   void reindex_loaded_store();
 
  private:
@@ -151,10 +152,6 @@ class ExecutionGraph {
   mutable std::mutex mutex_;
   std::unordered_map<EventId, graph::NodeId> node_by_event_;
   std::unordered_map<std::string, TimelineTail> tails_;
-  // Edge dedup for crash-replay idempotence, keyed (from << 32) | to.
-  // GraphStore::add_edge itself is not idempotent.
-  std::unordered_set<std::uint64_t> intra_edges_seen_;
-  std::unordered_set<std::uint64_t> inter_edges_seen_;
 };
 
 /// Converts an Event to the name-keyed node property bag persisted in the

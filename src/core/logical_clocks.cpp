@@ -106,27 +106,28 @@ class Cursor {
 constexpr char kClockMagic[8] = {'H', 'O', 'R', 'U', 'S', 'V', 'C', '1'};
 
 /// Kahn's algorithm over a region of nodes while writers may still add
-/// edges. Each node's in-edges are read once, and both the in-degrees and
-/// the successor lists derive from those snapshots: an edge added after a
-/// node's snapshot is invisible to the whole pass. Counting an edge one way
-/// (in-degree, from an older snapshot) and walking it the other (out-edges,
-/// read later) would release a node before one of its counted predecessors,
-/// and so misplace it on its timeline.
+/// edges. The region's in-edges are read once, in one store call
+/// (GraphStore::copy_adjacency), and both the in-degrees and the successor
+/// lists derive from that copy: an edge added after it is invisible to the
+/// whole pass. Counting an edge one way (in-degree, from an older read) and
+/// walking it the other (out-edges, read later) would release a node before
+/// one of its counted predecessors, and so misplace it on its timeline.
 class RegionOrder {
  public:
   static constexpr std::uint32_t kOutside = ~std::uint32_t{0};
 
+  /// `in`: the region's in-edges, node by node (region order).
   /// `index_of(node)`: the node's index in `region`, or kOutside.
   /// `keep(pred)`: whether a predecessor's clock feeds the node's clock.
   template <typename IndexOf, typename Keep>
-  RegionOrder(const graph::GraphStore& store,
-              std::span<const graph::NodeId> region, IndexOf index_of,
-              Keep keep)
-      : succ_begin_(region.size() + 1, 0), indegree_(region.size(), 0) {
-    pred_begin_.reserve(region.size() + 1);
+  RegionOrder(const graph::AdjacencyCopy& in, std::size_t region_size,
+              IndexOf index_of, Keep keep)
+      : succ_begin_(region_size + 1, 0), indegree_(region_size, 0) {
+    pred_begin_.reserve(region_size + 1);
     pred_begin_.push_back(0);
-    for (std::size_t i = 0; i < region.size(); ++i) {
-      for (const graph::Edge& e : store.in_edges_snapshot(region[i])) {
+    preds_.reserve(in.edges.size());
+    for (std::size_t i = 0; i < region_size; ++i) {
+      for (const graph::Edge& e : in.of(i)) {
         if (!keep(e.to)) continue;  // in-edges store the source in .to
         preds_.push_back(e.to);
         if (const std::uint32_t p = index_of(e.to); p != kOutside) {
@@ -142,14 +143,14 @@ class RegionOrder {
       succ_begin_[i] += succ_begin_[i - 1];
     }
     succs_.resize(succ_begin_.back());
-    for (std::size_t i = region.size(); i-- > 0;) {
+    for (std::size_t i = region_size; i-- > 0;) {
       for (const graph::NodeId pred : preds(i)) {
         if (const std::uint32_t p = index_of(pred); p != kOutside) {
           succs_[--succ_begin_[p]] = static_cast<std::uint32_t>(i);
         }
       }
     }
-    for (std::size_t i = 0; i < region.size(); ++i) {
+    for (std::size_t i = 0; i < region_size; ++i) {
       if (indegree_[i] == 0) ready_.push_back(static_cast<std::uint32_t>(i));
     }
   }
@@ -477,25 +478,41 @@ std::size_t LogicalClockAssigner::assign() {
     assigned_prefix_ = n;
     return 0;
   }
+  // In-edges and timeline pool ids of the whole region, in one store call.
+  graph::AdjacencyCopy in;
+  store.copy_adjacency(region, graph::EdgeDirection::kIn, keys.timeline, in);
   // Sources appended concurrently (>= n) are left out: the node is clocked
   // without them, and the clock daemon's audit of new edges heals it.
   RegionOrder order(
-      store, region,
+      in, region.size(),
       [&](graph::NodeId pred) {
         return pred >= first && pred < n ? slot[pred - first]
                                          : RegionOrder::kOutside;
       },
       [&](graph::NodeId pred) { return pred < n; });
 
+  // A node's clock has at most one component per timeline, so the region
+  // fits in region x timelines more slots. Growth is geometric: a pass
+  // never reallocates the arena to an exact size.
+  auto& arena = table_.vc_arena_;
+  const std::size_t timelines =
+      std::max(table_.timeline_count(), store.interned_distinct(keys.timeline));
+  const std::size_t bound = arena.size() + region.size() * timelines;
+  if (bound > arena.capacity()) {
+    arena.reserve(std::max(bound, 2 * arena.capacity()));
+  }
+
+  std::vector<std::pair<graph::NodeId, std::int64_t>> lamport_writes;
+  if (options_.write_lamport_property) lamport_writes.reserve(region.size());
   std::size_t processed = 0;
   std::vector<std::int32_t> v_clock;  // scratch, reused across nodes
   for (std::size_t i = 0; order.next(i);) {
     const graph::NodeId v = region[i];
     ++processed;
 
-    // Timeline identity: an integer read from the interned timeline column —
-    // no string materialisation per node.
-    const std::uint32_t pool_id = store.interned_id(v, keys.timeline);
+    // Timeline identity: an integer from the interned timeline column, read
+    // with the in-edges — no string materialisation per node.
+    const std::uint32_t pool_id = in.ids[i];
     if (pool_id == graph::InternedColumnView::kAbsent) {
       throw std::logic_error("clock assigner: node without timeline property");
     }
@@ -523,10 +540,12 @@ std::size_t LogicalClockAssigner::assign() {
     // consumed above, so the potential reallocation is safe.
     append_vc(v, v_clock);
 
-    if (options_.write_lamport_property) {
-      graph_.store().set_property(v, keys.lamport, lc);
-    }
+    if (options_.write_lamport_property) lamport_writes.emplace_back(v, lc);
     order.done(i);
+  }
+  // Every Lamport value in one batched column write.
+  if (!lamport_writes.empty()) {
+    graph_.store().set_int64_batch(keys.lamport, lamport_writes);
   }
 
   if (processed != region.size()) {
@@ -578,14 +597,18 @@ std::size_t LogicalClockAssigner::repair(
   for (std::size_t i = 0; i < region.size(); ++i) {
     slot.emplace(region[i], static_cast<std::uint32_t>(i));
   }
+  graph::AdjacencyCopy in;
+  store.copy_adjacency(region, graph::EdgeDirection::kIn, graph::kNoPropKey,
+                       in);
   RegionOrder order(
-      store, region,
+      in, region.size(),
       [&](graph::NodeId pred) {
         const auto it = slot.find(pred);
         return it == slot.end() ? RegionOrder::kOutside : it->second;
       },
       [&](graph::NodeId pred) { return pred < n && table_.assigned(pred); });
 
+  std::vector<std::pair<graph::NodeId, std::int64_t>> lamport_writes;
   std::size_t processed = 0;
   std::vector<std::int32_t> v_clock;  // scratch, reused across nodes
   for (std::size_t i = 0; order.next(i);) {
@@ -607,9 +630,7 @@ std::size_t LogicalClockAssigner::repair(
 
     if (lc != table_.lamport_[v]) {
       table_.lamport_[v] = lc;
-      if (options_.write_lamport_property) {
-        graph_.store().set_property(v, keys.lamport, lc);
-      }
+      if (options_.write_lamport_property) lamport_writes.emplace_back(v, lc);
     }
     // Overwrite the arena slot in place when the raised clock fits
     // (clearing any stale tail — absent components read as zero); otherwise
@@ -626,6 +647,9 @@ std::size_t LogicalClockAssigner::repair(
       append_vc(v, v_clock);
     }
     order.done(i);
+  }
+  if (!lamport_writes.empty()) {
+    graph_.store().set_int64_batch(keys.lamport, lamport_writes);
   }
 
   if (processed != region.size()) {

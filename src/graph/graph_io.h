@@ -8,13 +8,16 @@
 // counts, all in CRC-32-checked frames. Segment spill files and checkpoint
 // segments are the same format with in-lists (graph/segment.h).
 //
-// Loading replays through the regular write path (add_node_typed with the
-// file's key table mapped once, add_edge_typed with each edge type
-// interned once), so indexes created on the store beforehand are
-// maintained. Corrupt input — a cut at any byte, a flipped byte, a forged
-// id or count, a frame length past the end, a JSON-lines file of earlier
-// versions — raises HorusError naming the byte offset; the partly loaded
-// store is then to be discarded.
+// Loading is the store's bulk install (GraphStore::Install): under one
+// write lock the file's key table is mapped once, node records go straight
+// into pre-sized columns and exactly reserved bags, out-lists into exactly
+// sized vectors, in-lists are derived from them in node order, and indexes
+// the store declared beforehand are backfilled once. Saving emits each
+// node record from the stored values under one shared lock. Corrupt input
+// — a cut at any byte, a flipped byte, a forged id or count, a frame
+// length past the end, a JSON-lines file of earlier versions — raises
+// HorusError naming the byte offset; the partly loaded store is then to be
+// discarded.
 //
 // This gives stored executions a life beyond the process — traces can be
 // captured once and re-analyzed later or shipped elsewhere, the same role
@@ -28,16 +31,16 @@
 
 namespace horus::graph {
 
-/// Serializes the entire store. Deterministic output (node order, store
-/// table order, sorted properties). The store must not gain edges during
-/// the write; if it does, the write throws HorusError.
+/// Serializes the entire store under one shared lock, faulting in evicted
+/// segments first. Deterministic output (node order, store table order,
+/// properties in key order).
 void save_graph(const GraphStore& store, std::ostream& out);
 void save_graph_file(const GraphStore& store, const std::string& path);
 
-/// Loads a snapshot into `store`, which must hold no nodes (throws
-/// std::logic_error otherwise); keys, labels, edge types and indexes it
-/// already has are kept and used. Corrupt or truncated input raises
-/// HorusError.
+/// Loads a snapshot into `store`, which must hold no nodes and have no
+/// segments enabled (throws std::logic_error otherwise); keys, labels, edge
+/// types, columns and indexes it already has are kept and used. Corrupt or
+/// truncated input raises HorusError.
 void load_graph(GraphStore& store, std::istream& in);
 void load_graph_file(GraphStore& store, const std::string& path);
 

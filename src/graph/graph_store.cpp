@@ -1,9 +1,12 @@
 #include "graph/graph_store.h"
 
 #include <algorithm>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/error.h"
+#include "graph/record_io.h"
 #include "graph/segment.h"
 
 namespace horus::graph {
@@ -28,6 +31,37 @@ PropertyList::iterator bag_lower_bound(PropertyList& bag, PropKeyId key) {
   return std::lower_bound(
       bag.begin(), bag.end(), key,
       [](const auto& entry, PropKeyId k) { return entry.first < k; });
+}
+
+/// Grows `v`'s capacity to at least `n`, doubling at the least, so repeated
+/// calls (one per segment file of a restore) stay amortised.
+template <typename T>
+void reserve_at_least(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+}
+
+/// Adds (value, node) entries to an ordered index. The entries are sorted
+/// by value first, stably, so each value's nodes keep their order, as one
+/// insert per node would leave them; each new value is then placed with
+/// the previous one's successor as hint, a search only when a stored value
+/// lies between.
+void insert_ordered(std::map<std::int64_t, std::vector<NodeId>>& index,
+                    std::vector<std::pair<std::int64_t, NodeId>>& entries) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  auto at = index.end();  // the previous value's entry
+  for (const auto& [value, node] : entries) {
+    if (at == index.end() || at->first != value) {
+      auto next = at == index.end() ? index.lower_bound(value) : std::next(at);
+      if (next != index.end() && next->first < value) {
+        next = index.lower_bound(value);
+      }
+      at = next != index.end() && next->first == value
+               ? next
+               : index.emplace_hint(next, value, std::vector<NodeId>{});
+    }
+    at->second.push_back(node);
+  }
 }
 }  // namespace
 
@@ -115,6 +149,18 @@ PropKeyId GraphStore::intern_prop_key_locked(std::string_view key) {
   return id;
 }
 
+std::uint32_t GraphStore::intern_pool_value(DenseColumn& col,
+                                            std::string_view value) {
+  if (auto pit = col.pool_ids.find(value); pit != col.pool_ids.end()) {
+    return pit->second;
+  }
+  const auto pool_id = static_cast<std::uint32_t>(col.pool.size());
+  col.pool.emplace_back(value);
+  col.pool_values.emplace_back(std::string(value));
+  col.pool_ids.emplace(std::string(value), pool_id);
+  return pool_id;
+}
+
 PropKeyId GraphStore::intern_prop_key(std::string_view key) {
   const std::unique_lock lock(mutex_);
   return intern_prop_key_locked(key);
@@ -189,19 +235,10 @@ PropKeyId GraphStore::declare_interned_column(std::string_view key) {
       throw std::logic_error("graph: key '" + std::string(key) +
                              "' holds non-string values; cannot intern");
     }
-    std::uint32_t pool_id;
-    if (auto pit = col.pool_ids.find(*s); pit != col.pool_ids.end()) {
-      pool_id = pit->second;
-    } else {
-      pool_id = static_cast<std::uint32_t>(col.pool.size());
-      col.pool.push_back(*s);
-      col.pool_values.emplace_back(*s);
-      col.pool_ids.emplace(*s, pool_id);
-    }
     if (col.ids.size() <= node) {
       col.ids.resize(node + 1, InternedColumnView::kAbsent);
     }
-    col.ids[node] = pool_id;
+    col.ids[node] = intern_pool_value(col, *s);
     bag.erase(it);
   }
   return id;
@@ -215,17 +252,7 @@ const PropertyValue* GraphStore::find_property_locked(NodeId node,
                                                       PropKeyId key) const {
   if (key >= prop_keys_.size()) return nullptr;
   if (auto cit = columns_.find(key); cit != columns_.end()) {
-    const DenseColumn& col = cit->second;
-    if (col.interned) {
-      if (node >= col.ids.size()) return nullptr;
-      const std::uint32_t id = col.ids[node];
-      if (id == InternedColumnView::kAbsent) return nullptr;
-      return &col.pool_values[id];
-    }
-    if (node >= col.values.size()) return nullptr;
-    const PropertyValue& v = col.values[node];
-    if (std::holds_alternative<std::monostate>(v)) return nullptr;
-    return &v;
+    return column_value(cit->second, node);
   }
   const auto& bag = nodes_[node].properties;
   auto it = bag_find(bag, key);
@@ -262,67 +289,73 @@ void GraphStore::index_erase_locked(NodeId node, PropKeyId key,
   }
 }
 
-void GraphStore::set_property_locked(NodeId node, PropKeyId key,
-                                     PropertyValue value) {
-  if (const PropertyValue* old = find_property_locked(node, key)) {
-    index_erase_locked(node, key, *old);
+const PropertyValue* GraphStore::write_column_locked(DenseColumn& col,
+                                                    PropKeyId key, NodeId node,
+                                                    PropertyValue value) {
+  if (col.interned) {
+    if (const auto* s = std::get_if<std::string>(&value)) {
+      if (col.ids.size() <= node) {
+        col.ids.resize(node + 1, InternedColumnView::kAbsent);
+      }
+      const std::uint32_t pool_id = intern_pool_value(col, *s);
+      col.ids[node] = pool_id;
+      return &col.pool_values[pool_id];
+    }
+    if (std::holds_alternative<std::monostate>(value)) {
+      if (node < col.ids.size()) col.ids[node] = InternedColumnView::kAbsent;
+      return nullptr;
+    }
+    throw std::logic_error("graph: interned column '" + prop_keys_[key] +
+                           "' only stores strings");
   }
-  auto cit = columns_.find(key);
-  if (cit != columns_.end()) {
-    DenseColumn& col = cit->second;
-    if (col.interned) {
-      if (const auto* s = std::get_if<std::string>(&value)) {
-        std::uint32_t pool_id;
-        if (auto pit = col.pool_ids.find(*s); pit != col.pool_ids.end()) {
-          pool_id = pit->second;
-        } else {
-          pool_id = static_cast<std::uint32_t>(col.pool.size());
-          col.pool.push_back(*s);
-          col.pool_values.emplace_back(*s);
-          col.pool_ids.emplace(*s, pool_id);
-        }
-        if (col.ids.size() <= node) {
-          col.ids.resize(node + 1, InternedColumnView::kAbsent);
-        }
-        col.ids[node] = pool_id;
-        index_insert_locked(node, key, col.pool_values[pool_id]);
-        return;
-      }
-      if (std::holds_alternative<std::monostate>(value)) {
-        if (node < col.ids.size()) col.ids[node] = InternedColumnView::kAbsent;
-        return;
-      }
-      throw std::logic_error("graph: interned column '" + prop_keys_[key] +
-                             "' only stores strings");
-    }
-    if (col.values.size() <= node) col.values.resize(node + 1);
-    col.values[node] = std::move(value);
-    const PropertyValue& stored = col.values[node];
-    if (!std::holds_alternative<std::monostate>(stored)) {
-      index_insert_locked(node, key, stored);
-    }
-    return;
+  if (col.values.size() <= node) col.values.resize(node + 1);
+  col.values[node] = std::move(value);
+  return column_value(col, node);
+}
+
+const PropertyValue* GraphStore::store_value_locked(NodeId node, PropKeyId key,
+                                                    PropertyValue value) {
+  if (auto cit = columns_.find(key); cit != columns_.end()) {
+    return write_column_locked(cit->second, key, node, std::move(value));
   }
   auto& bag = nodes_[node].properties;
   auto it = bag_lower_bound(bag, key);
   if (it != bag.end() && it->first == key) {
     it->second = std::move(value);
-    index_insert_locked(node, key, it->second);
   } else {
     it = bag.emplace(it, key, std::move(value));
-    index_insert_locked(node, key, it->second);
   }
+  return &it->second;
+}
+
+void GraphStore::set_property_locked(NodeId node, PropKeyId key,
+                                     PropertyValue value) {
+  if (const PropertyValue* old = find_property_locked(node, key)) {
+    index_erase_locked(node, key, *old);
+  }
+  if (const PropertyValue* stored =
+          store_value_locked(node, key, std::move(value))) {
+    index_insert_locked(node, key, *stored);
+  }
+}
+
+const PropertyValue* GraphStore::column_value(const DenseColumn& col,
+                                              NodeId node) {
+  if (col.interned) {
+    if (node >= col.ids.size()) return nullptr;
+    const std::uint32_t id = col.ids[node];
+    return id == InternedColumnView::kAbsent ? nullptr : &col.pool_values[id];
+  }
+  if (node >= col.values.size()) return nullptr;
+  const PropertyValue& v = col.values[node];
+  return std::holds_alternative<std::monostate>(v) ? nullptr : &v;
 }
 
 PropertyList GraphStore::collect_properties_locked(NodeId node) const {
   PropertyList out = nodes_[node].properties;
   for (const auto& [key, col] : columns_) {
-    if (col.interned) {
-      if (node < col.ids.size() && col.ids[node] != InternedColumnView::kAbsent)
-        out.emplace_back(key, col.pool_values[col.ids[node]]);
-    } else if (node < col.values.size() &&
-               !std::holds_alternative<std::monostate>(col.values[node])) {
-      out.emplace_back(key, col.values[node]);
+    if (const PropertyValue* v = column_value(col, node)) {
+      out.emplace_back(key, *v);
     }
   }
   std::sort(out.begin(), out.end(),
@@ -411,8 +444,7 @@ void GraphStore::add_edge_locked(NodeId from, NodeId to, EdgeTypeId type) {
   }
 }
 
-void GraphStore::add_checked_edge_locked(NodeId from, NodeId to,
-                                         EdgeTypeId type) {
+void GraphStore::check_edge_ends_locked(NodeId from, NodeId to) {
   if (from >= nodes_.size()) bad_node(from);
   if (to >= nodes_.size()) bad_node(to);
   if (segments_ != nullptr) {
@@ -420,21 +452,25 @@ void GraphStore::add_checked_edge_locked(NodeId from, NodeId to,
     segments_->ensure_resident_locked(from);
     segments_->ensure_resident_locked(to);
   }
-  add_edge_locked(from, to, type);
 }
 
 void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
   const std::unique_lock lock(mutex_);
-  add_checked_edge_locked(from, to, intern_edge_type_locked(type));
+  check_edge_ends_locked(from, to);
+  add_edge_locked(from, to, intern_edge_type_locked(type));
 }
 
-void GraphStore::add_edge_typed(NodeId from, NodeId to, EdgeTypeId type) {
+bool GraphStore::add_edge_if_absent(NodeId from, NodeId to,
+                                    std::string_view type) {
   const std::unique_lock lock(mutex_);
-  if (type >= edge_types_.size()) {
-    throw std::out_of_range("graph: unknown edge type id " +
-                            std::to_string(type));
+  check_edge_ends_locked(from, to);
+  const Edge edge{to, intern_edge_type_locked(type)};
+  if (std::find(nodes_[from].out.begin(), nodes_[from].out.end(), edge) !=
+      nodes_[from].out.end()) {
+    return false;
   }
-  add_checked_edge_locked(from, to, type);
+  add_edge_locked(from, to, edge.type);
+  return true;
 }
 
 NodeId GraphStore::add_node_after(NodeId from, std::string_view edge_type,
@@ -525,11 +561,7 @@ void GraphStore::create_index(PropKeyId key) {
   if (segments_ != nullptr && !columns_.contains(key)) {
     segments_->reload_all_locked();
   }
-  for (NodeId node = 0; node < nodes_.size(); ++node) {
-    if (const PropertyValue* v = find_property_locked(node, key)) {
-      it->second[*v].push_back(node);
-    }
-  }
+  backfill_index_locked(key, it->second);
 }
 
 void GraphStore::create_ordered_index(std::string_view key) {
@@ -547,13 +579,333 @@ void GraphStore::create_ordered_index(PropKeyId key) {
   if (segments_ != nullptr && !columns_.contains(key)) {
     segments_->reload_all_locked();
   }
+  backfill_ordered_index_locked(key, it->second);
+}
+
+template <typename Fn>
+void GraphStore::for_each_value_locked(PropKeyId key, Fn&& fn) const {
+  if (auto cit = columns_.find(key); cit != columns_.end()) {
+    const DenseColumn& col = cit->second;
+    const std::size_t slots = col.interned ? col.ids.size() : col.values.size();
+    for (NodeId node = 0; node < slots; ++node) {
+      if (const PropertyValue* v = column_value(col, node)) fn(node, *v);
+    }
+    return;
+  }
   for (NodeId node = 0; node < nodes_.size(); ++node) {
-    if (const PropertyValue* v = find_property_locked(node, key)) {
-      if (const auto* i = std::get_if<std::int64_t>(v)) {
-        it->second[*i].push_back(node);
+    const PropertyList& bag = nodes_[node].properties;
+    if (auto it = bag_find(bag, key); it != bag.end()) fn(node, it->second);
+  }
+}
+
+void GraphStore::backfill_index_locked(PropKeyId key, HashIndex& index) const {
+  if (auto cit = columns_.find(key);
+      cit != columns_.end() && cit->second.interned) {
+    // One bucket per pool value, found once: no hashing per node.
+    const DenseColumn& col = cit->second;
+    std::vector<std::vector<NodeId>*> buckets(col.pool.size(), nullptr);
+    for (NodeId node = 0; node < col.ids.size(); ++node) {
+      const std::uint32_t id = col.ids[node];
+      if (id == InternedColumnView::kAbsent) continue;
+      if (buckets[id] == nullptr) buckets[id] = &index[col.pool_values[id]];
+      buckets[id]->push_back(node);
+    }
+    return;
+  }
+  for_each_value_locked(key, [&](NodeId node, const PropertyValue& v) {
+    index[v].push_back(node);
+  });
+}
+
+void GraphStore::backfill_ordered_index_locked(PropKeyId key,
+                                               OrderedIndex& index) const {
+  std::vector<std::pair<std::int64_t, NodeId>> entries;
+  for_each_value_locked(key, [&](NodeId node, const PropertyValue& v) {
+    if (const auto* i = std::get_if<std::int64_t>(&v)) {
+      entries.emplace_back(*i, node);
+    }
+  });
+  insert_ordered(index, entries);
+}
+
+void GraphStore::set_int64_batch(
+    PropKeyId key, std::span<const std::pair<NodeId, std::int64_t>> values) {
+  const std::unique_lock lock(mutex_);
+  if (key >= prop_keys_.size()) {
+    throw std::out_of_range("graph: unknown property key id " +
+                            std::to_string(key));
+  }
+  for (const auto& [node, value] : values) {
+    if (node >= nodes_.size()) bad_node(node);
+  }
+  const auto oit = ordered_indexes_.find(key);
+  const auto hit = hash_indexes_.find(key);
+  std::vector<std::pair<std::int64_t, NodeId>> ordered;
+  if (oit != ordered_indexes_.end()) ordered.reserve(values.size());
+  for (const auto& [node, value] : values) {
+    if (segments_ != nullptr) segments_->ensure_resident_locked(node);
+    if (const PropertyValue* old = find_property_locked(node, key)) {
+      if (const auto* i = std::get_if<std::int64_t>(old);
+          i != nullptr && *i == value) {
+        continue;
       }
+      index_erase_locked(node, key, *old);
+    }
+    if (segments_ != nullptr) {
+      segments_->on_property_write_locked(node, key, value);
+    }
+    const PropertyValue* stored = store_value_locked(node, key, value);
+    if (hit != hash_indexes_.end()) hit->second[*stored].push_back(node);
+    if (oit != ordered_indexes_.end()) ordered.emplace_back(value, node);
+  }
+  if (oit != ordered_indexes_.end()) insert_ordered(oit->second, ordered);
+}
+
+// ---------------------------------------------------------------------------
+// bulk install
+// ---------------------------------------------------------------------------
+
+std::vector<GraphStore::KeyRoute> GraphStore::route_keys_locked(
+    const std::vector<std::string>& keys) {
+  std::vector<KeyRoute> routes;
+  routes.reserve(keys.size());
+  for (const std::string& name : keys) {
+    KeyRoute route;
+    route.key = intern_prop_key_locked(name);
+    if (auto cit = columns_.find(route.key); cit != columns_.end()) {
+      route.column = &cit->second;
+    }
+    routes.push_back(route);
+  }
+  return routes;
+}
+
+std::vector<EdgeTypeId> GraphStore::map_edge_types_locked(
+    const std::vector<std::string>& types) {
+  std::vector<EdgeTypeId> ids;
+  ids.reserve(types.size());
+  for (const std::string& name : types) {
+    ids.push_back(intern_edge_type_locked(name));
+  }
+  return ids;
+}
+
+void GraphStore::install_properties_locked(NodeId node, PropertyList& props,
+                                           std::span<const KeyRoute> routes,
+                                           bool with_columns) {
+  std::size_t bag_size = 0;
+  for (const auto& [index, value] : props) {
+    bag_size += routes[index].column == nullptr ? 1 : 0;
+  }
+  PropertyList& bag = nodes_[node].properties;
+  bag.clear();
+  bag.reserve(bag_size);
+  bool sorted = true;  // strictly increasing keys: sorted and no repeats
+  for (auto& [index, value] : props) {
+    const KeyRoute& route = routes[index];
+    if (route.column == nullptr) {
+      sorted = sorted && (bag.empty() || bag.back().first < route.key);
+      bag.emplace_back(route.key, std::move(value));
+    } else if (with_columns) {
+      (void)write_column_locked(*route.column, route.key, node,
+                                std::move(value));
     }
   }
+  if (sorted) return;
+  std::stable_sort(bag.begin(), bag.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  });
+  // A key named twice keeps its last value, as writing the properties one
+  // by one would.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < bag.size(); ++i) {
+    if (kept > 0 && bag[kept - 1].first == bag[i].first) {
+      bag[kept - 1].second = std::move(bag[i].second);
+    } else {
+      if (kept != i) bag[kept] = std::move(bag[i]);
+      ++kept;
+    }
+  }
+  bag.resize(kept);
+}
+
+void GraphStore::install_edges(std::vector<Edge>& dst,
+                               std::span<const FileEdge> src,
+                               std::span<const EdgeTypeId> types) {
+  dst.clear();
+  dst.reserve(src.size());
+  for (const FileEdge& e : src) dst.push_back(Edge{e.peer, types[e.type]});
+}
+
+GraphStore::Install::Install(GraphStore& store)
+    : store_(store), lock_(store.mutex_) {
+  if (!store_.nodes_.empty() || store_.segments_ != nullptr) {
+    throw std::logic_error(
+        "graph: install target must be empty and without segments");
+  }
+}
+
+void GraphStore::Install::file(GraphFileReader& reader) {
+  GraphStore& s = store_;
+  const GraphFileTables& tables = reader.tables();
+  const std::vector<KeyRoute> routes = s.route_keys_locked(tables.keys);
+  const std::vector<EdgeTypeId> types = s.map_edge_types_locked(tables.edge_types);
+  std::vector<std::uint32_t> labels;
+  labels.reserve(tables.labels.size());
+  for (const std::string& name : tables.labels) {
+    labels.push_back(s.intern_label(name));
+  }
+
+  const auto base = static_cast<NodeId>(s.nodes_.size());
+  const std::size_t count = reader.header().count;
+  // Pre-size only for what the file's bytes can hold (reservable_nodes);
+  // past that, the vectors grow as records arrive.
+  const std::size_t end = base + reader.reservable_nodes();
+  reserve_at_least(s.nodes_, end);
+  for (auto& [key, col] : s.columns_) {
+    if (col.interned) {
+      reserve_at_least(col.ids, end);
+    } else {
+      reserve_at_least(col.values, end);
+    }
+  }
+
+  std::uint32_t label = 0;
+  PropertyList props;
+  for (std::size_t i = 0; i < count; ++i) {
+    reader.next_node(label, props);
+    const auto id = static_cast<NodeId>(base + i);
+    s.nodes_.emplace_back().label = labels[label];
+    try {
+      s.install_properties_locked(id, props, routes, /*with_columns=*/true);
+    } catch (const std::logic_error& e) {
+      reader.fail(std::string("node rejected by the store (") + e.what() +
+                  ")");
+    }
+  }
+  // A segment file's in-lists are read and dropped: finish() derives every
+  // in-list from the out-lists, the same normalization for every file kind.
+  std::vector<FileEdge> out;
+  std::vector<FileEdge> in;
+  std::vector<FileEdge>* in_lists = reader.header().in_lists ? &in : nullptr;
+  for (std::size_t i = 0; i < count; ++i) {
+    reader.next_adjacency(out, in_lists);
+    install_edges(s.nodes_[base + i].out, out, types);
+  }
+  reader.finish();
+}
+
+void GraphStore::Install::finish() {
+  GraphStore& s = store_;
+  const std::size_t n = s.nodes_.size();
+  std::vector<std::uint32_t> in_degree(n, 0);
+  std::size_t edges = 0;
+  for (const NodeRecord& rec : s.nodes_) {
+    for (const Edge& e : rec.out) {
+      if (e.to >= n) {
+        throw HorusError("graph: edge endpoint " + std::to_string(e.to) +
+                         " out of range (" + std::to_string(n) + " nodes)");
+      }
+      ++in_degree[e.to];
+    }
+    edges += rec.out.size();
+  }
+  for (NodeId v = 0; v < n; ++v) s.nodes_[v].in.reserve(in_degree[v]);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const Edge& e : s.nodes_[v].out) {
+      s.nodes_[e.to].in.push_back(Edge{v, e.type});
+    }
+  }
+  s.edge_count_ = edges;
+  // The log keeps none of the installed edges: a consumer attached to it
+  // must treat every stored edge as new.
+  if (s.edge_log_attached_ && edges > 0) {
+    s.edge_log_overflowed_ = true;
+    std::vector<EdgeEnds>().swap(s.edge_log_);
+  }
+
+  std::vector<std::size_t> per_label(s.labels_.size(), 0);
+  for (const NodeRecord& rec : s.nodes_) ++per_label[rec.label];
+  std::vector<std::vector<NodeId>*> label_lists(s.labels_.size(), nullptr);
+  for (std::uint32_t label = 0; label < per_label.size(); ++label) {
+    if (per_label[label] == 0) continue;
+    label_lists[label] = &s.label_index_[label];
+    label_lists[label]->reserve(per_label[label]);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    label_lists[s.nodes_[v].label]->push_back(v);
+  }
+  for (auto& [key, index] : s.hash_indexes_) {
+    s.backfill_index_locked(key, index);
+  }
+  for (auto& [key, index] : s.ordered_indexes_) {
+    s.backfill_ordered_index_locked(key, index);
+  }
+  lock_.unlock();
+}
+
+// ---------------------------------------------------------------------------
+// graph-file writes
+// ---------------------------------------------------------------------------
+
+void GraphStore::write_snapshot(std::ostream& out) const {
+  for (;;) {
+    {
+      const std::shared_lock lock(mutex_);
+      if (segments_ == nullptr || segments_->all_resident_locked()) {
+        GraphFileHeader header;
+        header.kind = GraphFileKind::kSnapshot;
+        header.count = static_cast<std::uint32_t>(nodes_.size());
+        write_file_locked(out, header);
+        return;
+      }
+    }
+    // Bags and out-lists of evicted segments come back first; a concurrent
+    // evictor may race the re-acquisition.
+    const std::unique_lock lock(mutex_);
+    segments_->reload_all_locked();
+  }
+}
+
+void GraphStore::write_file_locked(std::ostream& out,
+                                   GraphFileHeader header) const {
+  const NodeId end = header.first + header.count;
+  header.edges = 0;
+  for (NodeId v = header.first; v < end; ++v) {
+    header.edges += nodes_[v].out.size();
+  }
+  // Columns in key order, merged with each node's key-sorted bag: the
+  // record lists a node's properties in key order without a copy.
+  std::vector<std::pair<PropKeyId, const DenseColumn*>> columns;
+  columns.reserve(columns_.size());
+  for (const auto& [key, col] : columns_) columns.emplace_back(key, &col);
+  std::sort(columns.begin(), columns.end());
+
+  GraphFileWriter writer(out, header,
+                         GraphFileTables{prop_keys_, labels_, edge_types_});
+  for (NodeId v = header.first; v < end; ++v) {
+    const PropertyList& bag = nodes_[v].properties;
+    std::size_t count = bag.size();
+    for (const auto& [key, col] : columns) {
+      count += column_value(*col, v) != nullptr ? 1 : 0;
+    }
+    writer.begin_node(nodes_[v].label, count);
+    auto it = bag.begin();
+    for (const auto& [key, col] : columns) {
+      for (; it != bag.end() && it->first < key; ++it) {
+        writer.property(it->first, it->second);
+      }
+      if (const PropertyValue* value = column_value(*col, v)) {
+        writer.property(key, *value);
+      }
+    }
+    for (; it != bag.end(); ++it) writer.property(it->first, it->second);
+    writer.end_node();
+  }
+  for (NodeId v = header.first; v < end; ++v) {
+    writer.adjacency(nodes_[v].out, nodes_[v].in);
+  }
+  writer.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -687,6 +1039,59 @@ std::vector<Edge> GraphStore::in_edges_snapshot(NodeId node) const {
                              [&]() -> std::vector<Edge> {
                                return nodes_[node].in;
                              });
+}
+
+void GraphStore::copy_adjacency(std::span<const NodeId> nodes,
+                                EdgeDirection direction, PropKeyId interned_key,
+                                AdjacencyCopy& out) const {
+  for (;;) {
+    {
+      const std::shared_lock lock(mutex_);
+      bool resident = true;
+      for (const NodeId v : nodes) {
+        if (v >= nodes_.size()) bad_node(v);
+        resident = resident && payload_resident_locked(v);
+      }
+      if (resident) {
+        const auto list = [&](NodeId v) -> const std::vector<Edge>& {
+          return direction == EdgeDirection::kOut ? nodes_[v].out
+                                                  : nodes_[v].in;
+        };
+        out.begin.resize(nodes.size() + 1);
+        out.begin[0] = 0;
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+          out.begin[i + 1] =
+              out.begin[i] + static_cast<std::uint32_t>(list(nodes[i]).size());
+        }
+        out.edges.resize(out.begin.back());
+        out.labels.resize(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+          const std::vector<Edge>& edges = list(nodes[i]);
+          std::copy(edges.begin(), edges.end(),
+                    out.edges.begin() + out.begin[i]);
+          out.labels[i] = nodes_[nodes[i]].label;
+        }
+        out.ids.clear();
+        if (interned_key != kNoPropKey) {
+          const auto cit = columns_.find(interned_key);
+          const DenseColumn* col = cit != columns_.end() && cit->second.interned
+                                       ? &cit->second
+                                       : nullptr;
+          out.ids.reserve(nodes.size());
+          for (const NodeId v : nodes) {
+            out.ids.push_back(col != nullptr && v < col->ids.size()
+                                  ? col->ids[v]
+                                  : InternedColumnView::kAbsent);
+          }
+        }
+        return;
+      }
+    }
+    // Evicted: fault the segments in under a unique lock, then retry (a
+    // concurrent evictor may race the re-acquisition).
+    const std::unique_lock lock(mutex_);
+    for (const NodeId v : nodes) segments_->ensure_resident_locked(v);
+  }
 }
 
 const std::string& GraphStore::edge_type_name(EdgeTypeId type) const {

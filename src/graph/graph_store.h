@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,6 +33,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/property.h"
@@ -40,6 +42,9 @@ namespace horus::graph {
 
 class SegmentManager;
 struct SegmentOptions;
+class GraphFileReader;
+struct GraphFileHeader;
+struct FileEdge;
 
 /// Dense node identifier. Nodes are never deleted (an execution trace is
 /// append-only), so ids are stable.
@@ -62,6 +67,27 @@ struct EdgeEnds {
   NodeId to = kNoNode;
 
   [[nodiscard]] bool operator==(const EdgeEnds&) const = default;
+};
+
+/// Which adjacency list a read copies.
+enum class EdgeDirection { kOut, kIn };
+
+/// Adjacency, label ids and one interned column of a list of nodes, copied
+/// under one shared lock (GraphStore::copy_adjacency). Safe to read while
+/// writers append: nothing here points into the store.
+struct AdjacencyCopy {
+  /// Node i's edges are edges[begin[i], begin[i + 1]).
+  std::vector<std::uint32_t> begin;
+  /// Out-edges (to = target) or in-edges (to = source), node by node.
+  std::vector<Edge> edges;
+  std::vector<std::uint32_t> labels;  ///< interned label id per node
+  /// Pool id per node of the requested interned column
+  /// (InternedColumnView::kAbsent when absent); empty when none was asked.
+  std::vector<std::uint32_t> ids;
+
+  [[nodiscard]] std::span<const Edge> of(std::size_t i) const noexcept {
+    return {edges.data() + begin[i], begin[i + 1] - begin[i]};
+  }
 };
 
 class GraphStore;
@@ -201,9 +227,11 @@ class GraphStore {
   /// Adds a directed typed edge.
   void add_edge(NodeId from, NodeId to, std::string_view type);
 
-  /// Typed edge insert: `type` comes from intern_edge_type, so a caller
-  /// adding many edges resolves each type name once.
-  void add_edge_typed(NodeId from, NodeId to, EdgeTypeId type);
+  /// Adds `from -> to` of `type` unless `from`'s out-list already holds
+  /// that edge, checked and written under one write lock; returns whether
+  /// it was added. The idempotent edge write of crash replay: an encoder
+  /// replaying a window of the queue re-derives edges it already stored.
+  bool add_edge_if_absent(NodeId from, NodeId to, std::string_view type);
 
   /// Typed insert of a node together with its one in-edge `from -> node`
   /// of `edge_type`, under one write lock: no reader ever sees the node
@@ -221,6 +249,54 @@ class GraphStore {
   /// (ids are consecutive). Used by the encoders' periodic flushes.
   NodeId add_nodes_batch(std::string_view label,
                          std::vector<PropertyMap> batch);
+
+  /// Writes int64 values of `key` for many nodes under one write lock: the
+  /// batched set_property of a pass that computes a whole column (the clock
+  /// assigner's Lamport values). Indexes move as set_property moves them,
+  /// the ordered index's entries inserted in value order with hints; a
+  /// value equal to the stored one is left alone. Throws std::out_of_range
+  /// on an unknown node or key before writing anything.
+  void set_int64_batch(PropKeyId key,
+                       std::span<const std::pair<NodeId, std::int64_t>> values);
+
+  // ---- bulk install --------------------------------------------------------
+
+  /// The one path by which decoded graph files (graph/record_io.h) become
+  /// store state: snapshot loads (graph_io.h) and segmented checkpoint
+  /// restores. The target holds no nodes and has no segment manager; the
+  /// keys, labels, edge types, columns and indexes it has are kept. One
+  /// write lock is held from construction to finish(). Node records go
+  /// straight into pre-sized columns and exactly reserved, key-sorted bags
+  /// (a key named twice keeps its last value), and adjacency records into
+  /// exactly sized out-lists. finish() derives every in-list from the
+  /// out-lists in node order and backfills each index once. After an
+  /// exception the store is partly installed and is to be discarded.
+  class Install {
+   public:
+    /// Throws std::logic_error unless the store is empty and unsegmented.
+    explicit Install(GraphStore& store);
+    Install(const Install&) = delete;
+    Install& operator=(const Install&) = delete;
+
+    /// Decodes every record of `reader`, trailer included; its nodes take
+    /// the next ids. A value the store refuses (a number under an interned
+    /// column) fails through reader.fail(), naming the byte offset.
+    void file(GraphFileReader& reader);
+
+    /// Checks every edge endpoint (HorusError past the last node), derives
+    /// the in-lists, backfills the indexes and releases the lock.
+    void finish();
+
+   private:
+    GraphStore& store_;
+    std::unique_lock<std::shared_mutex> lock_;
+  };
+
+  /// Writes the whole store as one snapshot graph file (graph/record_io.h)
+  /// under one shared lock, after faulting in any evicted segment: each
+  /// node record is emitted from its stored values (bag and columns merged
+  /// in key order) without copying them.
+  void write_snapshot(std::ostream& out) const;
 
   // ---- edge log ------------------------------------------------------------
 
@@ -305,6 +381,15 @@ class GraphStore {
   /// Copying adjacency accessors, safe under concurrent writes.
   [[nodiscard]] std::vector<Edge> out_edges_snapshot(NodeId node) const;
   [[nodiscard]] std::vector<Edge> in_edges_snapshot(NodeId node) const;
+
+  /// Copies the `direction` adjacency and label id of every node in
+  /// `nodes`, and their pool ids of the interned column `interned_key`
+  /// (skipped for kNoPropKey), into `out` under one shared lock. Evicted
+  /// segments among them are faulted in first. Safe under concurrent
+  /// writes; the batched read of clock assignment and of Q2's induced
+  /// edges. Throws std::out_of_range on an invalid node.
+  void copy_adjacency(std::span<const NodeId> nodes, EdgeDirection direction,
+                      PropKeyId interned_key, AdjacencyCopy& out) const;
 
   [[nodiscard]] const std::string& edge_type_name(EdgeTypeId type) const;
   /// Interned id of a type name, or nullopt if never seen.
@@ -412,21 +497,72 @@ class GraphStore {
         pool_ids;
   };
 
+  using HashIndex =
+      std::unordered_map<PropertyValue, std::vector<NodeId>, PropertyValueHash,
+                         PropertyValueEq>;
+  using OrderedIndex = std::map<std::int64_t, std::vector<NodeId>>;
+
+  /// Where a graph file's property key goes in this store: its id, and its
+  /// column when the key is one (else the bag).
+  struct KeyRoute {
+    PropKeyId key = kNoPropKey;
+    DenseColumn* column = nullptr;
+  };
+
   // Must be called with lock held.
   std::uint32_t intern_label(std::string_view label);
   EdgeTypeId intern_edge_type_locked(std::string_view type);
   PropKeyId intern_prop_key_locked(std::string_view key);
+  /// Pool id of `value` in an interned column, adding it on first sight.
+  static std::uint32_t intern_pool_value(DenseColumn& col,
+                                         std::string_view value);
+  /// Routes (interning) and edge-type ids for a graph file's tables.
+  std::vector<KeyRoute> route_keys_locked(const std::vector<std::string>& keys);
+  std::vector<EdgeTypeId> map_edge_types_locked(
+      const std::vector<std::string>& types);
+  /// Moves a decoded record's properties (keyed by file index, mapped
+  /// through `routes`) into `node`: bag entries key-sorted into an exactly
+  /// reserved bag, a repeated key keeping its last value; column values
+  /// into their columns when `with_columns`, else dropped (an evicted
+  /// segment's columns stayed resident). No index is touched. Throws
+  /// std::logic_error on a value a column refuses.
+  void install_properties_locked(NodeId node, PropertyList& props,
+                                 std::span<const KeyRoute> routes,
+                                 bool with_columns);
+  /// Replaces `dst` with the decoded edges, types mapped, exactly sized.
+  static void install_edges(std::vector<Edge>& dst,
+                            std::span<const FileEdge> src,
+                            std::span<const EdgeTypeId> types);
+  /// Stores `value` in column `col` at `node`; returns the stored value
+  /// (the pool entry for interned columns), or nullptr when `value` is
+  /// null. Throws std::logic_error on a non-string for an interned column.
+  const PropertyValue* write_column_locked(DenseColumn& col, PropKeyId key,
+                                           NodeId node, PropertyValue value);
+  /// Stores `value` (column or bag) without index maintenance; returns the
+  /// stored value, or nullptr when it is absent afterwards.
+  const PropertyValue* store_value_locked(NodeId node, PropKeyId key,
+                                          PropertyValue value);
   void index_insert_locked(NodeId node, PropKeyId key,
                            const PropertyValue& value);
   void index_erase_locked(NodeId node, PropKeyId key,
                           const PropertyValue& value);
+  /// Adds every stored value of `key` to an index, in node order.
+  void backfill_index_locked(PropKeyId key, HashIndex& index) const;
+  void backfill_ordered_index_locked(PropKeyId key, OrderedIndex& index) const;
+  /// Calls fn(node, value) for every node holding a value of `key`, in
+  /// node order.
+  template <typename Fn>
+  void for_each_value_locked(PropKeyId key, Fn&& fn) const;
+  /// Writes nodes [header.first, header.first + header.count) as one graph
+  /// file; the edge total and the tables are filled in from the store.
+  void write_file_locked(std::ostream& out, GraphFileHeader header) const;
   /// Appends the node record and its properties, without the segment
   /// callback (callers run on_node_added_locked once the node is complete).
   NodeId push_node_locked(std::string_view label, PropertyList properties);
   NodeId add_node_locked(std::string_view label, PropertyList properties);
   void add_edge_locked(NodeId from, NodeId to, EdgeTypeId type);
-  /// add_edge_locked after checking both ends and faulting them in.
-  void add_checked_edge_locked(NodeId from, NodeId to, EdgeTypeId type);
+  /// Checks both ends and faults them in before an edge write.
+  void check_edge_ends_locked(NodeId from, NodeId to);
   /// Throws std::out_of_range on a key id this store never interned.
   void check_prop_keys_locked(const PropertyList& properties) const;
   void set_property_locked(NodeId node, PropKeyId key, PropertyValue value);
@@ -436,6 +572,9 @@ class GraphStore {
                                                           PropKeyId key) const;
   /// Collects (key, value) pairs for a node, columns included, sorted by id.
   [[nodiscard]] PropertyList collect_properties_locked(NodeId node) const;
+  /// The node's value in a column, or nullptr when absent.
+  [[nodiscard]] static const PropertyValue* column_value(const DenseColumn& col,
+                                                         NodeId node);
   PropertyList intern_map_locked(PropertyMap properties);
   [[nodiscard]] std::vector<NodeId> find_nodes_locked(
       PropKeyId key, const PropertyValue& value) const;
@@ -470,12 +609,7 @@ class GraphStore {
   /// unique_ptr-free stable maps: node ids index into the column vectors.
   std::unordered_map<PropKeyId, DenseColumn> columns_;
 
-  using HashIndex =
-      std::unordered_map<PropertyValue, std::vector<NodeId>, PropertyValueHash,
-                         PropertyValueEq>;
   std::unordered_map<PropKeyId, HashIndex> hash_indexes_;
-
-  using OrderedIndex = std::map<std::int64_t, std::vector<NodeId>>;
   std::unordered_map<PropKeyId, OrderedIndex> ordered_indexes_;
 
   /// Present only after enable_segments(). The manager shares mutex_ and

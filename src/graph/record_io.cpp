@@ -153,13 +153,28 @@ void GraphFileWriter::flush_frame() {
   frame_.clear();
 }
 
-void GraphFileWriter::node(std::uint32_t label, const PropertyList& props) {
+void GraphFileWriter::begin_node(std::uint32_t label, std::size_t props) {
+  if (props_left_ != 0) {
+    throw std::logic_error("graph io: node record still has properties due");
+  }
   begin_record('N');
   put_varint(frame_, label);
-  put_varint(frame_, props.size());
-  for (const auto& [key, value] : props) {
-    put_varint(frame_, key);
-    put_value(frame_, value);
+  put_varint(frame_, props);
+  props_left_ = props;
+}
+
+void GraphFileWriter::property(PropKeyId key, const PropertyValue& value) {
+  if (props_left_ == 0) {
+    throw std::logic_error("graph io: more properties than the record declared");
+  }
+  put_varint(frame_, key);
+  put_value(frame_, value);
+  --props_left_;
+}
+
+void GraphFileWriter::end_node() {
+  if (props_left_ != 0) {
+    throw std::logic_error("graph io: fewer properties than the record declared");
   }
   end_record();
   ++nodes_;
@@ -268,6 +283,14 @@ GraphFileReader::GraphFileReader(std::istream& in, std::string what,
   }
   if (!segment_file && (segment != 0 || first != 0)) {
     fail("a snapshot must cover nodes from 0");
+  }
+  // Each node takes at least a label and a property count in its record,
+  // and one count per adjacency list: a larger count cannot fit the file.
+  const std::uint64_t node_bytes = segment_file ? 4 : 3;
+  if (size_ != ~std::uint64_t{0} &&
+      count > (size_ - std::min(size_, consumed_)) / node_bytes) {
+    fail("node count " + std::to_string(count) + " cannot fit the " +
+         std::to_string(size_) + "-byte file");
   }
 
   const auto read_table = [this](std::vector<std::string>& table,

@@ -32,7 +32,10 @@
 // read in chunks when the size is unknown, so a forged length cannot
 // allocate more than the file holds. A
 // frame's CRC is verified before any record in it is decoded. Every id and
-// count is decoded as 64 bits and range-checked before it is narrowed.
+// count is decoded as 64 bits and range-checked before it is narrowed; a
+// count of records or entries is also checked against the bytes that must
+// hold them (the header's node count against the stream's size, when
+// known), so no reservation is sized from a count the file cannot back.
 // Errors name the byte offset; they are HorusError for snapshots and
 // SegmentCorruptError for segment files.
 #pragma once
@@ -81,8 +84,12 @@ class GraphFileWriter {
   GraphFileWriter(std::ostream& out, const GraphFileHeader& header,
                   const GraphFileTables& tables);
 
-  /// `props` are keyed by key-table index; null values are written as such.
-  void node(std::uint32_t label, const PropertyList& props);
+  /// A node record: begin_node with its property count, exactly that many
+  /// property() calls, then end_node(). Keys are key-table indexes; null
+  /// values are written as such.
+  void begin_node(std::uint32_t label, std::size_t props);
+  void property(PropKeyId key, const PropertyValue& value);
+  void end_node();
   /// Edge types are edge-table indexes. `in` is written only when the
   /// header declares in-lists.
   void adjacency(std::span<const Edge> out, std::span<const Edge> in = {});
@@ -102,6 +109,7 @@ class GraphFileWriter {
   std::uint64_t nodes_ = 0;
   std::uint64_t adjacency_ = 0;
   std::uint64_t edges_ = 0;
+  std::size_t props_left_ = 0;  ///< of the open node record
 };
 
 /// Decodes one graph file of the expected kind, one frame at a time. The
@@ -118,6 +126,12 @@ class GraphFileReader {
   }
   [[nodiscard]] const GraphFileTables& tables() const noexcept {
     return tables_;
+  }
+  /// How many nodes a caller may reserve for before reading them: the
+  /// header's count once the stream's size has shown the file can hold that
+  /// many records, and 0 when the size is unknown (an unseekable stream).
+  [[nodiscard]] std::uint32_t reservable_nodes() const noexcept {
+    return size_ != ~std::uint64_t{0} ? header_.count : 0;
   }
 
   /// Next node record. `props` (replaced) are keyed by key-table index;

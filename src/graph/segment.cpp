@@ -190,6 +190,11 @@ bool SegmentManager::resident_for_locked(NodeId node) const {
   return seg == kNoSegment || segments_[seg].resident;
 }
 
+bool SegmentManager::all_resident_locked() const {
+  return std::all_of(segments_.begin(), segments_.end(),
+                     [](const Segment& s) { return s.resident; });
+}
+
 SegmentInfo SegmentManager::info_locked(SegmentId seg) const {
   const Segment& s = segments_[seg];
   SegmentInfo out;
@@ -494,16 +499,6 @@ void SegmentManager::reload_locked(SegmentId seg) {
         std::to_string(s.count) + ")");
   }
   const auto node_count = static_cast<NodeId>(store_.nodes_.size());
-  std::vector<PropKeyId> key_map;
-  key_map.reserve(file.keys.size());
-  for (const std::string& name : file.keys) {
-    key_map.push_back(store_.intern_prop_key_locked(name));
-  }
-  std::vector<EdgeTypeId> type_map;
-  type_map.reserve(file.edge_types.size());
-  for (const std::string& name : file.edge_types) {
-    type_map.push_back(store_.intern_edge_type_locked(name));
-  }
   for (const ParsedSegmentNode& node : file.nodes) {
     for (const auto* list : {&node.out, &node.in}) {
       for (const FileEdge& e : *list) {
@@ -514,30 +509,21 @@ void SegmentManager::reload_locked(SegmentId seg) {
       }
     }
   }
+  const std::vector<GraphStore::KeyRoute> routes =
+      store_.route_keys_locked(file.keys);
+  const std::vector<EdgeTypeId> types =
+      store_.map_edge_types_locked(file.edge_types);
 
   // Commit: restore bags (cold keys only — columns stayed resident) and both
-  // adjacency lists verbatim. Indexes were never dropped at eviction, so no
-  // index maintenance happens here; the restored segment is bit-identical to
-  // its pre-eviction self.
+  // adjacency lists verbatim, through the bulk install's helpers. Indexes
+  // were never dropped at eviction, so no index maintenance happens here;
+  // the restored segment is bit-identical to its pre-eviction self.
   for (ParsedSegmentNode& node : file.nodes) {
+    store_.install_properties_locked(node.id, node.props, routes,
+                                     /*with_columns=*/false);
     auto& rec = store_.nodes_[node.id];
-    PropertyList bag;
-    for (auto& [file_key, value] : node.props) {
-      const PropKeyId key = key_map[file_key];
-      if (store_.columns_.contains(key)) continue;
-      bag.emplace_back(key, std::move(value));
-    }
-    std::sort(bag.begin(), bag.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    rec.properties = std::move(bag);
-    rec.out.reserve(node.out.size());
-    for (const FileEdge& e : node.out) {
-      rec.out.push_back(Edge{e.peer, type_map[e.type]});
-    }
-    rec.in.reserve(node.in.size());
-    for (const FileEdge& e : node.in) {
-      rec.in.push_back(Edge{e.peer, type_map[e.type]});
-    }
+    GraphStore::install_edges(rec.out, node.out, types);
+    GraphStore::install_edges(rec.in, node.in, types);
   }
   s.resident = true;
   s.touch = ++touch_clock_;
@@ -555,32 +541,19 @@ void SegmentManager::reload_locked(SegmentId seg) {
 void SegmentManager::write_segment_locked(SegmentId seg,
                                           const std::string& path) const {
   const Segment& s = segments_[seg];
-  const NodeId end = s.first + s.count;
   GraphFileHeader header;
   header.kind = GraphFileKind::kSegment;
   header.segment = seg;
   header.first = s.first;
   header.count = s.count;
   header.in_lists = true;
-  for (NodeId v = s.first; v < end; ++v) {
-    header.edges += store_.nodes_[v].out.size();
-  }
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw HorusError("segment io: cannot open " + tmp);
-    GraphFileWriter writer(
-        out, header,
-        GraphFileTables{store_.prop_keys_, store_.labels_, store_.edge_types_});
     // Full property set (columns included) so checkpoint restore can
     // reconstruct the node; evicted-segment reload skips column keys.
-    for (NodeId v = s.first; v < end; ++v) {
-      writer.node(store_.nodes_[v].label, store_.collect_properties_locked(v));
-    }
-    for (NodeId v = s.first; v < end; ++v) {
-      writer.adjacency(store_.nodes_[v].out, store_.nodes_[v].in);
-    }
-    writer.finish();
+    store_.write_file_locked(out, header);
   }
   fs::rename(tmp, path);
 }

@@ -311,6 +311,7 @@ class SegmentManager {
   // All *_locked methods require store_.mutex_ held (unique unless noted).
   [[nodiscard]] SegmentId segment_of_locked(NodeId node) const;  // shared ok
   [[nodiscard]] bool resident_for_locked(NodeId node) const;     // shared ok
+  [[nodiscard]] bool all_resident_locked() const;                // shared ok
   void on_node_added_locked(NodeId node);
   void on_property_write_locked(NodeId node, PropKeyId key,
                                 const PropertyValue& value);

@@ -277,7 +277,12 @@ class Evaluator {
         const Value v = eval_expr(*e.lhs, rows, row);
         if (e.unary_op == UnaryOp::kNot) return Value(!v.truthy());
         if (!v.is_number()) fail("negation of non-number");
-        if (v.is_int()) return Value(-v.as_int());
+        if (v.is_int()) {
+          if (v.as_int() == std::numeric_limits<std::int64_t>::min()) {
+            fail("integer overflow in negation");
+          }
+          return Value(-v.as_int());
+        }
         return Value(-v.as_number());
       }
       case Expr::Kind::kFunction: return eval_scalar_function(e, rows, row);

@@ -3,6 +3,8 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <limits>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -105,7 +107,16 @@ std::vector<Token> tokenize(std::string_view text) {
         std::from_chars(num.begin(), num.end(), tok.float_value);
       } else {
         tok.kind = TokenKind::kInteger;
-        std::from_chars(num.begin(), num.end(), tok.int_value);
+        tok.text = std::string(num);
+        const auto ec =
+            std::from_chars(num.begin(), num.end(), tok.int_value).ec;
+        // 2^63 only fits negated (INT64_MIN); the parser checks that.
+        if (ec == std::errc::result_out_of_range) {
+          if (num != kInt64MinMagnitude) {
+            fail("integer literal " + std::string(num) + " out of range");
+          }
+          tok.int_value = std::numeric_limits<std::int64_t>::min();
+        }
       }
       out.push_back(std::move(tok));
       continue;

@@ -32,10 +32,14 @@ enum class TokenKind {
   kEnd,
 };
 
+/// The magnitude of INT64_MIN: the one integer literal past INT64_MAX the
+/// lexer accepts, valid only after a unary minus (the parser checks).
+inline constexpr std::string_view kInt64MinMagnitude = "9223372036854775808";
+
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;       // identifier/keyword/string payload
-  std::int64_t int_value = 0;
+  std::string text;       // identifier/keyword/string payload; integer digits
+  std::int64_t int_value = 0;  // INT64_MIN for kInt64MinMagnitude
   double float_value = 0;
   std::size_t offset = 0; // byte offset for error messages
 };

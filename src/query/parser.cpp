@@ -133,7 +133,7 @@ class Parser {
     }
     if (accept_keyword("LIMIT")) {
       if (peek().kind != TokenKind::kInteger) fail("expected LIMIT count");
-      c.limit = next().int_value;
+      c.limit = integer(next());
     }
     return c;
   }
@@ -245,13 +245,13 @@ class Parser {
         step.min_hops = 1;
         step.max_hops = 0;  // unbounded unless a range follows
         if (peek().kind == TokenKind::kInteger) {
-          step.min_hops = static_cast<std::uint32_t>(next().int_value);
+          step.min_hops = static_cast<std::uint32_t>(integer(next()));
           step.max_hops = step.min_hops;  // -[*N]-> is exactly N hops
         }
         if (accept(TokenKind::kDotDot)) {
           step.max_hops = 0;
           if (peek().kind == TokenKind::kInteger) {
-            step.max_hops = static_cast<std::uint32_t>(next().int_value);
+            step.max_hops = static_cast<std::uint32_t>(integer(next()));
           }
         }
         if (step.max_hops != 0 && step.max_hops < step.min_hops) {
@@ -294,10 +294,19 @@ class Parser {
     return node;
   }
 
+  /// The value of an integer token that is not negated: 2^63 has no
+  /// int64 value of its own.
+  std::int64_t integer(const Token& t) {
+    if (t.text == kInt64MinMagnitude) {
+      fail("integer literal " + t.text + " out of range");
+    }
+    return t.int_value;
+  }
+
   Value parse_literal() {
     const Token& t = next();
     switch (t.kind) {
-      case TokenKind::kInteger: return Value(t.int_value);
+      case TokenKind::kInteger: return Value(integer(t));
       case TokenKind::kFloat: return Value(t.float_value);
       case TokenKind::kString: return Value(t.text);
       case TokenKind::kKeyword:
@@ -485,6 +494,34 @@ class Parser {
         ++pos_;
         base = parse_expr();
         expect(TokenKind::kRParen, "')'");
+        break;
+      }
+      case TokenKind::kDash: {
+        // Unary minus: a negative literal, or the negation of a
+        // parenthesized expression. -9223372036854775808 is INT64_MIN.
+        ++pos_;
+        const Token& operand = peek();
+        auto e = std::make_unique<Expr>();
+        if (operand.kind == TokenKind::kInteger) {
+          ++pos_;
+          e->kind = Expr::Kind::kLiteral;
+          e->literal = Value(operand.text == kInt64MinMagnitude
+                                 ? operand.int_value
+                                 : -operand.int_value);
+        } else if (operand.kind == TokenKind::kFloat) {
+          ++pos_;
+          e->kind = Expr::Kind::kLiteral;
+          e->literal = Value(-operand.float_value);
+        } else if (operand.kind == TokenKind::kLParen) {
+          ++pos_;
+          e->kind = Expr::Kind::kUnary;
+          e->unary_op = UnaryOp::kNeg;
+          e->lhs = parse_expr();
+          expect(TokenKind::kRParen, "')'");
+        } else {
+          fail("expected a number or '(' after unary '-'");
+        }
+        base = std::move(e);
         break;
       }
       case TokenKind::kLBracket: {

@@ -7,6 +7,8 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "graph/record_io.h"
+#include "graph/segment.h"
 #include "obs/metrics.h"
 
 namespace horus::service {
@@ -81,20 +83,21 @@ void write_segmented_graph(graph::SegmentManager& segments,
   write_file(dir / "graph_meta.json", meta.dump_pretty() + "\n");
 }
 
-/// Loads a segmented epoch into the (empty) graph. Every file is parsed
-/// and CRC-verified up front; nodes are then added in id order and the
-/// out-edge replay follows — the same normalization the monolithic loader
-/// applies — so a segmented restore and a graph.hgraph restore of the same
-/// instant produce identical stores. Returns the sealed boundaries.
+/// Loads a segmented epoch into the (empty) graph through the store's bulk
+/// install, the path a graph.hgraph restore takes too: each segment file is
+/// decoded, CRC-verified and installed in id order, and the in-lists are
+/// derived from the out-lists in node order, so a segmented restore and a
+/// graph.hgraph restore of the same instant produce identical stores.
+/// Returns the sealed boundaries.
 std::vector<std::pair<graph::NodeId, std::uint32_t>> load_segmented_graph(
     ExecutionGraph& graph, const fs::path& dir, const Json& meta) {
-  graph::GraphStore& store = graph.store();
-  if (store.node_count() != 0) {
-    throw std::logic_error("checkpoint: segmented restore target must be empty");
-  }
-
+  struct Entry {
+    std::string file;
+    graph::NodeId first = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<Entry> entries;
   std::vector<std::pair<graph::NodeId, std::uint32_t>> sealed;
-  std::vector<graph::ParsedSegmentFile> files;
   std::int64_t meta_nodes = 0;
   std::int64_t meta_edges = 0;
   try {
@@ -103,24 +106,17 @@ std::vector<std::pair<graph::NodeId, std::uint32_t>> load_segmented_graph(
     }
     meta_nodes = meta.at("nodes").as_int();
     meta_edges = meta.at("edges").as_int();
-    const auto load_entry = [&](const Json& entry, bool is_sealed) {
-      graph::ParsedSegmentFile file = graph::read_segment_file(
-          (dir / entry.at("file").as_string()).string());
-      const auto first = static_cast<graph::NodeId>(entry.at("first").as_int());
-      const auto count =
-          static_cast<std::uint32_t>(entry.at("count").as_int());
-      if (file.first != first || file.count != count) {
-        throw HorusError("checkpoint: segment file " +
-                         entry.at("file").as_string() +
-                         " disagrees with graph_meta.json boundaries");
-      }
-      if (is_sealed) sealed.emplace_back(first, count);
-      files.push_back(std::move(file));
+    const auto add_entry = [&](const Json& entry, bool is_sealed) {
+      Entry e{entry.at("file").as_string(),
+              static_cast<graph::NodeId>(entry.at("first").as_int()),
+              static_cast<std::uint32_t>(entry.at("count").as_int())};
+      if (is_sealed) sealed.emplace_back(e.first, e.count);
+      entries.push_back(std::move(e));
     };
     for (const Json& entry : meta.at("segments").as_array()) {
-      load_entry(entry, /*is_sealed=*/true);
+      add_entry(entry, /*is_sealed=*/true);
     }
-    load_entry(meta.at("tail"), /*is_sealed=*/false);
+    add_entry(meta.at("tail"), /*is_sealed=*/false);
   } catch (const HorusError&) {
     throw;
   } catch (const std::exception& e) {
@@ -128,66 +124,30 @@ std::vector<std::pair<graph::NodeId, std::uint32_t>> load_segmented_graph(
                      e.what() + ")");
   }
 
+  graph::GraphStore& store = graph.store();
+  graph::GraphStore::Install install(store);
   graph::NodeId expect = 0;
-  for (const graph::ParsedSegmentFile& file : files) {
-    if (file.first != expect) {
+  for (const Entry& entry : entries) {
+    if (entry.first != expect) {
       throw HorusError("checkpoint: segment files do not tile the node space");
     }
-    expect += file.count;
+    const std::string path = (dir / entry.file).string();
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw graph::SegmentCorruptError("segment io: cannot open " + path);
+    graph::GraphFileReader reader(in, path, graph::GraphFileKind::kSegment);
+    if (reader.header().first != entry.first ||
+        reader.header().count != entry.count) {
+      throw HorusError("checkpoint: segment file " + entry.file +
+                       " disagrees with graph_meta.json boundaries");
+    }
+    install.file(reader);
+    expect += entry.count;
   }
   if (static_cast<std::int64_t>(expect) != meta_nodes) {
     throw HorusError("checkpoint: segment node total disagrees with manifest");
   }
-
-  // Phase A: nodes, in id order, mapping each file's key table onto the
-  // store's interned ids.
-  for (const graph::ParsedSegmentFile& file : files) {
-    std::vector<graph::PropKeyId> key_map;
-    key_map.reserve(file.keys.size());
-    for (const std::string& name : file.keys) {
-      key_map.push_back(store.intern_prop_key(name));
-    }
-    for (const graph::ParsedSegmentNode& node : file.nodes) {
-      graph::PropertyList props;
-      props.reserve(node.props.size());
-      for (const auto& [idx, value] : node.props) {
-        props.emplace_back(key_map[idx], value);
-      }
-      graph::NodeId assigned = graph::kNoNode;
-      try {
-        assigned = store.add_node_typed(node.label, std::move(props));
-      } catch (const std::logic_error& e) {
-        throw HorusError(std::string("checkpoint: segment node rejected by "
-                                     "the store (") +
-                         e.what() + ")");
-      }
-      if (assigned != node.id) {
-        throw HorusError("checkpoint: segment node ids are not dense");
-      }
-    }
-  }
-
-  // Phase B: out-edge replay (cross-segment edges need every node present),
-  // each file's edge types interned once.
-  std::size_t edges = 0;
-  const auto n = static_cast<graph::NodeId>(store.node_count());
-  for (const graph::ParsedSegmentFile& file : files) {
-    std::vector<graph::EdgeTypeId> type_map;
-    type_map.reserve(file.edge_types.size());
-    for (const std::string& name : file.edge_types) {
-      type_map.push_back(store.intern_edge_type(name));
-    }
-    for (const graph::ParsedSegmentNode& node : file.nodes) {
-      for (const graph::FileEdge& e : node.out) {
-        if (e.peer >= n) {
-          throw HorusError("checkpoint: segment edge endpoint out of range");
-        }
-        store.add_edge_typed(node.id, e.peer, type_map[e.type]);
-        ++edges;
-      }
-    }
-  }
-  if (static_cast<std::int64_t>(edges) != meta_edges) {
+  install.finish();
+  if (static_cast<std::int64_t>(store.edge_count()) != meta_edges) {
     throw HorusError("checkpoint: segment edge total disagrees with manifest");
   }
 

@@ -29,10 +29,10 @@
 // file — segments/seg-<id>.hseg for every sealed segment (an evicted
 // segment's clean spill file is byte-copied, so cold segments never fault
 // in just to checkpoint), segments/tail.hseg for the active tail, and
-// graph_meta.json naming the boundaries. Restore replays the files in id
-// order (nodes, then out-edges — the same normalization the monolithic
-// loader applies) and reports the sealed boundaries so the service can
-// re-adopt them; only the unsealed tail ever re-runs the write path.
+// graph_meta.json naming the boundaries. Restore streams the files in id
+// order through the store's bulk install (GraphStore::Install), the path a
+// graph.hgraph restore takes too, so both restore to identical stores, and
+// reports the sealed boundaries so the service can re-adopt them.
 #pragma once
 
 #include <cstdint>

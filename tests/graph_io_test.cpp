@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "core/horus.h"
 #include "core/validator.h"
 #include "gen/synthetic.h"
+#include "graph/record_io.h"
 #include "scoped_temp_dir.h"
 
 namespace horus {
@@ -190,6 +192,214 @@ TEST(GraphIoTest, DeterministicOutput) {
     return buffer.str();
   };
   EXPECT_EQ(build(), build());
+}
+
+/// A node's properties by key name, so stores with different key ids
+/// compare.
+std::vector<std::pair<std::string, graph::PropertyValue>> named_properties(
+    const graph::GraphStore& store, graph::NodeId v) {
+  std::vector<std::pair<std::string, graph::PropertyValue>> out;
+  for (auto& [key, value] : store.node_property_list(v)) {
+    out.emplace_back(store.prop_key_name(key), std::move(value));
+  }
+  return out;
+}
+
+std::vector<std::pair<graph::NodeId, std::string>> named_edges(
+    const graph::GraphStore& store, std::span<const graph::Edge> edges) {
+  std::vector<std::pair<graph::NodeId, std::string>> out;
+  for (const graph::Edge& e : edges) {
+    out.emplace_back(e.to, store.edge_type_name(e.type));
+  }
+  return out;
+}
+
+std::string saved(const graph::GraphStore& store) {
+  std::ostringstream out;
+  graph::save_graph(store, out);
+  return out.str();
+}
+
+// The bulk install reproduces the store that wrote the file: labels, full
+// property lists, out-lists in order, the edge count, index lookups, and
+// the same bytes when saved again. In-lists are derived from the out-lists
+// in node order — the writer's in-lists in source order.
+TEST(BulkInstallTest, LoadedStoreEqualsTheWriter) {
+  Horus original;
+  gen::RandomExecutionOptions gen_options;
+  gen_options.num_processes = 5;
+  gen_options.events_per_process = 40;
+  gen_options.seed = 23;
+  for (Event& e : gen::random_execution(gen_options)) {
+    original.ingest(std::move(e));
+  }
+  original.seal();
+  const graph::GraphStore& writer = original.graph().store();
+  const std::string bytes = saved(writer);
+
+  ExecutionGraph loaded;
+  {
+    std::istringstream in(bytes);
+    graph::load_graph(loaded.store(), in);
+    loaded.reindex_loaded_store();
+  }
+  const graph::GraphStore& store = loaded.store();
+  const auto n = static_cast<graph::NodeId>(writer.node_count());
+  ASSERT_EQ(store.node_count(), n);
+  EXPECT_EQ(store.edge_count(), writer.edge_count());
+  EXPECT_EQ(loaded.event_count(), original.graph().event_count());
+  std::vector<std::vector<std::pair<graph::NodeId, std::string>>> in_lists(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (const auto& [to, type] : named_edges(writer, writer.out_edges(v))) {
+      in_lists[to].emplace_back(v, type);
+    }
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(store.node_label(v), writer.node_label(v)) << "node " << v;
+    ASSERT_EQ(named_properties(store, v), named_properties(writer, v))
+        << "node " << v;
+    ASSERT_EQ(named_edges(store, store.out_edges(v)),
+              named_edges(writer, writer.out_edges(v)))
+        << "node " << v;
+    ASSERT_EQ(named_edges(store, store.in_edges(v)), in_lists[v])
+        << "node " << v;
+    const graph::PropertyValue& id =
+        writer.property(v, original.graph().keys().event_id);
+    EXPECT_EQ(store.find_nodes(loaded.keys().event_id, id),
+              writer.find_nodes(original.graph().keys().event_id, id));
+    EXPECT_EQ(loaded.node_of(original.graph().event_of(v)), v);
+  }
+  for (const std::string host : {"svc0", "svc1", "svc4", "nowhere"}) {
+    EXPECT_EQ(store.find_nodes("host", host), writer.find_nodes("host", host))
+        << host;
+  }
+  EXPECT_FALSE(store.find_nodes("host", std::string("svc1")).empty());
+
+  // Clocks over the loaded graph: the same Lamport range scans (as sets:
+  // an index lists a value's nodes in the order they were written).
+  LogicalClockAssigner assigner(loaded);
+  assigner.assign();
+  const auto scan = [](const graph::GraphStore& s, std::int64_t lo,
+                       std::int64_t hi) {
+    std::vector<graph::NodeId> out = s.range_scan("lamportLogicalTime", lo, hi);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (std::int64_t lo = 1; lo < 60; lo += 7) {
+    EXPECT_EQ(scan(store, lo, lo + 9), scan(writer, lo, lo + 9)) << lo;
+  }
+  EXPECT_EQ(saved(store), bytes);
+}
+
+// Save, load and save again gives the same bytes, over direct and interned
+// columns, every bag value type, and nodes that lack some properties.
+TEST(BulkInstallTest, SaveLoadSaveIsByteIdentical) {
+  const auto declare = [](graph::GraphStore& s) {
+    s.declare_column("clock");
+    s.declare_interned_column("host");
+    s.create_index("host");
+    s.create_ordered_index("clock");
+  };
+  graph::GraphStore source;
+  declare(source);
+  for (std::int64_t i = 0; i < 50; ++i) {
+    graph::PropertyMap props;
+    if (i % 3 != 0) props["clock"] = i * 7 - 40;
+    if (i % 4 != 1) props["host"] = std::string(i % 2 == 0 ? "a" : "b\n");
+    if (i % 5 == 0) props["ratio"] = 0.5 * static_cast<double>(i);
+    if (i % 2 == 0) props["ok"] = i % 4 == 0;
+    if (i % 7 != 3) props["message"] = std::string("m\0", 2) + std::to_string(i);
+    source.add_node(i % 3 == 0 ? "LOG" : "SND", std::move(props));
+    const auto v = static_cast<graph::NodeId>(i);
+    if (i > 0) source.add_edge(v - 1, v, "NEXT");
+    if (i >= 5 && i % 3 == 0) source.add_edge(v, v - 5, "HB");
+  }
+  const std::string first = saved(source);
+  graph::GraphStore loaded;
+  declare(loaded);
+  {
+    std::istringstream in(first);
+    graph::load_graph(loaded, in);
+  }
+  EXPECT_EQ(saved(loaded), first);
+  EXPECT_EQ(loaded.find_nodes("host", std::string("a")),
+            source.find_nodes("host", std::string("a")));
+  EXPECT_EQ(loaded.range_scan("clock", -40, 100),
+            source.range_scan("clock", -40, 100));
+  EXPECT_EQ(loaded.nodes_with_label("LOG"), source.nodes_with_label("LOG"));
+}
+
+/// A one-node snapshot whose record lists `props` (keys index `keys`) as
+/// written, repeats and disorder included.
+std::string one_node_file(const std::vector<std::string>& keys,
+                          const graph::PropertyList& props) {
+  graph::GraphFileHeader header;
+  header.count = 1;
+  std::ostringstream out;
+  graph::GraphFileWriter writer(out, header,
+                                graph::GraphFileTables{keys, {"LOG"}, {}});
+  writer.begin_node(0, props.size());
+  for (const auto& [key, value] : props) writer.property(key, value);
+  writer.end_node();
+  writer.adjacency({});
+  writer.finish();
+  return out.str();
+}
+
+// A record that names a key twice keeps the last value, as writing the
+// properties one by one would, in the bag and in a column alike.
+TEST(BulkInstallTest, RepeatedKeyKeepsTheLastValue) {
+  const std::string file = one_node_file(
+      {"b", "a", "col"},
+      {{0, std::int64_t{1}},
+       {1, std::string("first")},
+       {2, std::int64_t{10}},
+       {0, std::int64_t{2}},
+       {2, std::int64_t{20}},
+       {1, std::string("last")}});
+  graph::GraphStore store;
+  store.declare_column("col");
+  std::istringstream in(file);
+  graph::load_graph(store, in);
+  EXPECT_EQ(store.property(0, "b"), graph::PropertyValue{std::int64_t{2}});
+  EXPECT_EQ(store.property(0, "a"), graph::PropertyValue{std::string("last")});
+  EXPECT_EQ(store.property(0, "col"), graph::PropertyValue{std::int64_t{20}});
+  // The bag stays sorted and free of repeats.
+  const graph::PropertyList list = store.node_property_list(0);
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
+}
+
+// A value the store refuses fails typed and names the byte offset.
+TEST(BulkInstallTest, RefusedValueFailsTypedAtItsOffset) {
+  const std::string file =
+      one_node_file({"host"}, {{0, std::int64_t{5}}});
+  graph::GraphStore store;
+  store.declare_interned_column("host");
+  std::istringstream in(file);
+  try {
+    graph::load_graph(store, in);
+    ADD_FAILURE() << "a number under an interned column loaded";
+  } catch (const HorusError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("byte "), std::string::npos) << what;
+    EXPECT_NE(what.find("node rejected by the store"), std::string::npos)
+        << what;
+  }
+}
+
+// Crash replay re-derives edges: the idempotent write checks the source's
+// out-list, per edge type.
+TEST(BulkInstallTest, AddEdgeIfAbsentChecksTheOutList) {
+  graph::GraphStore store;
+  const auto a = store.add_node("X", {});
+  const auto b = store.add_node("X", {});
+  EXPECT_TRUE(store.add_edge_if_absent(a, b, "NEXT"));
+  EXPECT_FALSE(store.add_edge_if_absent(a, b, "NEXT"));
+  EXPECT_TRUE(store.add_edge_if_absent(a, b, "HB"));
+  EXPECT_FALSE(store.add_edge_if_absent(a, b, "HB"));
+  EXPECT_EQ(store.edge_count(), 2u);
+  EXPECT_EQ(store.in_edges(b).size(), 2u);
 }
 
 TEST(ExecutionGraphIoTest, SnapshotPreservesCausalAnswers) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <memory>
 #include <string>
 #include <utility>
@@ -213,6 +215,37 @@ TEST_F(QueryFixture, GetCausalEdgesProcedure) {
   EXPECT_EQ(r.rows.back()[1].as_int(), 5);
 }
 
+// Unary minus before a literal or a parenthesized expression; 2^63 parses
+// only negated, as INT64_MIN.
+TEST_F(QueryFixture, UnaryMinusNegatesLiteralsAndParentheses) {
+  const auto all = run(
+      "MATCH (n) WHERE n.lamportLogicalTime > -1 RETURN count(*) AS c");
+  ASSERT_EQ(all.rows.size(), 1u);
+  EXPECT_EQ(all.rows[0][0].as_int(), 6);
+  const auto r = run(
+      "MATCH (n {eventId: 1}) RETURN -9223372036854775808 AS m, "
+      "-(2 + 3) AS x, 1 - -2 AS y, -2.5 AS f, 2 * -3 AS p, "
+      "-(n.timestamp) AS t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(r.rows[0][1].as_int(), -5);
+  EXPECT_EQ(r.rows[0][2].as_int(), 3);
+  EXPECT_DOUBLE_EQ(r.rows[0][3].as_number(), -2.5);
+  EXPECT_EQ(r.rows[0][4].as_int(), -6);
+  EXPECT_EQ(r.rows[0][5].as_int(), -10);
+  EXPECT_EQ(run("MATCH (n {eventId: -1}) RETURN n").rows.size(), 0u);
+  // Out of range, or minus before something else.
+  for (const char* text :
+       {"MATCH (n) RETURN 9223372036854775808 AS m",
+        "MATCH (n) RETURN 99999999999999999999 AS m",
+        "MATCH (n) RETURN -99999999999999999999 AS m",
+        "MATCH (n) RETURN n LIMIT 9223372036854775808",
+        "MATCH (n) RETURN -n.timestamp AS t",
+        "MATCH (n) RETURN -(-9223372036854775808) AS m"}) {
+    EXPECT_THROW((void)run(text), QueryError) << text;
+  }
+}
+
 TEST_F(QueryFixture, ProcedureNodeIdsOutOfRangeAreRejected) {
   // Node ids are 32-bit: 2^32 used to wrap to node 0 (so it "happened
   // before" node 1 exactly as node 0 does), and -1 to the kNoNode sentinel.
@@ -227,7 +260,7 @@ TEST_F(QueryFixture, ProcedureNodeIdsOutOfRangeAreRejected) {
   const std::vector<std::pair<std::string, std::string>> ids = {
       {"4294967296", "4294967296"},
       {"4294967295", "4294967295"},
-      {"0 - 1", "-1"}};
+      {"-1", "-1"}};
   for (const auto& [proc, yield] : calls) {
     for (const auto& [expr, id] : ids) {
       for (const std::string& args : {expr + ", 1", "0, " + expr}) {

@@ -42,6 +42,7 @@
 #include "gen/synthetic.h"
 #include "graph/graph_io.h"
 #include "graph/graph_store.h"
+#include "graph/record_io.h"
 #include "graph/segment.h"
 #include "graph_file_bytes.h"
 #include "scoped_temp_dir.h"
@@ -68,12 +69,28 @@ void* checked_alloc(std::size_t size) {
 
 }  // namespace
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// every form must allocate and free through the same pair.
 void* operator new(std::size_t size) { return checked_alloc(size); }
 void* operator new[](std::size_t size) { return checked_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return checked_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace horus::graph {
 namespace {
@@ -368,6 +385,71 @@ TEST(SnapshotFuzzTest, LengthPastTheEndFailsBeforeAllocating) {
       EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
           << e.what();
     }
+    EXPECT_EQ(AllocProbe::refused(), 0u);
+  }
+}
+
+// A forged count the CRCs do not catch (every frame re-stamped) must fail
+// typed before anything is reserved for it: the header's node count
+// (2^31) and the first out-list's entry count, through both file kinds.
+TEST(SnapshotFuzzTest, ForgedCountsFailBeforeReserving) {
+  using horus::testing::field_offset;
+  using horus::testing::first_frame;
+  using horus::testing::with_varint;
+  const std::uint64_t forged = std::uint64_t{1} << 31;
+  const auto forge = [&](const std::string& bytes) {
+    const auto header = first_frame(bytes, 'H');
+    const auto adjacency = first_frame(bytes, 'A');
+    return std::vector<std::string>{
+        with_varint(bytes, header, field_offset(bytes, header, 3), forged),
+        with_varint(bytes, adjacency, field_offset(bytes, adjacency, 0),
+                    forged)};
+  };
+  for (const std::string& bytes : forge(execution_snapshot())) {
+    ExecutionGraph target;
+    std::istringstream in(bytes);
+    const AllocProbe probe(bytes.size());
+    EXPECT_THROW(graph::load_graph(target.store(), in), HorusError);
+    EXPECT_EQ(AllocProbe::refused(), 0u);
+  }
+  // A segment file of the same execution, read as a checkpoint restore
+  // reads it: through the bulk install.
+  const auto run = random_run(3, 12, 5);
+  GraphStore store;
+  for (NodeId v = 0; v < run->graph().store().node_count(); ++v) {
+    store.add_node(run->graph().store().node_label(v),
+                   run->graph().store().node_properties(v));
+  }
+  for (NodeId v = 0; v < run->graph().store().node_count(); ++v) {
+    for (const Edge& e : run->graph().store().out_edges(v)) {
+      store.add_edge(v, e.to, run->graph().store().edge_type_name(e.type));
+    }
+  }
+  const ScopedTempDir dir("forged_counts");
+  SegmentOptions options;
+  options.nodes_per_segment = 1'000;
+  SegmentManager& segments = store.enable_segments(options);
+  const std::string path = dir.file("tail.hseg");
+  segments.write_segment_file(0, path);
+  for (const std::string& bytes : forge(read_bytes(path))) {
+    {
+      std::istringstream in(bytes);
+      const AllocProbe probe(bytes.size());
+      EXPECT_THROW((void)read_segment_stream(in, "forged"),
+                   SegmentCorruptError);
+      EXPECT_EQ(AllocProbe::refused(), 0u);
+    }
+    GraphStore target;
+    std::istringstream in(bytes);
+    const AllocProbe probe(bytes.size());
+    EXPECT_THROW(
+        {
+          GraphStore::Install install(target);
+          GraphFileReader reader(in, "forged", GraphFileKind::kSegment);
+          install.file(reader);
+          install.finish();
+        },
+        SegmentCorruptError);
     EXPECT_EQ(AllocProbe::refused(), 0u);
   }
 }

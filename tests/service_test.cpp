@@ -15,15 +15,21 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <atomic>
 #include <optional>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/error.h"
 #include "core/horus.h"
+#include "core/segment_clocks.h"
 #include "gen/synthetic.h"
+#include "graph/graph_io.h"
 #include "obs/metrics.h"
 #include "scoped_temp_dir.h"
 #include "service/checkpoint.h"
@@ -461,9 +467,202 @@ TEST(ServiceFreshnessTest, EventsAreClockedWithoutWaitingForIntervals) {
   daemon.stop();
 }
 
+// Q2 against a live pipeline: the encoders append nodes and edges while
+// the query's induced-edge step reads the cut's out-lists and labels. The
+// engine copies them under the store lock (GraphStore::copy_adjacency), so
+// no reader walks an out-list a writer reallocates; the sanitize (TSan)
+// and asan presets run this as the race check of horusd's read path.
+TEST(ServiceLiveQueryTest, Q2WhileIngestWritesMatchesTheBatchAnswer) {
+  const ScopedTempDir scratch("live-q2");
+  queue::Broker broker;
+  ExecutionGraph graph;
+  service::HorusService daemon(broker, graph,
+                               fast_service_options(scratch.str()));
+  daemon.start();
+  const auto events = workload(6000);
+  std::atomic<bool> published{false};
+  std::thread publisher([&] {
+    for (const Event& e : events) daemon.publish(e);
+    published.store(true);
+  });
+
+  const service::HorusService::Session session = daemon.admit();
+  std::size_t queries = 0;
+  std::size_t nonempty = 0;
+  // Query until every event is stored, so the reads overlap the writes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((!published.load() || queries < 50 ||
+          graph.store().node_count() < events.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const std::size_t n = graph.store().node_count();
+    if (n < 2) {
+      std::this_thread::yield();
+      continue;
+    }
+    // The newest clocked node, and alternately the whole graph before it
+    // and its tail, whose out-lists the encoders are still growing.
+    const graph::NodeId b = daemon.clock_daemon().with_clocks(
+        [&](const ClockTable& clocks) {
+          auto v = static_cast<graph::NodeId>(n - 1);
+          while (v > 0 && !clocks.assigned(v)) --v;
+          return v;
+        });
+    const graph::NodeId a =
+        queries % 2 == 0 || b < 256 ? graph::NodeId{0} : b - 256;
+    const CausalGraphResult live = daemon.get_causal_graph(session, a, b);
+    ++queries;
+    if (!live.nodes.empty()) ++nonempty;
+    // Well-formed at any instant: every edge joins two result nodes.
+    const std::unordered_set<graph::NodeId> members(live.nodes.begin(),
+                                                    live.nodes.end());
+    for (const auto& [from, to] : live.edges) {
+      ASSERT_TRUE(members.contains(from) && members.contains(to));
+    }
+  }
+  publisher.join();
+  EXPECT_GT(nonempty, 0u);
+
+  // Once drained and clocked, the answer is the batch facade's.
+  ASSERT_TRUE(daemon.pipeline().drain());
+  daemon.clock_daemon().tick();
+  const auto ref_ptr = reference_run(events);
+  const Horus& ref = *ref_ptr;
+  const auto event_set = [](const std::vector<graph::NodeId>& nodes,
+                            const ExecutionGraph& g) {
+    std::set<EventId> out;
+    for (const graph::NodeId v : nodes) out.insert(g.event_of(v));
+    return out;
+  };
+  const EventId first = events.front().id;
+  const EventId last = events.back().id;
+  const CausalGraphResult live = daemon.clock_daemon().get_causal_graph(
+      *graph.node_of(first), *graph.node_of(last));
+  const CausalGraphResult batch =
+      ref.query().get_causal_graph(*ref.node_of(first), *ref.node_of(last));
+  EXPECT_EQ(event_set(live.nodes, graph), event_set(batch.nodes, ref.graph()));
+  EXPECT_EQ(live.edges.size(), batch.edges.size());
+  daemon.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint restore paths
 // ---------------------------------------------------------------------------
+
+// The same race, forced: a writer keeps adding out-edges to the very nodes
+// a Q2 returns, so their out-lists reallocate while queries read them. The
+// new edges lead out of the cut, so every answer must equal the first.
+TEST(ServiceLiveQueryTest, Q2AnswerHoldsWhileItsCutGainsEdges) {
+  const auto events = workload(600);
+  ExecutionGraph graph;
+  {
+    std::stringstream bytes;
+    graph::save_graph(reference_run(events)->graph().store(), bytes);
+    graph::load_graph(graph.store(), bytes);
+    graph.reindex_loaded_store();
+  }
+  LogicalClockAssigner assigner(graph);
+  assigner.assign();
+  const CausalQueryEngine engine(graph, assigner.clocks());
+  const graph::NodeId a = *graph.node_of(events.front().id);
+  const graph::NodeId b = *graph.node_of(events.back().id);
+  const CausalGraphResult expected = engine.get_causal_graph(a, b);
+  ASSERT_GT(expected.nodes.size(), 100u);
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int sinks = 0; sinks < 1000 && !stop.load(); ++sinks) {
+      const graph::NodeId sink = graph.store().add_node("SINK", {});
+      for (const graph::NodeId v : expected.nodes) {
+        graph.store().add_edge(v, sink, "HB");
+      }
+    }
+  });
+  for (int i = 0; i < 100; ++i) {
+    const CausalGraphResult got = engine.get_causal_graph(a, b);
+    EXPECT_EQ(got.nodes, expected.nodes);
+    EXPECT_EQ(got.edges, expected.edges);
+  }
+  stop.store(true);
+  writer.join();
+}
+
+/// Everything a restored store holds, in order: labels, full property
+/// lists (key names), out- and in-lists with type names, and its bytes.
+void expect_same_store(const graph::GraphStore& a, const graph::GraphStore& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  EXPECT_EQ(a.edge_count(), b.edge_count());
+  const auto named = [](const graph::GraphStore& s, graph::NodeId v) {
+    std::vector<std::pair<std::string, graph::PropertyValue>> out;
+    for (auto& [key, value] : s.node_property_list(v)) {
+      out.emplace_back(s.prop_key_name(key), std::move(value));
+    }
+    return out;
+  };
+  const auto edges = [](const graph::GraphStore& s,
+                        std::span<const graph::Edge> list) {
+    std::vector<std::pair<graph::NodeId, std::string>> out;
+    for (const graph::Edge& e : list) {
+      out.emplace_back(e.to, s.edge_type_name(e.type));
+    }
+    return out;
+  };
+  for (graph::NodeId v = 0; v < a.node_count(); ++v) {
+    ASSERT_EQ(a.node_label(v), b.node_label(v)) << "node " << v;
+    ASSERT_EQ(named(a, v), named(b, v)) << "node " << v;
+    ASSERT_EQ(edges(a, a.out_edges(v)), edges(b, b.out_edges(v)))
+        << "node " << v;
+    ASSERT_EQ(edges(a, a.in_edges(v)), edges(b, b.in_edges(v)))
+        << "node " << v;
+  }
+  std::ostringstream bytes_a;
+  std::ostringstream bytes_b;
+  graph::save_graph(a, bytes_a);
+  graph::save_graph(b, bytes_b);
+  EXPECT_EQ(bytes_a.str(), bytes_b.str());
+}
+
+// A segmented checkpoint and a graph.hgraph checkpoint of the same instant
+// restore to identical stores: both go through the store's bulk install,
+// which derives every in-list from the out-lists in node order.
+TEST(ServiceCheckpointTest, SegmentedAndMonolithicRestoresAreIdentical) {
+  const ScopedTempDir scratch("restore-kinds");
+  const auto run = reference_run(workload(600));
+  std::ostringstream clocks;
+  run->clocks().save(clocks);
+
+  service::CheckpointStore flat(
+      service::CheckpointOptions{scratch.file("flat")});
+  flat.write(run->graph(), clocks.str(), {}, "");
+  ExecutionGraph from_flat;
+  (void)flat.restore(from_flat, "");
+  {
+    std::ostringstream written;
+    std::ostringstream restored;
+    graph::save_graph(run->graph().store(), written);
+    graph::save_graph(from_flat.store(), restored);
+    EXPECT_EQ(restored.str(), written.str());
+  }
+
+  // Segment the restored graph, spill two segments, and checkpoint it
+  // segmented: evicted segments are written as copies of their spills.
+  graph::SegmentOptions options;
+  options.nodes_per_segment = 64;
+  options.spill_dir = scratch.file("spill");
+  options.auto_evict = false;
+  graph::SegmentManager& segments = enable_segments(from_flat, options);
+  ASSERT_GT(segments.evict(1), 0u);
+  ASSERT_GT(segments.evict(3), 0u);
+  service::CheckpointStore segmented(
+      service::CheckpointOptions{scratch.file("segmented")});
+  segmented.write(from_flat, clocks.str(), {}, "");
+  ExecutionGraph from_segments;
+  const service::CheckpointStore::Restored restored =
+      segmented.restore(from_segments, "");
+  EXPECT_FALSE(restored.sealed_segments.empty());
+  expect_same_store(from_segments.store(), from_flat.store());
+  EXPECT_EQ(from_segments.event_count(), run->graph().event_count());
+}
 
 TEST(ServiceCheckpointTest, GracefulRestartRestoresTheFinalCheckpoint) {
   const ScopedTempDir scratch("graceful");
