@@ -90,12 +90,12 @@ void CausalQueryEngine::finalize(std::vector<graph::NodeId> kept,
   // Label ids and out-edges are copied under one store lock per chunk, never
   // read through spans: horusd runs Q2 while the encoders append edges,
   // which can reallocate an out-list under a span.
-  std::vector<graph::AdjacencyCopy> copies(
+  std::vector<graph::NodeCopy> copies(
       parallel ? ThreadPool::chunk_count(kept.size(), grain) : 1);
   for_each_chunk(kept.size(), [&](ThreadPool::ChunkRange chunk) {
-    store.copy_adjacency(
+    store.copy_nodes(
         std::span(kept).subspan(chunk.begin, chunk.end - chunk.begin),
-        graph::EdgeDirection::kOut, graph::kNoPropKey, copies[chunk.index]);
+        {.edges = graph::EdgeDirection::kOut}, copies[chunk.index]);
   });
   const std::size_t per_copy = parallel ? grain : kept.size() + 1;
 

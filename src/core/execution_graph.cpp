@@ -168,7 +168,7 @@ std::optional<graph::NodeId> ExecutionGraph::node_of(EventId id) const {
 }
 
 EventId ExecutionGraph::event_of(graph::NodeId node) const {
-  const graph::PropertyValue& v = store_.property(node, keys_.event_id);
+  const graph::PropertyValue v = store_.property_snapshot(node, keys_.event_id);
   if (const auto* i = std::get_if<std::int64_t>(&v)) {
     return static_cast<EventId>(static_cast<std::uint64_t>(*i));
   }
@@ -191,36 +191,48 @@ void ExecutionGraph::load(const std::string& path) {
 
 void ExecutionGraph::reindex_loaded_store() {
   const std::lock_guard lock(mutex_);
-  // One pass over three column views: the store was just loaded and no
-  // writer runs yet. Tails are kept per timeline pool id and named once.
-  const graph::Int64ColumnView ids = store_.int64_column(keys_.event_id);
-  const graph::Int64ColumnView times = store_.int64_column(keys_.timestamp);
-  const graph::InternedColumnView timelines =
-      store_.interned_column(keys_.timeline);
+  // The eventId, timestamp and timeline of every node, read in batches
+  // through GraphStore::copy_nodes. Tails are kept per timeline pool id and
+  // named once.
+  constexpr std::size_t kBatch = 4096;
+  const graph::PropKeyId value_keys[] = {keys_.event_id, keys_.timestamp};
+  const graph::NodeReadSpec spec{.ids = std::span(&keys_.timeline, 1),
+                                 .values = value_keys};
   const auto n = static_cast<graph::NodeId>(store_.node_count());
   node_by_event_.reserve(node_by_event_.size() + n);
-  std::vector<std::optional<TimelineTail>> tails(timelines.distinct());
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (!ids.has(v)) continue;
-    const auto event_id =
-        static_cast<EventId>(static_cast<std::uint64_t>(ids.value_or(v, 0)));
-    node_by_event_.emplace(event_id, v);
-
-    const std::uint32_t timeline = timelines.id_of(v);
-    if (timeline == graph::InternedColumnView::kAbsent || !times.has(v)) {
-      continue;
+  std::vector<std::optional<TimelineTail>> tails(
+      store_.interned_distinct(keys_.timeline));
+  std::vector<graph::NodeId> batch;
+  graph::NodeCopy copy;
+  for (graph::NodeId first = 0; first < n; first += kBatch) {
+    batch.resize(std::min<std::size_t>(kBatch, n - first));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i] = first + static_cast<graph::NodeId>(i);
     }
-    const TimeNs t = times.value_or(v, 0);
-    std::optional<TimelineTail>& tail = tails[timeline];
-    if (!tail || t > tail->timestamp ||
-        (t == tail->timestamp && event_id > tail->id)) {
-      tail = TimelineTail{event_id, t};
+    store_.copy_nodes(batch, spec, copy);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto* id = std::get_if<std::int64_t>(&copy.values[0][i]);
+      if (id == nullptr) continue;
+      const auto event_id =
+          static_cast<EventId>(static_cast<std::uint64_t>(*id));
+      node_by_event_.emplace(event_id, batch[i]);
+
+      const std::uint32_t timeline = copy.ids[0][i];
+      const auto* time = std::get_if<std::int64_t>(&copy.values[1][i]);
+      if (timeline == graph::kNoPoolId || time == nullptr) continue;
+      if (timeline >= tails.size()) tails.resize(timeline + 1);
+      std::optional<TimelineTail>& tail = tails[timeline];
+      if (!tail || *time > tail->timestamp ||
+          (*time == tail->timestamp && event_id > tail->id)) {
+        tail = TimelineTail{event_id, *time};
+      }
     }
   }
   tails_.reserve(tails_.size() + tails.size());
   for (std::uint32_t timeline = 0; timeline < tails.size(); ++timeline) {
     if (tails[timeline]) {
-      tails_.try_emplace(timelines.name(timeline), *tails[timeline]);
+      tails_.try_emplace(store_.interned_name(keys_.timeline, timeline),
+                         *tails[timeline]);
     }
   }
 }

@@ -107,7 +107,7 @@ constexpr char kClockMagic[8] = {'H', 'O', 'R', 'U', 'S', 'V', 'C', '1'};
 
 /// Kahn's algorithm over a region of nodes while writers may still add
 /// edges. The region's in-edges are read once, in one store call
-/// (GraphStore::copy_adjacency), and both the in-degrees and the successor
+/// (GraphStore::copy_nodes), and both the in-degrees and the successor
 /// lists derive from that copy: an edge added after it is invisible to the
 /// whole pass. Counting an edge one way (in-degree, from an older read) and
 /// walking it the other (out-edges, read later) would release a node before
@@ -120,7 +120,7 @@ class RegionOrder {
   /// `index_of(node)`: the node's index in `region`, or kOutside.
   /// `keep(pred)`: whether a predecessor's clock feeds the node's clock.
   template <typename IndexOf, typename Keep>
-  RegionOrder(const graph::AdjacencyCopy& in, std::size_t region_size,
+  RegionOrder(const graph::NodeCopy& in, std::size_t region_size,
               IndexOf index_of, Keep keep)
       : succ_begin_(region_size + 1, 0), indegree_(region_size, 0) {
     pred_begin_.reserve(region_size + 1);
@@ -479,8 +479,11 @@ std::size_t LogicalClockAssigner::assign() {
     return 0;
   }
   // In-edges and timeline pool ids of the whole region, in one store call.
-  graph::AdjacencyCopy in;
-  store.copy_adjacency(region, graph::EdgeDirection::kIn, keys.timeline, in);
+  graph::NodeCopy in;
+  store.copy_nodes(region,
+                   {.edges = graph::EdgeDirection::kIn,
+                    .ids = std::span(&keys.timeline, 1)},
+                   in);
   // Sources appended concurrently (>= n) are left out: the node is clocked
   // without them, and the clock daemon's audit of new edges heals it.
   RegionOrder order(
@@ -512,8 +515,8 @@ std::size_t LogicalClockAssigner::assign() {
 
     // Timeline identity: an integer from the interned timeline column, read
     // with the in-edges — no string materialisation per node.
-    const std::uint32_t pool_id = in.ids[i];
-    if (pool_id == graph::InternedColumnView::kAbsent) {
+    const std::uint32_t pool_id = in.ids[0][i];
+    if (pool_id == graph::kNoPoolId) {
       throw std::logic_error("clock assigner: node without timeline property");
     }
     const std::int32_t t = timeline_for_pool(pool_id);
@@ -597,9 +600,8 @@ std::size_t LogicalClockAssigner::repair(
   for (std::size_t i = 0; i < region.size(); ++i) {
     slot.emplace(region[i], static_cast<std::uint32_t>(i));
   }
-  graph::AdjacencyCopy in;
-  store.copy_adjacency(region, graph::EdgeDirection::kIn, graph::kNoPropKey,
-                       in);
+  graph::NodeCopy in;
+  store.copy_nodes(region, {.edges = graph::EdgeDirection::kIn}, in);
   RegionOrder order(
       in, region.size(),
       [&](graph::NodeId pred) {

@@ -236,7 +236,7 @@ PropKeyId GraphStore::declare_interned_column(std::string_view key) {
                              "' holds non-string values; cannot intern");
     }
     if (col.ids.size() <= node) {
-      col.ids.resize(node + 1, InternedColumnView::kAbsent);
+      col.ids.resize(node + 1, kNoPoolId);
     }
     col.ids[node] = intern_pool_value(col, *s);
     bag.erase(it);
@@ -295,14 +295,14 @@ const PropertyValue* GraphStore::write_column_locked(DenseColumn& col,
   if (col.interned) {
     if (const auto* s = std::get_if<std::string>(&value)) {
       if (col.ids.size() <= node) {
-        col.ids.resize(node + 1, InternedColumnView::kAbsent);
+        col.ids.resize(node + 1, kNoPoolId);
       }
       const std::uint32_t pool_id = intern_pool_value(col, *s);
       col.ids[node] = pool_id;
       return &col.pool_values[pool_id];
     }
     if (std::holds_alternative<std::monostate>(value)) {
-      if (node < col.ids.size()) col.ids[node] = InternedColumnView::kAbsent;
+      if (node < col.ids.size()) col.ids[node] = kNoPoolId;
       return nullptr;
     }
     throw std::logic_error("graph: interned column '" + prop_keys_[key] +
@@ -344,7 +344,7 @@ const PropertyValue* GraphStore::column_value(const DenseColumn& col,
   if (col.interned) {
     if (node >= col.ids.size()) return nullptr;
     const std::uint32_t id = col.ids[node];
-    return id == InternedColumnView::kAbsent ? nullptr : &col.pool_values[id];
+    return id == kNoPoolId ? nullptr : &col.pool_values[id];
   }
   if (node >= col.values.size()) return nullptr;
   const PropertyValue& v = col.values[node];
@@ -379,10 +379,10 @@ PropertyList GraphStore::intern_map_locked(PropertyMap properties) {
 NodeId GraphStore::push_node_locked(std::string_view label,
                                     PropertyList properties) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  NodeRecord rec;
-  rec.label = intern_label(label);
-  label_index_[rec.label].push_back(id);
-  nodes_.push_back(std::move(rec));
+  const std::uint32_t label_id = intern_label(label);
+  label_index_[label_id].push_back(id);
+  nodes_.emplace_back();
+  node_labels_.push_back(label_id);
   for (auto& [key, value] : properties) {
     set_property_locked(id, key, std::move(value));
   }
@@ -606,7 +606,7 @@ void GraphStore::backfill_index_locked(PropKeyId key, HashIndex& index) const {
     std::vector<std::vector<NodeId>*> buckets(col.pool.size(), nullptr);
     for (NodeId node = 0; node < col.ids.size(); ++node) {
       const std::uint32_t id = col.ids[node];
-      if (id == InternedColumnView::kAbsent) continue;
+      if (id == kNoPoolId) continue;
       if (buckets[id] == nullptr) buckets[id] = &index[col.pool_values[id]];
       buckets[id]->push_back(node);
     }
@@ -762,6 +762,7 @@ void GraphStore::Install::file(GraphFileReader& reader) {
   // past that, the vectors grow as records arrive.
   const std::size_t end = base + reader.reservable_nodes();
   reserve_at_least(s.nodes_, end);
+  reserve_at_least(s.node_labels_, end);
   for (auto& [key, col] : s.columns_) {
     if (col.interned) {
       reserve_at_least(col.ids, end);
@@ -775,7 +776,8 @@ void GraphStore::Install::file(GraphFileReader& reader) {
   for (std::size_t i = 0; i < count; ++i) {
     reader.next_node(label, props);
     const auto id = static_cast<NodeId>(base + i);
-    s.nodes_.emplace_back().label = labels[label];
+    s.nodes_.emplace_back();
+    s.node_labels_.push_back(labels[label]);
     try {
       s.install_properties_locked(id, props, routes, /*with_columns=*/true);
     } catch (const std::logic_error& e) {
@@ -825,7 +827,7 @@ void GraphStore::Install::finish() {
   }
 
   std::vector<std::size_t> per_label(s.labels_.size(), 0);
-  for (const NodeRecord& rec : s.nodes_) ++per_label[rec.label];
+  for (const std::uint32_t label : s.node_labels_) ++per_label[label];
   std::vector<std::vector<NodeId>*> label_lists(s.labels_.size(), nullptr);
   for (std::uint32_t label = 0; label < per_label.size(); ++label) {
     if (per_label[label] == 0) continue;
@@ -833,7 +835,7 @@ void GraphStore::Install::finish() {
     label_lists[label]->reserve(per_label[label]);
   }
   for (NodeId v = 0; v < n; ++v) {
-    label_lists[s.nodes_[v].label]->push_back(v);
+    label_lists[s.node_labels_[v]]->push_back(v);
   }
   for (auto& [key, index] : s.hash_indexes_) {
     s.backfill_index_locked(key, index);
@@ -889,7 +891,7 @@ void GraphStore::write_file_locked(std::ostream& out,
     for (const auto& [key, col] : columns) {
       count += column_value(*col, v) != nullptr ? 1 : 0;
     }
-    writer.begin_node(nodes_[v].label, count);
+    writer.begin_node(node_labels_[v], count);
     auto it = bag.begin();
     for (const auto& [key, col] : columns) {
       for (; it != bag.end() && it->first < key; ++it) {
@@ -922,10 +924,10 @@ std::size_t GraphStore::edge_count() const {
   return edge_count_;
 }
 
-const std::string& GraphStore::node_label(NodeId node) const {
+std::string GraphStore::node_label(NodeId node) const {
   const std::shared_lock lock(mutex_);
   if (node >= nodes_.size()) bad_node(node);
-  return labels_[nodes_[node].label];
+  return labels_[node_labels_[node]];
 }
 
 PropertyMap GraphStore::node_properties(NodeId node) const {
@@ -974,28 +976,14 @@ PropertyValue GraphStore::property_snapshot(NodeId node, PropKeyId key) const {
   });
 }
 
-Int64ColumnView GraphStore::int64_column(PropKeyId key) const {
-  const std::shared_lock lock(mutex_);
-  auto cit = columns_.find(key);
-  if (cit == columns_.end() || cit->second.interned) return {};
-  return Int64ColumnView(&cit->second.values);
-}
-
-InternedColumnView GraphStore::interned_column(PropKeyId key) const {
-  const std::shared_lock lock(mutex_);
-  auto cit = columns_.find(key);
-  if (cit == columns_.end() || !cit->second.interned) return {};
-  return InternedColumnView(&cit->second.ids, &cit->second.pool);
-}
-
 std::uint32_t GraphStore::interned_id(NodeId node, PropKeyId key) const {
   const std::shared_lock lock(mutex_);
   auto cit = columns_.find(key);
   if (cit == columns_.end() || !cit->second.interned) {
-    return InternedColumnView::kAbsent;
+    return kNoPoolId;
   }
   const DenseColumn& col = cit->second;
-  if (node >= col.ids.size()) return InternedColumnView::kAbsent;
+  if (node >= col.ids.size()) return kNoPoolId;
   return col.ids[node];
 }
 
@@ -1041,49 +1029,25 @@ std::vector<Edge> GraphStore::in_edges_snapshot(NodeId node) const {
                              });
 }
 
-void GraphStore::copy_adjacency(std::span<const NodeId> nodes,
-                                EdgeDirection direction, PropKeyId interned_key,
-                                AdjacencyCopy& out) const {
+void GraphStore::copy_nodes(std::span<const NodeId> nodes,
+                            const NodeReadSpec& spec, NodeCopy& out) const {
   for (;;) {
     {
       const std::shared_lock lock(mutex_);
+      // Labels and columns stay resident when a segment is evicted;
+      // adjacency and bag values do not.
+      bool payload = spec.edges.has_value();
+      for (const PropKeyId key : spec.values) {
+        payload =
+            payload || (key < prop_keys_.size() && !columns_.contains(key));
+      }
       bool resident = true;
       for (const NodeId v : nodes) {
         if (v >= nodes_.size()) bad_node(v);
-        resident = resident && payload_resident_locked(v);
+        resident = resident && (!payload || payload_resident_locked(v));
       }
       if (resident) {
-        const auto list = [&](NodeId v) -> const std::vector<Edge>& {
-          return direction == EdgeDirection::kOut ? nodes_[v].out
-                                                  : nodes_[v].in;
-        };
-        out.begin.resize(nodes.size() + 1);
-        out.begin[0] = 0;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          out.begin[i + 1] =
-              out.begin[i] + static_cast<std::uint32_t>(list(nodes[i]).size());
-        }
-        out.edges.resize(out.begin.back());
-        out.labels.resize(nodes.size());
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          const std::vector<Edge>& edges = list(nodes[i]);
-          std::copy(edges.begin(), edges.end(),
-                    out.edges.begin() + out.begin[i]);
-          out.labels[i] = nodes_[nodes[i]].label;
-        }
-        out.ids.clear();
-        if (interned_key != kNoPropKey) {
-          const auto cit = columns_.find(interned_key);
-          const DenseColumn* col = cit != columns_.end() && cit->second.interned
-                                       ? &cit->second
-                                       : nullptr;
-          out.ids.reserve(nodes.size());
-          for (const NodeId v : nodes) {
-            out.ids.push_back(col != nullptr && v < col->ids.size()
-                                  ? col->ids[v]
-                                  : InternedColumnView::kAbsent);
-          }
-        }
+        copy_nodes_locked(nodes, spec, out);
         return;
       }
     }
@@ -1091,6 +1055,73 @@ void GraphStore::copy_adjacency(std::span<const NodeId> nodes,
     // concurrent evictor may race the re-acquisition).
     const std::unique_lock lock(mutex_);
     for (const NodeId v : nodes) segments_->ensure_resident_locked(v);
+  }
+}
+
+void GraphStore::copy_nodes_locked(std::span<const NodeId> nodes,
+                                   const NodeReadSpec& spec,
+                                   NodeCopy& out) const {
+  const std::size_t n = nodes.size();
+  out.labels.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out.labels[i] = node_labels_[nodes[i]];
+
+  out.begin.clear();
+  out.edges.clear();
+  if (spec.edges) {
+    const auto list = [&](NodeId v) -> const std::vector<Edge>& {
+      return *spec.edges == EdgeDirection::kOut ? nodes_[v].out : nodes_[v].in;
+    };
+    out.begin.resize(n + 1);
+    out.begin[0] = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.begin[i + 1] =
+          out.begin[i] + static_cast<std::uint32_t>(list(nodes[i]).size());
+    }
+    out.edges.resize(out.begin.back());
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<Edge>& edges = list(nodes[i]);
+      std::copy(edges.begin(), edges.end(), out.edges.begin() + out.begin[i]);
+    }
+  }
+
+  const auto column_of = [&](PropKeyId key) -> const DenseColumn* {
+    const auto cit = columns_.find(key);
+    return cit == columns_.end() ? nullptr : &cit->second;
+  };
+  out.ids.resize(spec.ids.size());
+  for (std::size_t k = 0; k < spec.ids.size(); ++k) {
+    const DenseColumn* col = column_of(spec.ids[k]);
+    if (col != nullptr && !col->interned) col = nullptr;
+    std::vector<std::uint32_t>& ids = out.ids[k];
+    ids.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId v = nodes[i];
+      ids[i] = col != nullptr && v < col->ids.size() ? col->ids[v] : kNoPoolId;
+    }
+  }
+  out.values.resize(spec.values.size());
+  for (std::size_t k = 0; k < spec.values.size(); ++k) {
+    const PropKeyId key = spec.values[k];
+    const bool known = key < prop_keys_.size();
+    const DenseColumn* col = known ? column_of(key) : nullptr;
+    std::vector<PropertyValue>& values = out.values[k];
+    values.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId v = nodes[i];
+      const PropertyValue* p = nullptr;
+      if (col != nullptr) {
+        p = column_value(*col, v);
+      } else if (known) {
+        const auto& bag = nodes_[v].properties;
+        const auto it = bag_find(bag, key);
+        if (it != bag.end()) p = &it->second;
+      }
+      if (p != nullptr) {
+        values[i] = *p;
+      } else {
+        values[i] = std::monostate{};
+      }
+    }
   }
 }
 
@@ -1246,11 +1277,6 @@ std::optional<std::uint32_t> GraphStore::label_id(
   auto lit = label_ids_.find(label);
   if (lit == label_ids_.end()) return std::nullopt;
   return lit->second;
-}
-
-std::uint32_t GraphStore::node_label_id(NodeId node) const {
-  const std::shared_lock lock(mutex_);
-  return nodes_.at(node).label;
 }
 
 std::size_t GraphStore::label_count(std::string_view label) const {

@@ -72,95 +72,40 @@ struct EdgeEnds {
 /// Which adjacency list a read copies.
 enum class EdgeDirection { kOut, kIn };
 
-/// Adjacency, label ids and one interned column of a list of nodes, copied
-/// under one shared lock (GraphStore::copy_adjacency). Safe to read while
-/// writers append: nothing here points into the store.
-struct AdjacencyCopy {
-  /// Node i's edges are edges[begin[i], begin[i + 1]).
+/// Pool id of "no value" in an interned column's id reads.
+inline constexpr std::uint32_t kNoPoolId = ~std::uint32_t{0};
+
+/// What GraphStore::copy_nodes copies of each node besides its label id.
+struct NodeReadSpec {
+  /// The adjacency list to copy, if any.
+  std::optional<EdgeDirection> edges{};
+  /// Interned columns whose pool ids are copied: kNoPoolId where a node has
+  /// no value, and everywhere for a key that is not an interned column.
+  std::span<const PropKeyId> ids{};
+  /// Keys whose values are copied, columns and bags alike: null where a
+  /// node has no value.
+  std::span<const PropKeyId> values{};
+};
+
+/// Label ids, and what a NodeReadSpec asked for, of a list of nodes, copied
+/// under one shared lock (GraphStore::copy_nodes). Safe to read while
+/// writers append: nothing here points into the store. A copy reused across
+/// calls reuses its buffers.
+struct NodeCopy {
+  std::vector<std::uint32_t> labels;  ///< interned label id per node
+  /// With NodeReadSpec::edges: node i's edges are
+  /// edges[begin[i], begin[i + 1]).
   std::vector<std::uint32_t> begin;
   /// Out-edges (to = target) or in-edges (to = source), node by node.
   std::vector<Edge> edges;
-  std::vector<std::uint32_t> labels;  ///< interned label id per node
-  /// Pool id per node of the requested interned column
-  /// (InternedColumnView::kAbsent when absent); empty when none was asked.
-  std::vector<std::uint32_t> ids;
+  /// ids[k][i]: node i's pool id under NodeReadSpec::ids[k].
+  std::vector<std::vector<std::uint32_t>> ids;
+  /// values[k][i]: node i's value of NodeReadSpec::values[k].
+  std::vector<std::vector<PropertyValue>> values;
 
   [[nodiscard]] std::span<const Edge> of(std::size_t i) const noexcept {
     return {edges.data() + begin[i], begin[i + 1] - begin[i]};
   }
-};
-
-class GraphStore;
-
-/// Dense read-only view over a direct column (e.g. lamportLogicalTime,
-/// timestamp). Values live in a flat vector indexed by NodeId; absent slots
-/// hold null. Valid only on the quiesced read path (same contract as
-/// out_edges): a concurrent writer may reallocate the backing vector.
-class Int64ColumnView {
- public:
-  Int64ColumnView() = default;
-
-  [[nodiscard]] bool has(NodeId node) const noexcept {
-    return values_ != nullptr && node < values_->size() &&
-           std::holds_alternative<std::int64_t>((*values_)[node]);
-  }
-  /// Value at `node`, or `fallback` when absent / not an int64.
-  [[nodiscard]] std::int64_t value_or(NodeId node,
-                                      std::int64_t fallback) const noexcept {
-    if (values_ == nullptr || node >= values_->size()) return fallback;
-    const auto* i = std::get_if<std::int64_t>(&(*values_)[node]);
-    return i != nullptr ? *i : fallback;
-  }
-  /// Number of slots (<= store node count; trailing nodes without the
-  /// property may not have slots yet).
-  [[nodiscard]] std::size_t size() const noexcept {
-    return values_ != nullptr ? values_->size() : 0;
-  }
-  [[nodiscard]] bool valid() const noexcept { return values_ != nullptr; }
-
- private:
-  friend class GraphStore;
-  explicit Int64ColumnView(const std::vector<PropertyValue>* values)
-      : values_(values) {}
-  const std::vector<PropertyValue>* values_ = nullptr;
-};
-
-/// Dense read-only view over an interned (low-cardinality string) column,
-/// e.g. timeline or eventType. Each node slot holds a u32 id into the
-/// column's value pool; comparing two nodes' values is an integer compare.
-/// Same quiesced-read-path contract as Int64ColumnView.
-class InternedColumnView {
- public:
-  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-
-  InternedColumnView() = default;
-
-  /// Pool id of the node's value, or kAbsent.
-  [[nodiscard]] std::uint32_t id_of(NodeId node) const noexcept {
-    if (ids_ == nullptr || node >= ids_->size()) return kAbsent;
-    return (*ids_)[node];
-  }
-  /// The pool string for `id` (must be a value previously returned by
-  /// id_of(...) != kAbsent).
-  [[nodiscard]] const std::string& name(std::uint32_t id) const {
-    return (*pool_)[id];
-  }
-  /// Number of distinct values in the pool.
-  [[nodiscard]] std::size_t distinct() const noexcept {
-    return pool_ != nullptr ? pool_->size() : 0;
-  }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return ids_ != nullptr ? ids_->size() : 0;
-  }
-  [[nodiscard]] bool valid() const noexcept { return ids_ != nullptr; }
-
- private:
-  friend class GraphStore;
-  InternedColumnView(const std::vector<std::uint32_t>* ids,
-                     const std::vector<std::string>* pool)
-      : ids_(ids), pool_(pool) {}
-  const std::vector<std::uint32_t>* ids_ = nullptr;
-  const std::vector<std::string>* pool_ = nullptr;
 };
 
 class GraphStore {
@@ -336,7 +281,8 @@ class GraphStore {
   [[nodiscard]] std::size_t node_count() const;
   [[nodiscard]] std::size_t edge_count() const;
 
-  [[nodiscard]] const std::string& node_label(NodeId node) const;
+  /// Copy of the node's label name.
+  [[nodiscard]] std::string node_label(NodeId node) const;
 
   /// Materialised name-keyed view of a node's bag (cold path: serialisation,
   /// debugging). Built on demand — hot paths use property(NodeId, PropKeyId).
@@ -359,14 +305,9 @@ class GraphStore {
   [[nodiscard]] PropertyValue property_snapshot(NodeId node,
                                                 PropKeyId key) const;
 
-  /// Dense column views for promoted keys; invalid view if `key` was not
-  /// declared as the matching column kind. Quiesced-read-path contract.
-  [[nodiscard]] Int64ColumnView int64_column(PropKeyId key) const;
-  [[nodiscard]] InternedColumnView interned_column(PropKeyId key) const;
-
   /// Locked scalar reads on interned columns, safe under concurrent writes:
-  /// the pool id of a node's value (InternedColumnView::kAbsent when absent),
-  /// and a copy of the pool string for a previously observed id.
+  /// the pool id of a node's value (kNoPoolId when absent), and a copy of
+  /// the pool string for a previously observed id.
   [[nodiscard]] std::uint32_t interned_id(NodeId node, PropKeyId key) const;
   [[nodiscard]] std::string interned_name(PropKeyId key,
                                           std::uint32_t pool_id) const;
@@ -374,7 +315,7 @@ class GraphStore {
   /// Adjacency views. The spans point into the store's internal vectors:
   /// they are only safe while no concurrent writer appends edges to this
   /// node (the quiesced read path — queries over a sealed graph). Readers
-  /// racing with writers must use the *_snapshot variants.
+  /// racing with writers must use the *_snapshot variants or copy_nodes.
   [[nodiscard]] std::span<const Edge> out_edges(NodeId node) const;
   [[nodiscard]] std::span<const Edge> in_edges(NodeId node) const;
 
@@ -382,14 +323,15 @@ class GraphStore {
   [[nodiscard]] std::vector<Edge> out_edges_snapshot(NodeId node) const;
   [[nodiscard]] std::vector<Edge> in_edges_snapshot(NodeId node) const;
 
-  /// Copies the `direction` adjacency and label id of every node in
-  /// `nodes`, and their pool ids of the interned column `interned_key`
-  /// (skipped for kNoPropKey), into `out` under one shared lock. Evicted
-  /// segments among them are faulted in first. Safe under concurrent
-  /// writes; the batched read of clock assignment and of Q2's induced
-  /// edges. Throws std::out_of_range on an invalid node.
-  void copy_adjacency(std::span<const NodeId> nodes, EdgeDirection direction,
-                      PropKeyId interned_key, AdjacencyCopy& out) const;
+  /// The batched read: copies the label id of every node in `nodes` and
+  /// what `spec` asks for into `out`, under one shared lock. Evicted
+  /// segments among them are faulted in first when the copy needs their
+  /// payload (adjacency, or values of keys that are not columns). Safe
+  /// under concurrent writes; clock assignment, Q2's induced edges and
+  /// every per-node read of the query engine go through it. Throws
+  /// std::out_of_range on an invalid node.
+  void copy_nodes(std::span<const NodeId> nodes, const NodeReadSpec& spec,
+                  NodeCopy& out) const;
 
   [[nodiscard]] const std::string& edge_type_name(EdgeTypeId type) const;
   /// Interned id of a type name, or nullopt if never seen.
@@ -399,7 +341,7 @@ class GraphStore {
   EdgeTypeId intern_edge_type(std::string_view type);
 
   /// Copies of the interned label and edge-type names, indexed by id
-  /// (node_label_id, Edge::type): the tables a snapshot writes.
+  /// (NodeCopy::labels, Edge::type): the tables a snapshot writes.
   [[nodiscard]] std::vector<std::string> label_names() const;
   [[nodiscard]] std::vector<std::string> edge_type_names() const;
 
@@ -435,9 +377,6 @@ class GraphStore {
   [[nodiscard]] std::optional<std::uint32_t> label_id(
       std::string_view label) const;
 
-  /// Interned label id of a node (pairs with label_id: checking a batch of
-  /// candidates against one label is an integer compare per node).
-  [[nodiscard]] std::uint32_t node_label_id(NodeId node) const;
 
   /// Number of nodes carrying `label` (0 when unknown).
   [[nodiscard]] std::size_t label_count(std::string_view label) const;
@@ -465,7 +404,7 @@ class GraphStore {
   /// Pool id of `value` in an interned column, or nullopt when `key` is not
   /// an interned column or the value was never stored under it. Batch
   /// equality against the constant is then an integer compare per node
-  /// (interned_column), with no string access at all.
+  /// (copy_nodes' pool ids), with no string access at all.
   [[nodiscard]] std::optional<std::uint32_t> interned_value_id(
       PropKeyId key, std::string_view value) const;
 
@@ -477,7 +416,6 @@ class GraphStore {
   friend class SegmentManager;
 
   struct NodeRecord {
-    std::uint32_t label = 0;  // interned label id
     PropertyList properties;  // cold keys only, sorted by PropKeyId
     std::vector<Edge> out;
     std::vector<Edge> in;
@@ -566,6 +504,9 @@ class GraphStore {
   /// Throws std::out_of_range on a key id this store never interned.
   void check_prop_keys_locked(const PropertyList& properties) const;
   void set_property_locked(NodeId node, PropKeyId key, PropertyValue value);
+  /// copy_nodes' copy, with the lock held and the payload resident.
+  void copy_nodes_locked(std::span<const NodeId> nodes,
+                         const NodeReadSpec& spec, NodeCopy& out) const;
   /// Pointer to the node's value for `key` (column or bag), or nullptr.
   /// For interned columns the returned pointer aliases the pool entry.
   [[nodiscard]] const PropertyValue* find_property_locked(NodeId node,
@@ -585,6 +526,9 @@ class GraphStore {
   mutable std::shared_mutex mutex_;
 
   std::vector<NodeRecord> nodes_;
+  /// Interned label id per node, dense beside nodes_: a batch's label check
+  /// reads 4 bytes a node, not a node record.
+  std::vector<std::uint32_t> node_labels_;
   std::size_t edge_count_ = 0;
 
   /// Edge log (see attach_edge_log), guarded by mutex_.

@@ -2,14 +2,16 @@
 // (evaluator.cpp) and the planned batch executor (exec.cpp). Not part of the
 // public query API — include only from src/query translation units.
 //
-// The Evaluator here is the legacy clause pipeline, unchanged in semantics:
-// the planner's differential oracle suite (tests/plan_differential_test.cpp)
-// holds the batch executor to row-for-row equality against it. The one
-// shared hot-path improvement lives in eval_binary(): comparisons whose
-// operands are property accesses no longer materialize a temporary Value
-// per row — stored properties are compared in place, and interned columns
-// compare pooled u32 ids with no string access at all (see
-// try_compare_fast). Both engines rely on it.
+// The Evaluator here is the legacy clause pipeline: the planner's
+// differential oracle suite (tests/plan_differential_test.cpp) holds the
+// batch executor to row-for-row equality against it. Both engines read the
+// store the same way (DESIGN.md §12): a clause resolves the `var.key`
+// accesses of its expressions once (PropBatch) and copies what a batch of
+// up to kReadBatch rows needs under one store lock
+// (GraphStore::copy_nodes); MATCH filters candidates the same way, with
+// labels and interned strings compared as integer ids. No clause holds a
+// pointer into the store once the lock is released, so queries are safe
+// while writers append.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -95,6 +98,36 @@ struct RowSet {
   return b.is_null() ? 0 : -2;  // stored null (absent property)
 }
 
+/// compare_values semantics between two stored properties, in place.
+[[nodiscard]] inline int compare_properties(const graph::PropertyValue& a,
+                                            const graph::PropertyValue& b) {
+  const auto number =
+      [](const graph::PropertyValue& p) -> std::optional<double> {
+    if (const auto* i = std::get_if<std::int64_t>(&p)) {
+      return static_cast<double>(*i);
+    }
+    if (const auto* d = std::get_if<double>(&p)) return *d;
+    return std::nullopt;
+  };
+  const auto x = number(a);
+  const auto y = number(b);
+  if (x && y) return *x < *y ? -1 : (*x > *y ? 1 : 0);
+  const auto* sa = std::get_if<std::string>(&a);
+  const auto* sb = std::get_if<std::string>(&b);
+  if (sa != nullptr && sb != nullptr) {
+    const int c = sa->compare(*sb);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+  const auto* ba = std::get_if<bool>(&a);
+  const auto* bb = std::get_if<bool>(&b);
+  if (ba != nullptr && bb != nullptr) {
+    return static_cast<int>(*ba) - static_cast<int>(*bb);
+  }
+  const bool na = std::holds_alternative<std::monostate>(a);
+  const bool nb = std::holds_alternative<std::monostate>(b);
+  return na && nb ? 0 : -2;
+}
+
 [[nodiscard]] inline bool is_comparison_op(BinaryOp op) noexcept {
   switch (op) {
     case BinaryOp::kEq:
@@ -122,6 +155,153 @@ struct RowSet {
     default: return Value();
   }
 }
+
+// ---------------------------------------------------------------------------
+// Batched store reads
+// ---------------------------------------------------------------------------
+
+/// Most rows, or candidate nodes, whose store reads share one lock.
+inline constexpr std::size_t kReadBatch = 1024;
+
+/// The store reads of one clause. Each `var.key` access in the clause's
+/// expressions is resolved once, to its variable's column and the store
+/// key; fetch() then copies what a batch of rows needs with one
+/// GraphStore::copy_nodes call per variable. A copy of a registered
+/// PropBatch shares its resolution and owns its own buffers (one per thread
+/// of a parallel clause).
+class PropBatch {
+ public:
+  /// Registers each `var.key` access in `e` (nested ones and aggregate
+  /// arguments included) whose variable `schema` binds. `key_of` maps an
+  /// access to its store key.
+  template <typename KeyOf>
+  void add(const Expr& e, const RowSet& schema, const KeyOf& key_of) {
+    if (e.kind == Expr::Kind::kProperty && e.lhs &&
+        e.lhs->kind == Expr::Kind::kVariable) {
+      const int slot = schema.column_index(e.lhs->name);
+      if (slot >= 0 && access(e) == nullptr) {
+        const std::size_t g = group(static_cast<std::size_t>(slot));
+        accesses_.push_back(
+            {&e, g, column(groups_[g].spec_values, key_of(e))});
+      }
+      return;
+    }
+    if (e.lhs) add(*e.lhs, schema, key_of);
+    if (e.rhs) add(*e.rhs, schema, key_of);
+    for (const auto& a : e.args) {
+      if (a) add(*a, schema, key_of);
+    }
+  }
+
+  /// Reads the label ids, the pool ids of interned column `key`, or the
+  /// values of `key` of the nodes column `slot` binds; the returned column
+  /// indexes copy(slot).ids / copy(slot).values.
+  void add_labels(std::size_t slot) { group(slot); }
+  std::size_t add_ids(std::size_t slot, graph::PropKeyId key) {
+    return column(groups_[group(slot)].spec_ids, key);
+  }
+  std::size_t add_values(std::size_t slot, graph::PropKeyId key) {
+    return column(groups_[group(slot)].spec_values, key);
+  }
+
+  /// Reads rows [begin, end) of `rows`, one copy_nodes call per variable;
+  /// row i is the batch's row i - begin. No-op when nothing is registered.
+  void fetch(const graph::GraphStore& store,
+             const std::vector<std::vector<Value>>& rows, std::size_t begin,
+             std::size_t end) {
+    for (Group& g : groups_) {
+      g.nodes.clear();
+      g.pos.assign(end - begin, kNotNode);
+      for (std::size_t r = begin; r < end; ++r) {
+        const std::vector<Value>& row = rows[r];
+        if (g.slot < row.size() && row[g.slot].is_node()) {
+          g.pos[r - begin] = static_cast<std::uint32_t>(g.nodes.size());
+          g.nodes.push_back(row[g.slot].as_node().id);
+        }
+      }
+      read(store, g);
+    }
+  }
+
+  /// Reads `nodes` as the batch's rows, each binding them in column 0 (the
+  /// planned executor's one variable).
+  void fetch(const graph::GraphStore& store,
+             std::span<const graph::NodeId> nodes) {
+    for (Group& g : groups_) {
+      g.nodes.assign(nodes.begin(), nodes.end());
+      g.pos.clear();
+      read(store, g);
+    }
+  }
+
+  /// The fetched value of access `e` in the batch's row `at`, or nullptr
+  /// when `e` is not registered or that row's variable holds no node.
+  [[nodiscard]] const graph::PropertyValue* value(const Expr& e,
+                                                  std::size_t at) const {
+    const Access* a = access(e);
+    if (a == nullptr) return nullptr;
+    const Group& g = groups_[a->group];
+    const std::uint32_t i =
+        g.pos.empty() ? static_cast<std::uint32_t>(at) : g.pos[at];
+    return i == kNotNode ? nullptr : &g.copy.values[a->column][i];
+  }
+
+  /// The batch's copy for column `slot` after a node-list fetch (row i is
+  /// node i).
+  [[nodiscard]] const graph::NodeCopy& copy(std::size_t slot) const {
+    for (const Group& g : groups_) {
+      if (g.slot == slot) return g.copy;
+    }
+    return empty_;
+  }
+
+ private:
+  static constexpr std::uint32_t kNotNode = ~std::uint32_t{0};
+
+  struct Group {
+    std::size_t slot = 0;
+    std::vector<graph::PropKeyId> spec_ids{};
+    std::vector<graph::PropKeyId> spec_values{};
+    std::vector<graph::NodeId> nodes{};  // the batch's nodes
+    std::vector<std::uint32_t> pos{};    // batch row -> index in nodes
+    graph::NodeCopy copy{};
+  };
+  struct Access {
+    const Expr* expr = nullptr;
+    std::size_t group = 0;
+    std::size_t column = 0;
+  };
+
+  [[nodiscard]] const Access* access(const Expr& e) const {
+    for (const Access& a : accesses_) {
+      if (a.expr == &e) return &a;
+    }
+    return nullptr;
+  }
+  std::size_t group(std::size_t slot) {
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (groups_[g].slot == slot) return g;
+    }
+    groups_.push_back(Group{.slot = slot});
+    return groups_.size() - 1;
+  }
+  static std::size_t column(std::vector<graph::PropKeyId>& keys,
+                            graph::PropKeyId key) {
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it != keys.end()) return static_cast<std::size_t>(it - keys.begin());
+    keys.push_back(key);
+    return keys.size() - 1;
+  }
+  static void read(const graph::GraphStore& store, Group& g) {
+    if (g.nodes.empty()) return;
+    store.copy_nodes(g.nodes, {.ids = g.spec_ids, .values = g.spec_values},
+                     g.copy);
+  }
+
+  std::vector<Group> groups_;
+  std::vector<Access> accesses_;
+  inline static const graph::NodeCopy empty_{};
+};
 
 // ---------------------------------------------------------------------------
 // Expression evaluation + legacy clause pipeline
@@ -162,14 +342,22 @@ class Evaluator {
       const std::uint64_t rows_in = rows.rows.size();
       const auto clause_start = std::chrono::steady_clock::now();
       switch (clause.kind) {
-        case Clause::Kind::kMatch: rows = eval_match(clause, rows); break;
-        case Clause::Kind::kWhere: rows = eval_where(clause, rows); break;
+        case Clause::Kind::kMatch:
+          rows = eval_match(clause, std::move(rows));
+          break;
+        case Clause::Kind::kWhere:
+          rows = eval_where(clause, std::move(rows));
+          break;
         case Clause::Kind::kWith:
         case Clause::Kind::kReturn:
-          rows = eval_projection(clause, rows);
+          rows = eval_projection(clause, std::move(rows));
           break;
-        case Clause::Kind::kUnwind: rows = eval_unwind(clause, rows); break;
-        case Clause::Kind::kCall: rows = eval_call(clause, rows); break;
+        case Clause::Kind::kUnwind:
+          rows = eval_unwind(clause, std::move(rows));
+          break;
+        case Clause::Kind::kCall:
+          rows = eval_call(clause, std::move(rows));
+          break;
       }
       if (options_.profile != nullptr) {
         obs::QueryProfile::ClauseStats stats;
@@ -202,14 +390,9 @@ class Evaluator {
   const QueryParams& params_;
   const QueryOptions& options_;
   /// Property names resolved to store key ids once per statement (the
-  /// Evaluator lives for one statement); rows after the first pay a pointer
-  /// hash instead of a string hash per access. Guarded by a mutex because
+  /// Evaluator lives for one statement). Guarded by a mutex because
   /// parallel clause fan-out evaluates expressions from several threads.
   mutable std::unordered_map<const Expr*, graph::PropKeyId> prop_key_cache_;
-  /// Interned-column views resolved once per property expression, so the
-  /// comparison fast path pays a pointer hash (not a store lock) per row.
-  mutable std::unordered_map<const Expr*, graph::InternedColumnView>
-      interned_view_cache_;
   mutable std::mutex prop_key_mutex_;
 
   [[noreturn]] static void fail(const std::string& what) {
@@ -223,18 +406,25 @@ class Evaluator {
     return it->second;
   }
 
-  /// Cached interned-column view for a property expression (invalid view
-  /// when the key is not an interned column). Same quiesced-read contract
-  /// as the typed property() reference the generic path uses.
-  [[nodiscard]] graph::InternedColumnView interned_view(const Expr& e) const {
-    const graph::PropKeyId key = resolve_prop_key(e);
-    const std::lock_guard lock(prop_key_mutex_);
-    auto it = interned_view_cache_.find(&e);
-    if (it != interned_view_cache_.end()) return it->second;
-    graph::InternedColumnView view;
-    if (key != graph::kNoPropKey) view = graph_.store().interned_column(key);
-    interned_view_cache_.emplace(&e, view);
-    return view;
+  /// Registers the `var.key` accesses of `e` over `schema` in `props`.
+  void add_reads(PropBatch& props, const Expr& e, const RowSet& schema) const {
+    props.add(e, schema,
+              [this](const Expr& access) { return resolve_prop_key(access); });
+  }
+
+  /// Calls fn(i, at) for rows [begin, end) of `rows`, after fetching
+  /// `props` for each batch of up to kReadBatch rows (`at` is row i's place
+  /// in its batch). Stops when fn returns false.
+  template <typename Fn>
+  void for_each_batched(PropBatch& props, const RowSet& rows,
+                        std::size_t begin, std::size_t end, Fn&& fn) const {
+    for (std::size_t b = begin; b < end; b += kReadBatch) {
+      const std::size_t e = std::min(end, b + kReadBatch);
+      props.fetch(graph_.store(), rows.rows, b, e);
+      for (std::size_t i = b; i < e; ++i) {
+        if (!fn(i, i - b)) return;
+      }
+    }
   }
 
   /// True when clause fan-out over `rows` input rows should use the pool.
@@ -254,8 +444,13 @@ class Evaluator {
 
   // ---- expressions ----------------------------------------------------------
 
+  /// Evaluates `e` for `row` of `rows`. `props`, when given, holds the
+  /// fetched `var.key` values of the row's batch (the row is its row `at`);
+  /// an access it does not hold is read with one locked copy.
   [[nodiscard]] Value eval_expr(const Expr& e, const RowSet& rows,
-                                const std::vector<Value>& row) const {
+                                const std::vector<Value>& row,
+                                const PropBatch* props = nullptr,
+                                std::size_t at = 0) const {
     switch (e.kind) {
       case Expr::Kind::kLiteral: return e.literal;
       case Expr::Kind::kVariable: {
@@ -264,17 +459,20 @@ class Evaluator {
         return row[static_cast<std::size_t>(idx)];
       }
       case Expr::Kind::kProperty: {
-        const Value base = eval_expr(*e.lhs, rows, row);
+        if (props != nullptr) {
+          if (const graph::PropertyValue* p = props->value(e, at)) {
+            return Value::from_property(*p);
+          }
+        }
+        const Value base = eval_expr(*e.lhs, rows, row, props, at);
         if (base.is_null()) return Value();
         if (!base.is_node()) fail("property access on non-node value");
-        // Typed lookup returns a reference into the store — no intermediate
-        // PropertyValue copy per row.
-        return Value::from_property(
-            graph_.store().property(base.as_node().id, resolve_prop_key(e)));
+        return Value::from_property(graph_.store().property_snapshot(
+            base.as_node().id, resolve_prop_key(e)));
       }
-      case Expr::Kind::kBinary: return eval_binary(e, rows, row);
+      case Expr::Kind::kBinary: return eval_binary(e, rows, row, props, at);
       case Expr::Kind::kUnary: {
-        const Value v = eval_expr(*e.lhs, rows, row);
+        const Value v = eval_expr(*e.lhs, rows, row, props, at);
         if (e.unary_op == UnaryOp::kNot) return Value(!v.truthy());
         if (!v.is_number()) fail("negation of non-number");
         if (v.is_int()) {
@@ -285,12 +483,13 @@ class Evaluator {
         }
         return Value(-v.as_number());
       }
-      case Expr::Kind::kFunction: return eval_scalar_function(e, rows, row);
+      case Expr::Kind::kFunction:
+        return eval_scalar_function(e, rows, row, props, at);
       case Expr::Kind::kList: {
         ValueList list;
         list.reserve(e.args.size());
         for (const auto& a : e.args) {
-          list.push_back(eval_expr(*a, rows, row));
+          list.push_back(eval_expr(*a, rows, row, props, at));
         }
         return Value(std::move(list));
       }
@@ -307,16 +506,6 @@ class Evaluator {
     return Value();
   }
 
-  /// The property expression `var.key` when `x` has exactly that shape
-  /// (a property access whose object is a plain variable), else nullptr.
-  [[nodiscard]] static const Expr* prop_on_variable(const Expr& x) noexcept {
-    if (x.kind != Expr::Kind::kProperty || !x.lhs ||
-        x.lhs->kind != Expr::Kind::kVariable) {
-      return nullptr;
-    }
-    return &x;
-  }
-
   /// Row-independent operand: a literal, or a bound parameter. Returns a
   /// pointer into the AST/params (no copy), or nullptr.
   [[nodiscard]] const Value* constant_operand(const Expr& x) const {
@@ -328,68 +517,31 @@ class Evaluator {
     return nullptr;
   }
 
-  /// Comparison fast path: `var.key <op> constant` (either side) compares
-  /// the stored property in place — no temporary Value, no string copy per
-  /// row — and `a.key <op> b.key` over one interned column compares pooled
-  /// u32 ids. Returns false (c untouched) when the shape doesn't apply or a
-  /// corner case needs the generic path; never changes semantics.
-  [[nodiscard]] bool try_compare_fast(const Expr& e, const RowSet& rows,
-                                      const std::vector<Value>& row,
-                                      int& c) const {
-    const Expr* lp = prop_on_variable(*e.lhs);
-    const Expr* rp = prop_on_variable(*e.rhs);
-    if (lp != nullptr) {
-      const int idx = rows.column_index(lp->lhs->name);
-      if (idx < 0) return false;  // unbound: generic path reports the error
-      const Value& base = row[static_cast<std::size_t>(idx)];
-      if (!base.is_node()) return false;
-      const graph::NodeId node = base.as_node().id;
-      if (rp != nullptr) {
-        // Both sides are property accesses. When both hit the same interned
-        // column, distinct pool ids mean distinct strings: eq/neq never
-        // touch the pool, ordering compares the pooled strings in place.
-        const int ridx = rows.column_index(rp->lhs->name);
-        if (ridx < 0) return false;
-        const Value& rbase = row[static_cast<std::size_t>(ridx)];
-        if (!rbase.is_node()) return false;
-        if (resolve_prop_key(*lp) != resolve_prop_key(*rp)) return false;
-        const graph::InternedColumnView col = interned_view(*lp);
-        if (!col.valid()) return false;
-        const std::uint32_t a = col.id_of(node);
-        const std::uint32_t b = col.id_of(rbase.as_node().id);
-        if (a == b) {  // same string — or both absent (null == null)
-          c = 0;
-          return true;
-        }
-        if (a == graph::InternedColumnView::kAbsent ||
-            b == graph::InternedColumnView::kAbsent) {
-          c = -2;
-          return true;
-        }
-        if (e.binary_op == BinaryOp::kEq || e.binary_op == BinaryOp::kNeq) {
-          c = 1;  // distinct ids: "differs" is all eq/neq need
-          return true;
-        }
-        c = col.name(a).compare(col.name(b)) < 0 ? -1 : 1;
-        return true;
-      }
-      const Value* rv = constant_operand(*e.rhs);
-      if (rv == nullptr) return false;
-      c = compare_property_value(
-          graph_.store().property(node, resolve_prop_key(*lp)), *rv);
+  /// Comparison fast path over the batch's fetched values: `var.key <op>
+  /// constant` (either side) and `a.key <op> b.key` compare the fetched
+  /// properties in place, with no temporary Value. Returns false (c
+  /// untouched) when an operand is neither fetched nor constant; never
+  /// changes semantics.
+  [[nodiscard]] bool try_compare_fast(const Expr& e, const PropBatch* props,
+                                      std::size_t at, int& c) const {
+    if (props == nullptr) return false;
+    const graph::PropertyValue* l = props->value(*e.lhs, at);
+    const graph::PropertyValue* r = props->value(*e.rhs, at);
+    if (l != nullptr && r != nullptr) {
+      c = compare_properties(*l, *r);
       return true;
     }
-    if (rp != nullptr) {
+    if (l != nullptr) {
+      const Value* rv = constant_operand(*e.rhs);
+      if (rv == nullptr) return false;
+      c = compare_property_value(*l, *rv);
+      return true;
+    }
+    if (r != nullptr) {
       // constant <op> var.key — compare flipped, then negate.
       const Value* lv = constant_operand(*e.lhs);
       if (lv == nullptr) return false;
-      const int ridx = rows.column_index(rp->lhs->name);
-      if (ridx < 0) return false;
-      const Value& rbase = row[static_cast<std::size_t>(ridx)];
-      if (!rbase.is_node()) return false;
-      const int inner = compare_property_value(
-          graph_.store().property(rbase.as_node().id, resolve_prop_key(*rp)),
-          *lv);
+      const int inner = compare_property_value(*r, *lv);
       c = inner == -2 ? -2 : -inner;
       return true;
     }
@@ -397,29 +549,37 @@ class Evaluator {
   }
 
   [[nodiscard]] Value eval_binary(const Expr& e, const RowSet& rows,
-                                  const std::vector<Value>& row) const {
+                                  const std::vector<Value>& row,
+                                  const PropBatch* props = nullptr,
+                                  std::size_t at = 0) const {
     // Short-circuit logic first.
     if (e.binary_op == BinaryOp::kAnd) {
-      if (!eval_expr(*e.lhs, rows, row).truthy()) return Value(false);
-      return Value(eval_expr(*e.rhs, rows, row).truthy());
+      if (!eval_expr(*e.lhs, rows, row, props, at).truthy()) {
+        return Value(false);
+      }
+      return Value(eval_expr(*e.rhs, rows, row, props, at).truthy());
     }
     if (e.binary_op == BinaryOp::kOr) {
-      if (eval_expr(*e.lhs, rows, row).truthy()) return Value(true);
-      return Value(eval_expr(*e.rhs, rows, row).truthy());
+      if (eval_expr(*e.lhs, rows, row, props, at).truthy()) return Value(true);
+      return Value(eval_expr(*e.rhs, rows, row, props, at).truthy());
     }
 
     if (is_comparison_op(e.binary_op)) {
       int c = -2;
-      if (try_compare_fast(e, rows, row, c)) {
+      if (try_compare_fast(e, props, at, c)) {
         return compare_verdict(e.binary_op, c);
       }
-      const Value a = eval_expr(*e.lhs, rows, row);
-      const Value b = eval_expr(*e.rhs, rows, row);
+      const Value a = eval_expr(*e.lhs, rows, row, props, at);
+      const Value b = eval_expr(*e.rhs, rows, row, props, at);
       return compare_verdict(e.binary_op, compare_values(a, b));
     }
 
-    const Value a = eval_expr(*e.lhs, rows, row);
-    const Value b = eval_expr(*e.rhs, rows, row);
+    const Value a = eval_expr(*e.lhs, rows, row, props, at);
+    const Value b = eval_expr(*e.rhs, rows, row, props, at);
+    // Integer arithmetic fails typed where the result does not fit in 64
+    // bits (INT64_MIN / -1 and INT64_MIN % -1 would trap).
+    std::int64_t r = 0;
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
     switch (e.binary_op) {
       case BinaryOp::kContains:
         if (!a.is_string() || !b.is_string()) return Value(false);
@@ -441,19 +601,34 @@ class Evaluator {
         if (a.is_string() || b.is_string()) {
           return Value(a.to_display_string() + b.to_display_string());
         }
-        if (a.is_int() && b.is_int()) return Value(a.as_int() + b.as_int());
+        if (a.is_int() && b.is_int()) {
+          if (__builtin_add_overflow(a.as_int(), b.as_int(), &r)) {
+            fail("integer overflow in '+'");
+          }
+          return Value(r);
+        }
         if (a.is_number() && b.is_number()) {
           return Value(a.as_number() + b.as_number());
         }
         fail("'+' on incompatible types");
       case BinaryOp::kSub:
-        if (a.is_int() && b.is_int()) return Value(a.as_int() - b.as_int());
+        if (a.is_int() && b.is_int()) {
+          if (__builtin_sub_overflow(a.as_int(), b.as_int(), &r)) {
+            fail("integer overflow in '-'");
+          }
+          return Value(r);
+        }
         if (a.is_number() && b.is_number()) {
           return Value(a.as_number() - b.as_number());
         }
         fail("'-' on non-numbers");
       case BinaryOp::kMul:
-        if (a.is_int() && b.is_int()) return Value(a.as_int() * b.as_int());
+        if (a.is_int() && b.is_int()) {
+          if (__builtin_mul_overflow(a.as_int(), b.as_int(), &r)) {
+            fail("integer overflow in '*'");
+          }
+          return Value(r);
+        }
         if (a.is_number() && b.is_number()) {
           return Value(a.as_number() * b.as_number());
         }
@@ -461,6 +636,9 @@ class Evaluator {
       case BinaryOp::kDiv:
         if (a.is_int() && b.is_int()) {
           if (b.as_int() == 0) fail("division by zero");
+          if (a.as_int() == kMin && b.as_int() == -1) {
+            fail("integer overflow in '/'");
+          }
           return Value(a.as_int() / b.as_int());
         }
         if (a.is_number() && b.is_number()) {
@@ -470,6 +648,9 @@ class Evaluator {
       case BinaryOp::kMod:
         if (a.is_int() && b.is_int()) {
           if (b.as_int() == 0) fail("modulo by zero");
+          if (a.as_int() == kMin && b.as_int() == -1) {
+            fail("integer overflow in '%'");
+          }
           return Value(a.as_int() % b.as_int());
         }
         fail("'%' on non-integers");
@@ -480,13 +661,17 @@ class Evaluator {
   }
 
   [[nodiscard]] Value eval_scalar_function(const Expr& e, const RowSet& rows,
-                                           const std::vector<Value>& row) const {
+                                           const std::vector<Value>& row,
+                                           const PropBatch* props,
+                                           std::size_t at) const {
     const std::string name = to_lower(e.name);
     if (is_aggregate_function(name)) {
       fail("aggregate function '" + e.name +
            "' outside of WITH/RETURN projection");
     }
-    auto arg = [&](std::size_t i) { return eval_expr(*e.args.at(i), rows, row); };
+    auto arg = [&](std::size_t i) {
+      return eval_expr(*e.args.at(i), rows, row, props, at);
+    };
     if (name == "size") {
       const Value v = arg(0);
       if (v.is_list()) {
@@ -590,7 +775,12 @@ class Evaluator {
     }
     if (name == "abs") {
       const Value v = arg(0);
-      if (v.is_int()) return Value(v.as_int() < 0 ? -v.as_int() : v.as_int());
+      if (v.is_int()) {
+        if (v.as_int() == std::numeric_limits<std::int64_t>::min()) {
+          fail("integer overflow in abs");
+        }
+        return Value(v.as_int() < 0 ? -v.as_int() : v.as_int());
+      }
       if (v.is_number()) {
         return Value(v.as_number() < 0 ? -v.as_number() : v.as_number());
       }
@@ -638,30 +828,79 @@ class Evaluator {
     return out;
   }
 
-  [[nodiscard]] bool node_matches(graph::NodeId node,
-                                  const NodePattern& pattern,
-                                  const EvaluatedProps& props) const {
+  /// Keeps, in order, the nodes of `nodes` that carry `pattern`'s label and
+  /// equal its inline properties, but for props[probed], which the caller's
+  /// index lookup already matched. Labels and values are copied kReadBatch
+  /// nodes at a time; the label, and a string under an interned column,
+  /// compare as integer ids.
+  void filter_matching(std::vector<graph::NodeId>& nodes,
+                       const NodePattern& pattern, const EvaluatedProps& props,
+                       std::size_t probed = SIZE_MAX) const {
     const graph::GraphStore& store = graph_.store();
-    if (!pattern.label.empty() && pattern.label != "EVENT" &&
-        store.node_label(node) != pattern.label) {
-      return false;
+    const bool check_label = !pattern.label.empty() && pattern.label != "EVENT";
+    const std::size_t checked = props.size() - (probed < props.size() ? 1 : 0);
+    if (nodes.empty() || (!check_label && checked == 0)) return;
+    std::uint32_t label = 0;
+    if (check_label) {
+      const auto id = store.label_id(pattern.label);
+      if (!id) {
+        nodes.clear();
+        return;
+      }
+      label = *id;
     }
-    for (const auto& [key, want] : props) {
-      // Typed lookup: reference into the store, compared in place — no
-      // PropertyValue or Value copy per candidate row.
-      if (compare_property_value(store.property(node, key), want) != 0) {
-        return false;
+    std::vector<graph::PropKeyId> id_keys;
+    std::vector<std::uint32_t> want_ids;
+    std::vector<graph::PropKeyId> value_keys;
+    std::vector<const Value*> want_values;
+    for (std::size_t p = 0; p < props.size(); ++p) {
+      if (p == probed) continue;
+      const auto& [key, want] = props[p];
+      if (want.is_string() && store.interned_distinct(key) > 0) {
+        const auto id = store.interned_value_id(key, want.as_string());
+        if (!id) {  // never stored: no node holds it
+          nodes.clear();
+          return;
+        }
+        id_keys.push_back(key);
+        want_ids.push_back(*id);
+      } else {
+        value_keys.push_back(key);
+        want_values.push_back(&want);
       }
     }
-    return true;
+    const graph::NodeReadSpec spec{.ids = id_keys, .values = value_keys};
+    graph::NodeCopy copy;
+    std::size_t kept = 0;
+    for (std::size_t base = 0; base < nodes.size(); base += kReadBatch) {
+      const std::size_t n = std::min(kReadBatch, nodes.size() - base);
+      store.copy_nodes(std::span(nodes).subspan(base, n), spec, copy);
+      for (std::size_t i = 0; i < n; ++i) {
+        bool match = !check_label || copy.labels[i] == label;
+        for (std::size_t k = 0; match && k < id_keys.size(); ++k) {
+          match = copy.ids[k][i] == want_ids[k];
+        }
+        for (std::size_t k = 0; match && k < value_keys.size(); ++k) {
+          match = compare_property_value(copy.values[k][i],
+                                         *want_values[k]) == 0;
+        }
+        // kept <= base + i: compaction never overwrites an unread node.
+        if (match) nodes[kept++] = nodes[base + i];
+      }
+    }
+    nodes.resize(kept);
   }
 
   /// Candidate nodes for a pattern head: narrowest available index.
   [[nodiscard]] std::vector<graph::NodeId> candidates(
       const NodePattern& pattern, const EvaluatedProps& props) const {
     const graph::GraphStore& store = graph_.store();
-    // Prefer an indexed property lookup.
-    for (const auto& [key, want] : props) {
+    std::vector<graph::NodeId> found;
+    std::size_t probed = SIZE_MAX;
+    // Prefer an indexed property lookup (find_nodes scans when unindexed).
+    // Its nodes hold the probed value, so the filter skips that property.
+    for (std::size_t p = 0; p < props.size(); ++p) {
+      const auto& [key, want] = props[p];
       graph::PropertyValue pv;
       if (want.is_bool()) {
         pv = want.as_bool();
@@ -674,90 +913,90 @@ class Evaluator {
       } else {
         continue;
       }
-      // find_nodes falls back to a scan if unindexed; only use it when an
-      // index exists so we do not scan repeatedly per property.
-      std::vector<graph::NodeId> found = store.find_nodes(key, pv);
-      std::erase_if(found, [&](graph::NodeId n) {
-        return !node_matches(n, pattern, props);
-      });
-      return found;
+      found = store.find_nodes(key, pv);
+      probed = p;
+      break;
     }
-    if (!pattern.label.empty() && pattern.label != "EVENT") {
-      std::vector<graph::NodeId> found = store.nodes_with_label(pattern.label);
-      std::erase_if(found, [&](graph::NodeId n) {
-        return !node_matches(n, pattern, props);
-      });
-      return found;
+    if (probed == SIZE_MAX) {
+      found = !pattern.label.empty() && pattern.label != "EVENT"
+                  ? store.nodes_with_label(pattern.label)
+                  : store.all_nodes();
     }
-    std::vector<graph::NodeId> found = store.all_nodes();
-    std::erase_if(found, [&](graph::NodeId n) {
-      return !node_matches(n, pattern, props);
-    });
+    filter_matching(found, pattern, props, probed);
     return found;
   }
 
   /// Nodes reachable from `from` within [min_hops, max_hops] hops along
   /// edges of the requested type/direction (max_hops == 0 = unbounded).
-  /// BFS over (node, depth) states — polynomial even on diamond-rich
-  /// happens-before graphs.
+  /// Level by level: each level's adjacency is copied kReadBatch nodes at a
+  /// time, and a node is queued at most once per level — polynomial even on
+  /// diamond-rich happens-before graphs.
   [[nodiscard]] std::vector<graph::NodeId> var_length_endpoints(
       graph::NodeId from, const PatternStep& step,
       std::optional<graph::EdgeTypeId> want_type, bool right) const {
     const graph::GraphStore& store = graph_.store();
-    const std::uint32_t max_hops =
-        step.max_hops == 0 ? std::numeric_limits<std::uint32_t>::max()
-                           : step.max_hops;
+    const graph::NodeReadSpec spec{.edges = right ? graph::EdgeDirection::kOut
+                                                  : graph::EdgeDirection::kIn};
+    graph::NodeCopy copy;
+    std::vector<graph::NodeId> level{from};
+    std::vector<graph::NodeId> next;
+    // Calls visit(target) for each wanted edge of the level's nodes.
+    const auto expand = [&](auto&& visit) {
+      next.clear();
+      for (std::size_t base = 0; base < level.size(); base += kReadBatch) {
+        const std::size_t n = std::min(kReadBatch, level.size() - base);
+        store.copy_nodes(std::span(level).subspan(base, n), spec, copy);
+        for (const graph::Edge& e : copy.edges) {
+          if (!want_type || e.type == *want_type) visit(e.to);
+        }
+      }
+      level.swap(next);
+    };
 
     std::vector<graph::NodeId> result;
     if (step.min_hops <= 1 && step.max_hops == 0) {
       // Common fast path: plain reachability flood (any depth >= 1).
-      std::vector<bool> seen(store.node_count(), false);
-      std::vector<graph::NodeId> stack;
-      auto expand = [&](graph::NodeId v) {
-        const auto edges = right ? store.out_edges(v) : store.in_edges(v);
-        for (const graph::Edge& e : edges) {
-          if (want_type && e.type != *want_type) continue;
-          if (!seen[e.to]) {
-            seen[e.to] = true;
-            result.push_back(e.to);
-            stack.push_back(e.to);
+      std::vector<bool> seen;
+      while (!level.empty()) {
+        expand([&](graph::NodeId to) {
+          if (to >= seen.size()) {
+            seen.resize(std::max<std::size_t>(to + 1, 2 * seen.size()));
           }
-        }
-      };
-      expand(from);
-      while (!stack.empty()) {
-        const graph::NodeId v = stack.back();
-        stack.pop_back();
-        expand(v);
+          if (seen[to]) return;
+          seen[to] = true;
+          result.push_back(to);
+          next.push_back(to);
+        });
       }
       return result;
     }
 
-    // General case: BFS over (node, depth) states up to max_hops.
-    std::set<std::pair<graph::NodeId, std::uint32_t>> visited;
-    std::set<graph::NodeId> endpoints;
-    std::vector<std::pair<graph::NodeId, std::uint32_t>> frontier{{from, 0}};
-    while (!frontier.empty()) {
-      const auto [v, depth] = frontier.back();
-      frontier.pop_back();
-      if (depth >= max_hops) continue;
-      const auto edges = right ? store.out_edges(v) : store.in_edges(v);
-      for (const graph::Edge& e : edges) {
-        if (want_type && e.type != *want_type) continue;
-        const std::uint32_t next_depth = depth + 1;
-        if (next_depth >= step.min_hops) endpoints.insert(e.to);
-        if (visited.emplace(e.to, next_depth).second) {
-          frontier.emplace_back(e.to, next_depth);
+    // General case: level d holds the nodes some walk of exactly d hops
+    // reaches; the endpoints are levels min_hops..max_hops.
+    const std::uint64_t max_hops =
+        step.max_hops == 0 ? std::numeric_limits<std::uint64_t>::max()
+                           : step.max_hops;
+    std::vector<std::uint64_t> queued;  // the last level a node joined
+    for (std::uint64_t depth = 1; depth <= max_hops && !level.empty();
+         ++depth) {
+      expand([&](graph::NodeId to) {
+        if (to >= queued.size()) {
+          queued.resize(std::max<std::size_t>(to + 1, 2 * queued.size()), 0);
         }
-      }
+        if (queued[to] == depth) return;
+        queued[to] = depth;
+        next.push_back(to);
+        if (depth >= step.min_hops) result.push_back(to);
+      });
     }
-    result.assign(endpoints.begin(), endpoints.end());
+    std::sort(result.begin(), result.end());
+    result.erase(std::unique(result.begin(), result.end()), result.end());
     return result;
   }
 
   /// Extends bindings with one path pattern; appends complete rows to out.
   void match_path(const PathPattern& path, const RowSet& schema,
-                  std::vector<Value> row,
+                  const std::vector<Value>& row,
                   std::vector<std::string>& new_columns,
                   std::vector<std::vector<Value>>& out) const {
     // Binding map: variable -> column (existing schema or appended).
@@ -805,14 +1044,26 @@ class Evaluator {
 
     // Pattern property expressions are evaluated once per incoming row (they
     // may reference variables from earlier clauses, not pattern-local ones).
+    // Edge types are resolved once per row too.
     const EvaluatedProps head_props = eval_pattern_props(path.head, schema, row);
     std::vector<EvaluatedProps> step_props;
+    std::vector<std::optional<graph::EdgeTypeId>> step_types;
+    bool missing_type = false;  // a step names an edge type never stored
     step_props.reserve(path.steps.size());
+    step_types.reserve(path.steps.size());
     for (const PatternStep& step : path.steps) {
       step_props.push_back(eval_pattern_props(step.node, schema, row));
+      step_types.push_back(step.edge_type.empty()
+                               ? std::nullopt
+                               : store.edge_type_id(step.edge_type));
+      missing_type =
+          missing_type || (!step.edge_type.empty() && !step_types.back());
     }
 
-    // Recursive step matcher.
+    // Recursive step matcher. Each step copies the previous node's
+    // adjacency (never a span into the store), then filters the endpoints
+    // in one batched read.
+    graph::NodeCopy adjacency;
     std::function<void(std::size_t, graph::NodeId, std::vector<Value>&)>
         match_steps = [&](std::size_t step_index, graph::NodeId prev,
                           std::vector<Value>& current) {
@@ -822,38 +1073,36 @@ class Evaluator {
           }
           const PatternStep& step = path.steps[step_index];
           const bool right = step.direction == PatternStep::Direction::kRight;
-          const auto want_type = step.edge_type.empty()
-                                     ? std::nullopt
-                                     : store.edge_type_id(step.edge_type);
-          if (!step.edge_type.empty() && !want_type) return;  // no such type
-
+          const auto want_type = step_types[step_index];
           const auto pre_bound = bound_node(step.node.variable, current);
-          auto try_endpoint = [&](graph::NodeId next) {
-            if (pre_bound && *pre_bound != next) return;
-            if (!node_matches(next, step.node, step_props[step_index])) {
-              return;
-            }
-            std::vector<Value> extended = current;
-            bind(step.node.variable, next, extended);
-            match_steps(step_index + 1, next, extended);
-          };
 
+          std::vector<graph::NodeId> next;
           if (step.min_hops == 1 && step.max_hops == 1) {
-            const auto edges =
-                right ? store.out_edges(prev) : store.in_edges(prev);
-            for (const graph::Edge& edge : edges) {
+            const graph::NodeId one[] = {prev};
+            store.copy_nodes(one,
+                             {.edges = right ? graph::EdgeDirection::kOut
+                                             : graph::EdgeDirection::kIn},
+                             adjacency);
+            for (const graph::Edge& edge : adjacency.of(0)) {
               if (want_type && edge.type != *want_type) continue;
-              try_endpoint(edge.to);
+              if (pre_bound && *pre_bound != edge.to) continue;
+              next.push_back(edge.to);
             }
-            return;
+          } else {
+            // Variable-length relationship: endpoints reachable within the
+            // hop bounds. Dialect note: one row per *distinct endpoint* (not
+            // per path, as full Cypher would enumerate).
+            for (const graph::NodeId endpoint :
+                 var_length_endpoints(prev, step, want_type, right)) {
+              if (pre_bound && *pre_bound != endpoint) continue;
+              next.push_back(endpoint);
+            }
           }
-
-          // Variable-length relationship: endpoints reachable within the
-          // hop bounds. Dialect note: one row per *distinct endpoint* (not
-          // per path, as full Cypher would enumerate).
-          for (const graph::NodeId endpoint :
-               var_length_endpoints(prev, step, want_type, right)) {
-            try_endpoint(endpoint);
+          filter_matching(next, step.node, step_props[step_index]);
+          for (const graph::NodeId node : next) {
+            std::vector<Value> extended = current;
+            bind(step.node.variable, node, extended);
+            match_steps(step_index + 1, node, extended);
           }
         };
 
@@ -861,12 +1110,12 @@ class Evaluator {
     const auto head_bound = bound_node(path.head.variable, row);
     std::vector<graph::NodeId> heads;
     if (head_bound) {
-      if (node_matches(*head_bound, path.head, head_props)) {
-        heads.push_back(*head_bound);
-      }
+      heads.push_back(*head_bound);
+      filter_matching(heads, path.head, head_props);
     } else {
       heads = candidates(path.head, head_props);
     }
+    if (missing_type) return;
     for (const graph::NodeId head : heads) {
       std::vector<Value> current = row;
       bind(path.head.variable, head, current);
@@ -874,10 +1123,8 @@ class Evaluator {
     }
   }
 
-  [[nodiscard]] RowSet eval_match(const Clause& clause,
-                                  const RowSet& input) const {
+  [[nodiscard]] RowSet eval_match(const Clause& clause, RowSet current) const {
     QueryGuard* guard = options_.guard;
-    RowSet current = input;
     for (const PathPattern& path : clause.patterns) {
       if (guard != nullptr && guard->stopped()) break;
       RowSet next;
@@ -979,36 +1226,44 @@ class Evaluator {
 
   // ---- WHERE ----------------------------------------------------------------
 
-  [[nodiscard]] RowSet eval_where(const Clause& clause,
-                                  const RowSet& input) const {
+  [[nodiscard]] RowSet eval_where(const Clause& clause, RowSet input) const {
     QueryGuard* guard = options_.guard;
+    PropBatch props;
+    add_reads(props, *clause.predicate, input);
+    // Keeps the survivors of rows [begin, end), moved out of the input.
+    const auto filter = [&](PropBatch& batch, std::size_t begin,
+                            std::size_t end,
+                            std::vector<std::vector<Value>>& sink) {
+      for_each_batched(batch, input, begin, end,
+                       [&](std::size_t i, std::size_t at) {
+                         if (guard != nullptr && !guard->keep_going()) {
+                           return false;
+                         }
+                         if (eval_expr(*clause.predicate, input, input.rows[i],
+                                       &batch, at)
+                                 .truthy()) {
+                           sink.push_back(std::move(input.rows[i]));
+                         }
+                         return true;
+                       });
+    };
     RowSet out;
     out.columns = input.columns;
-    if (!fan_out(input.rows.size())) {
-      for (const auto& row : input.rows) {
-        if (guard != nullptr && !guard->keep_going()) break;
-        if (eval_expr(*clause.predicate, input, row).truthy()) {
-          out.rows.push_back(row);
-        }
-      }
+    const std::size_t n = input.rows.size();
+    if (!fan_out(n)) {
+      filter(props, 0, n, out.rows);
       return out;
     }
     // Chunked filter; per-chunk survivors concatenate in chunk order, so
     // row order matches the sequential filter.
-    const std::size_t n = input.rows.size();
     const std::size_t grain = fan_out_grain(n);
     std::vector<std::vector<std::vector<Value>>> chunks(
         ThreadPool::chunk_count(n, grain));
     options_.effective_pool().parallel_for(
         n, grain, options_.effective_threads(),
         [&](ThreadPool::ChunkRange chunk) {
-          auto& local = chunks[chunk.index];
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            if (guard != nullptr && !guard->keep_going()) return;
-            if (eval_expr(*clause.predicate, input, input.rows[i]).truthy()) {
-              local.push_back(input.rows[i]);
-            }
-          }
+          PropBatch local = props;
+          filter(local, chunk.begin, chunk.end, chunks[chunk.index]);
         });
     for (auto& local : chunks) {
       for (auto& row : local) out.rows.push_back(std::move(row));
@@ -1017,6 +1272,16 @@ class Evaluator {
   }
 
   // ---- WITH / RETURN ---------------------------------------------------------
+
+  enum class AggKind { kCount, kCollect, kMin, kMax, kSum, kAvg };
+
+  /// An aggregate call, resolved once per clause.
+  struct Aggregate {
+    const Expr* expr = nullptr;
+    AggKind kind = AggKind::kCount;
+    bool star = false;          // count(*)
+    const Expr* arg = nullptr;  // the argument; nullptr for * or none
+  };
 
   struct AggState {
     std::int64_t count = 0;
@@ -1029,69 +1294,81 @@ class Evaluator {
     std::set<std::string> seen;  // for DISTINCT aggregates
   };
 
-  /// Evaluates expression `e` in aggregate context for one input row,
-  /// folding into per-aggregate state. Returns nothing; finalization happens
-  /// in finalize_aggregate.
-  void fold_aggregate(const Expr& e, const RowSet& rows,
-                      const std::vector<Value>& row, AggState& state) const {
+  [[nodiscard]] static Aggregate resolve_aggregate(const Expr& e) {
+    Aggregate a;
+    a.expr = &e;
     const std::string name = to_lower(e.name);
-    Value v;
-    const bool star = !e.args.empty() && e.args[0]->kind == Expr::Kind::kStar;
-    if (!star && !e.args.empty()) v = eval_expr(*e.args[0], rows, row);
-    if (name == "count") {
-      if (star) {
-        ++state.count;
-        return;
-      }
-      if (v.is_null()) return;
-      if (e.distinct) {
-        const std::string key = v.to_display_string();
-        if (!state.seen.insert(key).second) return;
-      }
+    if (name == "collect") a.kind = AggKind::kCollect;
+    if (name == "min") a.kind = AggKind::kMin;
+    if (name == "max") a.kind = AggKind::kMax;
+    if (name == "sum") a.kind = AggKind::kSum;
+    if (name == "avg") a.kind = AggKind::kAvg;
+    a.star = !e.args.empty() && e.args[0]->kind == Expr::Kind::kStar;
+    if (!a.star && !e.args.empty()) a.arg = e.args[0].get();
+    return a;
+  }
+
+  /// Folds one input row's argument value `v` into the aggregate's state.
+  void fold_aggregate(const Aggregate& a, Value v, AggState& state) const {
+    if (a.kind == AggKind::kCount && a.star) {
       ++state.count;
       return;
     }
     if (v.is_null()) return;
-    if (e.distinct) {
-      const std::string key = v.to_display_string();
-      if (!state.seen.insert(key).second) return;
+    if (a.expr->distinct && !state.seen.insert(v.to_display_string()).second) {
+      return;
     }
-    if (name == "collect") {
-      state.collected.push_back(v);
-    } else if (name == "min") {
-      if (state.min_value.is_null() || compare_values(v, state.min_value) == -1) {
-        state.min_value = v;
-      }
-    } else if (name == "max") {
-      if (state.max_value.is_null() || compare_values(v, state.max_value) == 1) {
-        state.max_value = v;
-      }
-    } else if (name == "sum" || name == "avg") {
-      if (!v.is_number()) fail("sum/avg of non-number");
-      ++state.count;
-      state.sum += v.as_number();
-      if (v.is_int()) {
-        state.sum_int += v.as_int();
-      } else {
-        state.all_int = false;
-      }
+    switch (a.kind) {
+      case AggKind::kCount:
+        ++state.count;
+        return;
+      case AggKind::kCollect:
+        state.collected.push_back(std::move(v));
+        return;
+      case AggKind::kMin:
+        if (state.min_value.is_null() ||
+            compare_values(v, state.min_value) == -1) {
+          state.min_value = std::move(v);
+        }
+        return;
+      case AggKind::kMax:
+        if (state.max_value.is_null() ||
+            compare_values(v, state.max_value) == 1) {
+          state.max_value = std::move(v);
+        }
+        return;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        if (!v.is_number()) fail("sum/avg of non-number");
+        ++state.count;
+        state.sum += v.as_number();
+        if (v.is_int()) {
+          if (__builtin_add_overflow(state.sum_int, v.as_int(),
+                                     &state.sum_int) &&
+              a.kind == AggKind::kSum) {
+            fail("integer overflow in sum");
+          }
+        } else {
+          state.all_int = false;
+        }
+        return;
     }
   }
 
-  [[nodiscard]] Value finalize_aggregate(const Expr& e,
-                                         const AggState& state) const {
-    const std::string name = to_lower(e.name);
-    if (name == "count") return Value(state.count);
-    if (name == "collect") return Value(state.collected);
-    if (name == "min") return state.min_value;
-    if (name == "max") return state.max_value;
-    if (name == "sum") {
-      return state.all_int ? Value(state.sum_int) : Value(state.sum);
+  [[nodiscard]] static Value finalize_aggregate(const Aggregate& a,
+                                                AggState& state) {
+    switch (a.kind) {
+      case AggKind::kCount: return Value(state.count);
+      case AggKind::kCollect: return Value(std::move(state.collected));
+      case AggKind::kMin: return std::move(state.min_value);
+      case AggKind::kMax: return std::move(state.max_value);
+      case AggKind::kSum:
+        return state.all_int ? Value(state.sum_int) : Value(state.sum);
+      case AggKind::kAvg:
+        return state.count == 0 ? Value()
+                                : Value(state.sum / double(state.count));
     }
-    if (name == "avg") {
-      return state.count == 0 ? Value() : Value(state.sum / double(state.count));
-    }
-    fail("unknown aggregate '" + e.name + "'");
+    return Value();
   }
 
   /// Evaluates a projection expression *after* grouping, substituting each
@@ -1137,7 +1414,7 @@ class Evaluator {
   }
 
   [[nodiscard]] RowSet eval_projection(const Clause& clause,
-                                       const RowSet& input) const {
+                                       RowSet input) const {
     // RETURN * / WITH *: pass all current columns through (optionally
     // alongside further explicit items, Cypher-style "WITH *, expr AS x").
     Clause expanded;
@@ -1173,7 +1450,7 @@ class Evaluator {
       expanded.limit = clause.limit;
       effective = &expanded;
     }
-    return eval_projection_expanded(*effective, input);
+    return eval_projection_expanded(*effective, std::move(input));
   }
 
   /// Deep copy of an expression tree (used by RETURN * expansion).
@@ -1194,112 +1471,202 @@ class Evaluator {
   }
 
   [[nodiscard]] RowSet eval_projection_expanded(const Clause& clause,
-                                                const RowSet& input) const {
+                                                RowSet input) const {
     RowSet out;
     for (const auto& item : clause.projections) {
       out.columns.push_back(item.alias);
     }
+    const std::size_t items = clause.projections.size();
 
+    // Resolved once per clause: each item's column when it is a plain
+    // variable, whether it holds an aggregate, and the aggregates
+    // themselves. Every `var.key` an item or an aggregate argument reads is
+    // fetched for a batch of rows at a time.
+    std::vector<int> slots(items, -1);
+    std::vector<bool> aggregated(items, false);
     bool any_aggregate = false;
-    for (const auto& item : clause.projections) {
-      if (contains_aggregate(*item.expr)) any_aggregate = true;
+    PropBatch props;
+    for (std::size_t i = 0; i < items; ++i) {
+      const Expr& e = *clause.projections[i].expr;
+      aggregated[i] = contains_aggregate(e);
+      any_aggregate = any_aggregate || aggregated[i];
+      if (e.kind == Expr::Kind::kVariable) {
+        slots[i] = input.column_index(e.name);
+      }
+      if (!aggregated[i]) add_reads(props, e, input);
+    }
+    const auto project = [&](std::size_t i, const std::vector<Value>& row,
+                             std::size_t at) -> Value {
+      if (slots[i] >= 0) return row[static_cast<std::size_t>(slots[i])];
+      return eval_expr(*clause.projections[i].expr, input, row, &props, at);
+    };
+
+    // The input row each output row came from, for ORDER BY.
+    std::vector<std::vector<Value>> sources;
+    const bool keep_sources = !clause.order_by.empty();
+    QueryGuard* guard = options_.guard;
+    const std::size_t n = input.rows.size();
+    if (!any_aggregate) {
+      for_each_batched(props, input, 0, n, [&](std::size_t r,
+                                               std::size_t at) {
+        if (guard != nullptr && !guard->admit_rows()) return false;
+        std::vector<Value> projected;
+        projected.reserve(items);
+        for (std::size_t i = 0; i < items; ++i) {
+          projected.push_back(project(i, input.rows[r], at));
+        }
+        out.rows.push_back(std::move(projected));
+        if (keep_sources) sources.push_back(std::move(input.rows[r]));
+        return true;
+      });
+    } else {
+      // Group by the values of non-aggregate projections.
+      struct Group {
+        std::vector<Value> keys;           // per non-aggregate projection
+        std::vector<Value> sample_row;     // representative input row
+        std::vector<AggState> agg_states;  // per aggregate expression
+      };
+      std::vector<const Expr*> aggregate_exprs;
+      for (const auto& item : clause.projections) {
+        collect_aggregates(*item.expr, aggregate_exprs);
+      }
+      std::vector<Aggregate> aggregates;
+      std::vector<int> arg_slots;
+      for (const Expr* e : aggregate_exprs) {
+        aggregates.push_back(resolve_aggregate(*e));
+        const Expr* arg = aggregates.back().arg;
+        arg_slots.push_back(arg != nullptr && arg->kind == Expr::Kind::kVariable
+                                ? input.column_index(arg->name)
+                                : -1);
+        if (arg != nullptr) add_reads(props, *arg, input);
+      }
+      const auto fold = [&](Group& g, const std::vector<Value>& row,
+                            std::size_t at) {
+        for (std::size_t a = 0; a < aggregates.size(); ++a) {
+          Value v;
+          if (arg_slots[a] >= 0) {
+            v = row[static_cast<std::size_t>(arg_slots[a])];
+          } else if (aggregates[a].arg != nullptr) {
+            v = eval_expr(*aggregates[a].arg, input, row, &props, at);
+          }
+          fold_aggregate(aggregates[a], std::move(v), g.agg_states[a]);
+        }
+      };
+
+      // Groups in output order: one group when every item aggregates, else
+      // the key map's order (the display strings of the key values).
+      std::vector<Group> groups;
+      if (std::find(aggregated.begin(), aggregated.end(), false) ==
+          aggregated.end()) {
+        for_each_batched(props, input, 0, n, [&](std::size_t r,
+                                                 std::size_t at) {
+          if (guard != nullptr && !guard->keep_going()) return false;
+          if (groups.empty()) {
+            groups.emplace_back();
+            groups.back().agg_states.resize(aggregates.size());
+          }
+          fold(groups.back(), input.rows[r], at);
+          if (groups.back().sample_row.empty()) {
+            groups.back().sample_row = std::move(input.rows[r]);
+          }
+          return true;
+        });
+      } else {
+        std::map<std::string, Group> keyed;
+        for_each_batched(props, input, 0, n, [&](std::size_t r,
+                                                 std::size_t at) {
+          if (guard != nullptr && !guard->keep_going()) return false;
+          std::vector<Value> keys;
+          std::string key_str;
+          for (std::size_t i = 0; i < items; ++i) {
+            if (aggregated[i]) continue;
+            Value v = project(i, input.rows[r], at);
+            key_str += v.to_display_string();
+            key_str += '\x1f';
+            keys.push_back(std::move(v));
+          }
+          auto [it, inserted] = keyed.try_emplace(std::move(key_str));
+          Group& g = it->second;
+          if (inserted) {
+            g.keys = std::move(keys);
+            g.agg_states.resize(aggregates.size());
+          }
+          fold(g, input.rows[r], at);
+          if (inserted) g.sample_row = std::move(input.rows[r]);
+          return true;
+        });
+        groups.reserve(keyed.size());
+        for (auto& [key, group] : keyed) groups.push_back(std::move(group));
+      }
+
+      for (Group& group : groups) {
+        std::vector<std::pair<const Expr*, Value>> finalized;
+        finalized.reserve(aggregates.size());
+        for (std::size_t a = 0; a < aggregates.size(); ++a) {
+          finalized.emplace_back(
+              aggregates[a].expr,
+              finalize_aggregate(aggregates[a], group.agg_states[a]));
+        }
+        std::vector<Value> projected;
+        projected.reserve(items);
+        std::size_t key_cursor = 0;
+        for (std::size_t i = 0; i < items; ++i) {
+          const Expr& e = *clause.projections[i].expr;
+          if (!aggregated[i]) {
+            projected.push_back(std::move(group.keys[key_cursor++]));
+            continue;
+          }
+          const auto direct = std::find_if(
+              finalized.begin(), finalized.end(),
+              [&](const auto& f) { return f.first == &e; });
+          projected.push_back(
+              direct != finalized.end()
+                  ? std::move(direct->second)
+                  : eval_with_aggregates(e, input, group.sample_row,
+                                         finalized));
+        }
+        out.rows.push_back(std::move(projected));
+        if (keep_sources) sources.push_back(std::move(group.sample_row));
+      }
     }
 
     // ORDER BY may reference projection aliases *or* pre-projection
     // variables (Cypher semantics), so sort keys are evaluated in a combined
     // context: input columns followed by output columns.
-    RowSet sort_ctx;
-    sort_ctx.columns = input.columns;
-    for (const auto& c : out.columns) sort_ctx.columns.push_back(c);
     std::vector<std::vector<Value>> sort_keys;
-    auto record_sort_keys = [&](const std::vector<Value>& source_row,
-                                const std::vector<Value>& projected) {
-      if (clause.order_by.empty()) return;
-      std::vector<Value> ctx_row = source_row;
-      ctx_row.insert(ctx_row.end(), projected.begin(), projected.end());
-      std::vector<Value> keys;
-      keys.reserve(clause.order_by.size());
+    if (keep_sources) {
+      RowSet ctx;
+      ctx.columns = input.columns;
+      for (const auto& c : out.columns) ctx.columns.push_back(c);
+      ctx.rows = std::move(sources);
+      for (std::size_t r = 0; r < ctx.rows.size(); ++r) {
+        ctx.rows[r].resize(input.columns.size());
+        ctx.rows[r].insert(ctx.rows[r].end(), out.rows[r].begin(),
+                           out.rows[r].end());
+      }
+      PropBatch sort_props;
+      std::vector<int> sort_slots;
       for (const SortItem& item : clause.order_by) {
-        keys.push_back(eval_expr(*item.expr, sort_ctx, ctx_row));
+        add_reads(sort_props, *item.expr, ctx);
+        sort_slots.push_back(item.expr->kind == Expr::Kind::kVariable
+                                 ? ctx.column_index(item.expr->name)
+                                 : -1);
       }
-      sort_keys.push_back(std::move(keys));
-    };
-
-    QueryGuard* guard = options_.guard;
-    if (!any_aggregate) {
-      for (const auto& row : input.rows) {
-        if (guard != nullptr && !guard->admit_rows()) break;
-        std::vector<Value> projected;
-        projected.reserve(clause.projections.size());
-        for (const auto& item : clause.projections) {
-          projected.push_back(eval_expr(*item.expr, input, row));
-        }
-        record_sort_keys(row, projected);
-        out.rows.push_back(std::move(projected));
-      }
-    } else {
-      // Group by the values of non-aggregate projections.
-      struct Group {
-        std::vector<Value> keys;             // per non-aggregate projection
-        std::vector<Value> sample_row;       // representative input row
-        std::vector<AggState> agg_states;    // per aggregate expression
-      };
-      std::vector<const Expr*> aggregates;
-      for (const auto& item : clause.projections) {
-        collect_aggregates(*item.expr, aggregates);
-      }
-      std::vector<std::size_t> key_items;  // projections with no aggregate
-      for (std::size_t i = 0; i < clause.projections.size(); ++i) {
-        if (!contains_aggregate(*clause.projections[i].expr)) {
-          key_items.push_back(i);
-        }
-      }
-
-      std::map<std::string, Group> groups;  // key-string -> group
-      for (const auto& row : input.rows) {
-        if (guard != nullptr && !guard->keep_going()) break;
-        std::vector<Value> keys;
-        std::string key_str;
-        for (const std::size_t i : key_items) {
-          Value v = eval_expr(*clause.projections[i].expr, input, row);
-          key_str += v.to_display_string();
-          key_str += '\x1f';
-          keys.push_back(std::move(v));
-        }
-        auto [it, inserted] = groups.try_emplace(key_str);
-        Group& g = it->second;
-        if (inserted) {
-          g.keys = std::move(keys);
-          g.sample_row = row;
-          g.agg_states.resize(aggregates.size());
-        }
-        for (std::size_t a = 0; a < aggregates.size(); ++a) {
-          fold_aggregate(*aggregates[a], input, row, g.agg_states[a]);
-        }
-      }
-
-      for (auto& [key, group] : groups) {
-        std::vector<std::pair<const Expr*, Value>> finalized;
-        finalized.reserve(aggregates.size());
-        for (std::size_t a = 0; a < aggregates.size(); ++a) {
-          finalized.emplace_back(aggregates[a],
-                                 finalize_aggregate(*aggregates[a],
-                                                    group.agg_states[a]));
-        }
-        std::vector<Value> projected;
-        std::size_t key_cursor = 0;
-        for (std::size_t i = 0; i < clause.projections.size(); ++i) {
-          if (!contains_aggregate(*clause.projections[i].expr)) {
-            projected.push_back(group.keys[key_cursor++]);
-          } else {
-            projected.push_back(eval_with_aggregates(
-                *clause.projections[i].expr, input, group.sample_row,
-                finalized));
-          }
-        }
-        record_sort_keys(group.sample_row, projected);
-        out.rows.push_back(std::move(projected));
-      }
+      sort_keys.resize(ctx.rows.size());
+      for_each_batched(
+          sort_props, ctx, 0, ctx.rows.size(),
+          [&](std::size_t r, std::size_t at) {
+            std::vector<Value>& keys = sort_keys[r];
+            keys.reserve(clause.order_by.size());
+            for (std::size_t k = 0; k < clause.order_by.size(); ++k) {
+              keys.push_back(
+                  sort_slots[k] >= 0
+                      ? ctx.rows[r][static_cast<std::size_t>(sort_slots[k])]
+                      : eval_expr(*clause.order_by[k].expr, ctx, ctx.rows[r],
+                                  &sort_props, at));
+            }
+            return true;
+          });
     }
 
     if (clause.distinct) {
@@ -1350,37 +1717,40 @@ class Evaluator {
 
   // ---- UNWIND ---------------------------------------------------------------
 
-  [[nodiscard]] RowSet eval_unwind(const Clause& clause,
-                                   const RowSet& input) const {
+  [[nodiscard]] RowSet eval_unwind(const Clause& clause, RowSet input) const {
     QueryGuard* guard = options_.guard;
     RowSet out;
     out.columns = input.columns;
     out.columns.push_back(clause.unwind_alias);
-    for (const auto& row : input.rows) {
-      if (guard != nullptr && guard->stopped()) break;
-      const Value v = eval_expr(*clause.unwind_expr, input, row);
-      if (v.is_null()) continue;
-      if (v.is_list()) {
-        for (const Value& item : v.as_list()) {
-          if (guard != nullptr && !guard->admit_rows()) break;
-          auto extended = row;
-          extended.push_back(item);
-          out.rows.push_back(std::move(extended));
-        }
-      } else {
-        if (guard != nullptr && !guard->admit_rows()) break;
-        auto extended = row;
-        extended.push_back(v);
-        out.rows.push_back(std::move(extended));
-      }
-    }
+    PropBatch props;
+    add_reads(props, *clause.unwind_expr, input);
+    const auto extend = [&](std::vector<Value> row, Value item) {
+      row.push_back(std::move(item));
+      out.rows.push_back(std::move(row));
+    };
+    for_each_batched(
+        props, input, 0, input.rows.size(), [&](std::size_t r, std::size_t at) {
+          if (guard != nullptr && guard->stopped()) return false;
+          std::vector<Value>& row = input.rows[r];
+          Value v = eval_expr(*clause.unwind_expr, input, row, &props, at);
+          if (v.is_null()) return true;
+          if (v.is_list()) {
+            for (const Value& item : v.as_list()) {
+              if (guard != nullptr && !guard->admit_rows()) break;
+              extend(row, item);
+            }
+          } else {
+            if (guard != nullptr && !guard->admit_rows()) return false;
+            extend(std::move(row), std::move(v));
+          }
+          return true;
+        });
     return out;
   }
 
   // ---- CALL -----------------------------------------------------------------
 
-  [[nodiscard]] RowSet eval_call(const Clause& clause,
-                                 const RowSet& input) const {
+  [[nodiscard]] RowSet eval_call(const Clause& clause, RowSet input) const {
     auto pit = procedures_.find(clause.call_procedure);
     if (pit == procedures_.end()) {
       fail("unknown procedure '" + clause.call_procedure + "'");
@@ -1410,51 +1780,58 @@ class Evaluator {
     out.columns = input.columns;
     for (const std::string& name : names) out.columns.push_back(name);
 
-    auto call_row = [&](const std::vector<Value>& row,
-                        std::vector<std::vector<Value>>& sink) {
-      std::vector<Value> args;
-      args.reserve(clause.call_args.size());
-      for (const auto& a : clause.call_args) {
-        args.push_back(eval_expr(*a, input, row));
-      }
-      for (const auto& yielded : proc.fn(args)) {
-        auto extended = row;
-        for (const std::size_t i : selected) {
-          extended.push_back(yielded.at(i));
+    PropBatch props;
+    for (const auto& a : clause.call_args) add_reads(props, *a, input);
+    // Calls the procedure for rows [begin, end); each input row is moved
+    // into its last yielded row and copied into the others.
+    QueryGuard* guard = options_.guard;
+    const auto call_rows = [&](PropBatch& batch, std::size_t begin,
+                               std::size_t end,
+                               std::vector<std::vector<Value>>& sink) {
+      for_each_batched(batch, input, begin, end, [&](std::size_t r,
+                                                     std::size_t at) {
+        std::vector<Value>& row = input.rows[r];
+        std::vector<Value> args;
+        args.reserve(clause.call_args.size());
+        for (const auto& a : clause.call_args) {
+          args.push_back(eval_expr(*a, input, row, &batch, at));
         }
-        sink.push_back(std::move(extended));
-      }
+        const std::size_t before = sink.size();
+        std::vector<std::vector<Value>> yielded = proc.fn(args);
+        const std::size_t width = row.size() + selected.size();
+        for (std::size_t y = 0; y < yielded.size(); ++y) {
+          std::vector<Value> extended;
+          if (y + 1 == yielded.size()) {
+            extended = std::move(row);
+            extended.reserve(width);
+          } else {
+            extended.reserve(width);
+            extended.assign(row.begin(), row.end());
+          }
+          for (const std::size_t i : selected) {
+            extended.push_back(yielded[y].at(i));
+          }
+          sink.push_back(std::move(extended));
+        }
+        return guard == nullptr || guard->admit_rows(sink.size() - before);
+      });
     };
 
-    QueryGuard* guard = options_.guard;
-    if (!fan_out(input.rows.size())) {
-      for (const auto& row : input.rows) {
-        const std::size_t before = out.rows.size();
-        call_row(row, out.rows);
-        if (guard != nullptr && !guard->admit_rows(out.rows.size() - before)) {
-          break;
-        }
-      }
+    const std::size_t n = input.rows.size();
+    if (!fan_out(n)) {
+      call_rows(props, 0, n, out.rows);
       return out;
     }
     // Independent per-row procedure calls dispatched to the pool; yielded
     // rows concatenate in chunk order, matching the sequential loop.
-    const std::size_t n = input.rows.size();
     const std::size_t grain = fan_out_grain(n);
     std::vector<std::vector<std::vector<Value>>> chunks(
         ThreadPool::chunk_count(n, grain));
     options_.effective_pool().parallel_for(
         n, grain, options_.effective_threads(),
         [&](ThreadPool::ChunkRange chunk) {
-          auto& local = chunks[chunk.index];
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            const std::size_t before = local.size();
-            call_row(input.rows[i], local);
-            if (guard != nullptr &&
-                !guard->admit_rows(local.size() - before)) {
-              return;
-            }
-          }
+          PropBatch local = props;
+          call_rows(local, chunk.begin, chunk.end, chunks[chunk.index]);
         });
     for (auto& local : chunks) {
       for (auto& row : local) out.rows.push_back(std::move(row));

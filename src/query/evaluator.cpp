@@ -149,8 +149,8 @@ QueryResult QueryEngine::run_impl(const Query& query, const QueryParams& params,
   if (!planned_path) rows = ev.run(query);
 
   QueryResult result;
-  result.columns = rows.columns;
-  result.rows = rows.rows;
+  result.columns = std::move(rows.columns);
+  result.rows = std::move(rows.rows);
   if (options_.guard != nullptr && options_.guard->stopped()) {
     result.truncated = true;
     result.truncated_reason = options_.guard->reason();

@@ -3,115 +3,147 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <span>
 
 #include "graph/segment.h"
 
 namespace horus::query {
 
-// ---------------------------------------------------------------------------
-// ChunkedArena
-// ---------------------------------------------------------------------------
-
-void* ChunkedArena::alloc_bytes(std::size_t bytes, std::size_t align) {
-  if (bytes == 0) bytes = 1;
-  while (true) {
-    if (current_ < chunks_.size()) {
-      Chunk& chunk = chunks_[current_];
-      const std::size_t aligned = (offset_ + align - 1) & ~(align - 1);
-      if (aligned + bytes <= chunk.size) {
-        offset_ = aligned + bytes;
-        return chunk.data.get() + aligned;
-      }
-      ++current_;
-      offset_ = 0;
-      continue;
-    }
-    const std::size_t size = std::max(kChunkBytes, bytes + align);
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size});
-    current_ = chunks_.size() - 1;
-    offset_ = 0;
-  }
-}
-
 namespace {
 
 using internal::Evaluator;
+using internal::kReadBatch;
+using internal::PropBatch;
 using internal::RowSet;
 
-/// Per-predicate state resolved once per execution, so the per-row cost is
-/// an integer compare (interned columns), an in-place typed compare
-/// (int64 columns / stored properties), or — only for kGeneric — one
-/// expression evaluation over a reused scratch row.
+/// Per-predicate state resolved once per execution: the column of the
+/// batch's copy it reads, and for kInternedEq the constant's pool id. The
+/// per-row cost is then an integer compare (interned columns), an in-place
+/// typed compare (copied values), or — only for kGeneric — one expression
+/// evaluation over a reused scratch row.
 struct CompiledPredicate {
   const PlannedPredicate* pp = nullptr;
-  graph::InternedColumnView interned;  // kInternedEq
-  std::uint32_t pool_id = graph::InternedColumnView::kAbsent;
+  std::size_t column = 0;  // kInternedEq: ids column; kPropCompare: values
+  std::uint32_t pool_id = graph::kNoPoolId;
   bool pool_present = false;
-  graph::Int64ColumnView int64_col;  // kPropCompare numeric fast path
 };
 
-[[nodiscard]] std::vector<CompiledPredicate> compile_predicates(
-    const graph::GraphStore& store, const Plan& plan) {
-  std::vector<CompiledPredicate> out;
-  out.reserve(plan.predicates.size());
+/// The filter's reads, all of the head variable (column 0): label ids for
+/// the label check, pool ids for kInternedEq, values for kPropCompare and
+/// the `var.key` accesses of kGeneric conjuncts — one copy per batch.
+struct Filter {
+  PropBatch reads;
+  std::vector<CompiledPredicate> preds;
+};
+
+[[nodiscard]] Filter compile_filter(const Evaluator& ev, const Plan& plan,
+                                    const RowSet& scratch) {
+  const graph::GraphStore& store = ev.graph_.store();
+  Filter out;
+  if (plan.check_label) out.reads.add_labels(0);
+  out.preds.reserve(plan.predicates.size());
   for (const PlannedPredicate& pp : plan.predicates) {
     CompiledPredicate c;
     c.pp = &pp;
-    if (pp.kind == PlannedPredicate::Kind::kInternedEq) {
-      c.interned = store.interned_column(pp.key);
-      if (const auto id =
-              store.interned_value_id(pp.key, pp.constant.as_string())) {
-        c.pool_id = *id;
-        c.pool_present = true;
-      }
-    } else if (pp.kind == PlannedPredicate::Kind::kPropCompare &&
-               pp.constant.is_number()) {
-      c.int64_col = store.int64_column(pp.key);
+    switch (pp.kind) {
+      case PlannedPredicate::Kind::kInternedEq:
+        c.column = out.reads.add_ids(0, pp.key);
+        if (const auto id =
+                store.interned_value_id(pp.key, pp.constant.as_string())) {
+          c.pool_id = *id;
+          c.pool_present = true;
+        }
+        break;
+      case PlannedPredicate::Kind::kPropCompare:
+        c.column = out.reads.add_values(0, pp.key);
+        break;
+      case PlannedPredicate::Kind::kGeneric:
+        ev.add_reads(out.reads, *pp.expr, scratch);
+        break;
     }
-    out.push_back(std::move(c));
+    out.preds.push_back(c);
   }
   return out;
 }
 
-/// One predicate against one candidate. `scratch`/`row` form a reusable
-/// single-row binding of the head variable for kGeneric conjuncts — the
-/// node slot is overwritten in place, no per-row allocation.
+/// One predicate against the batch's node `at`. `scratch`/`row` form a
+/// reusable single-row binding of the head variable for kGeneric conjuncts
+/// — the node slot is overwritten in place, no per-row allocation.
 [[nodiscard]] bool predicate_matches(const Evaluator& ev,
                                      const CompiledPredicate& c,
+                                     const PropBatch& reads, std::size_t at,
                                      graph::NodeId node, RowSet& scratch,
                                      std::vector<Value>& row) {
   const PlannedPredicate& pp = *c.pp;
   switch (pp.kind) {
     case PlannedPredicate::Kind::kInternedEq: {
-      const std::uint32_t id =
-          c.interned.valid() ? c.interned.id_of(node)
-                             : graph::InternedColumnView::kAbsent;
+      const std::uint32_t id = reads.copy(0).ids[c.column][at];
       if (pp.op == BinaryOp::kEq) return c.pool_present && id == c.pool_id;
       // <>: absent compares incomparable to a string (null-ish), so only
       // present-and-different survives — same verdict the legacy
       // compare_values path produces.
-      return id != graph::InternedColumnView::kAbsent &&
-             (!c.pool_present || id != c.pool_id);
+      return id != graph::kNoPoolId && (!c.pool_present || id != c.pool_id);
     }
-    case PlannedPredicate::Kind::kPropCompare: {
-      int cmp;
-      if (c.int64_col.valid() && c.int64_col.has(node)) {
-        const double x = static_cast<double>(c.int64_col.value_or(node, 0));
-        const double y = pp.constant.as_number();
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      } else {
-        cmp = internal::compare_property_value(
-            ev.graph_.store().property(node, pp.key), pp.constant);
-      }
+    case PlannedPredicate::Kind::kPropCompare:
       // pp.op is already normalized to property-on-the-left orientation.
-      return internal::compare_verdict(pp.op, cmp).truthy();
-    }
+      return internal::compare_verdict(
+                 pp.op, internal::compare_property_value(
+                            reads.copy(0).values[c.column][at], pp.constant))
+          .truthy();
     case PlannedPredicate::Kind::kGeneric:
       row[0] = Value(NodeRef{node});
-      return ev.eval_expr(*pp.expr, scratch, row).truthy();
+      return ev.eval_expr(*pp.expr, scratch, row, &reads, at).truthy();
   }
   return false;
+}
+
+/// Filters `candidates` a read batch at a time: one copy of the
+/// batch's reads, then the label check and each predicate compact the
+/// batch in turn — the cheapest (most selective) predicates run first, so
+/// later ones see shrinking batches. Appends survivors to `out` until it
+/// holds `limit` or the guard stops it, counting each predicate's
+/// survivors.
+void filter_range(const Evaluator& ev, const Plan& plan,
+                  std::span<const graph::NodeId> candidates,
+                  std::optional<std::uint32_t> label_id, Filter& filter,
+                  std::uint64_t limit, std::vector<graph::NodeId>& out,
+                  std::vector<std::uint64_t>& pred_survivors) {
+  QueryGuard* guard = ev.options_.guard;
+  if (plan.check_label && !label_id) return;  // no node has the label
+  RowSet scratch;
+  scratch.columns.push_back(plan.variable);
+  std::vector<Value> srow(1);
+  std::vector<std::uint32_t> alive(kReadBatch);  // batch positions
+  for (std::size_t base = 0; base < candidates.size(); base += kReadBatch) {
+    if (guard != nullptr && !guard->keep_going()) return;
+    const auto batch = candidates.subspan(
+        base, std::min(kReadBatch, candidates.size() - base));
+    filter.reads.fetch(ev.graph_.store(), batch);
+    std::size_t n = 0;
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      if (!plan.check_label || filter.reads.copy(0).labels[i] == *label_id) {
+        alive[n++] = i;
+      }
+    }
+    for (std::size_t p = 0; p < filter.preds.size() && n > 0; ++p) {
+      std::size_t m = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (predicate_matches(ev, filter.preds[p], filter.reads, alive[j],
+                              batch[alive[j]], scratch, srow)) {
+          alive[m++] = alive[j];
+        }
+      }
+      n = m;
+      pred_survivors[p] += m;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (out.size() >= limit) return;
+      // Admit before pushing so a tripped max_rows yields exactly the
+      // admitted prefix as the partial result.
+      if (guard != nullptr && !guard->admit_rows()) return;
+      out.push_back(batch[alive[j]]);
+    }
+  }
 }
 
 /// Candidate node stream for the plan's scan, in exactly the order the
@@ -211,8 +243,11 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
 
   std::optional<std::uint32_t> label_id;
   if (plan.check_label) label_id = store.label_id(plan.label);
-  const std::vector<CompiledPredicate> preds = compile_predicates(store, plan);
-  std::vector<std::uint64_t> pred_survivors(preds.size(), 0);
+  RowSet scratch;
+  scratch.columns.push_back(plan.variable);
+  Filter filter = compile_filter(ev, plan, scratch);
+  const std::size_t pred_count = filter.preds.size();
+  std::vector<std::uint64_t> pred_survivors(pred_count, 0);
 
   // LIMIT folds into the filter only when the projection did too (then the
   // plan's rows map 1:1 onto result rows). A negative literal matches the
@@ -226,55 +261,8 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
 
   std::vector<graph::NodeId> survivors;
   if (!ev.fan_out(candidates.size())) {
-    constexpr std::size_t kBatch = 1024;
-    ChunkedArena arena;
-    graph::NodeId* batch = arena.alloc<graph::NodeId>(kBatch);
-    RowSet scratch;
-    scratch.columns.push_back(plan.variable);
-    std::vector<Value> srow(1);
-    bool stop = false;
-    for (std::size_t base = 0; base < candidates.size() && !stop;
-         base += kBatch) {
-      if (guard != nullptr && !guard->keep_going()) break;
-      std::size_t n = std::min(kBatch, candidates.size() - base);
-      std::memcpy(batch, candidates.data() + base,
-                  n * sizeof(graph::NodeId));
-      if (plan.check_label) {
-        std::size_t m = 0;
-        if (label_id) {
-          for (std::size_t i = 0; i < n; ++i) {
-            if (store.node_label_id(batch[i]) == *label_id) batch[m++] = batch[i];
-          }
-        }
-        n = m;
-      }
-      // Batch-at-a-time: each predicate compacts the batch in place; the
-      // cheapest (most selective) predicates run first, so later ones see
-      // shrinking batches.
-      for (std::size_t p = 0; p < preds.size() && n > 0; ++p) {
-        std::size_t m = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (predicate_matches(ev, preds[p], batch[i], scratch, srow)) {
-            batch[m++] = batch[i];
-          }
-        }
-        n = m;
-        pred_survivors[p] += m;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (survivors.size() >= limit) {
-          stop = true;
-          break;
-        }
-        // Admit before pushing so a tripped max_rows yields exactly the
-        // admitted prefix as the partial result.
-        if (guard != nullptr && !guard->admit_rows()) {
-          stop = true;
-          break;
-        }
-        survivors.push_back(batch[i]);
-      }
-    }
+    filter_range(ev, plan, candidates, label_id, filter, limit, survivors,
+                 pred_survivors);
   } else {
     // Chunk-order-deterministic fan-out, same shape as the legacy WHERE:
     // per-chunk survivor lists concatenate in chunk order, so the row
@@ -290,29 +278,14 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
         n, grain, ev.options_.effective_threads(),
         [&](ThreadPool::ChunkRange chunk) {
           ChunkOut& local = chunks[chunk.index];
-          local.pred_survivors.assign(preds.size(), 0);
-          RowSet scratch;
-          scratch.columns.push_back(plan.variable);
-          std::vector<Value> srow(1);
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            if (guard != nullptr && !guard->keep_going()) return;
-            const graph::NodeId node = candidates[i];
-            if (plan.check_label &&
-                (!label_id || store.node_label_id(node) != *label_id)) {
-              continue;
-            }
-            bool pass = true;
-            for (std::size_t p = 0; p < preds.size(); ++p) {
-              if (!predicate_matches(ev, preds[p], node, scratch, srow)) {
-                pass = false;
-                break;
-              }
-              ++local.pred_survivors[p];
-            }
-            if (!pass) continue;
-            if (guard != nullptr && !guard->admit_rows()) return;
-            local.survivors.push_back(node);
-          }
+          local.pred_survivors.assign(pred_count, 0);
+          Filter local_filter = filter;
+          filter_range(ev, plan,
+                       std::span(candidates)
+                           .subspan(chunk.begin, chunk.end - chunk.begin),
+                       label_id, local_filter,
+                       std::numeric_limits<std::uint64_t>::max(),
+                       local.survivors, local.pred_survivors);
         });
     for (const ChunkOut& chunk : chunks) {
       survivors.insert(survivors.end(), chunk.survivors.begin(),
@@ -334,29 +307,37 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
     // Survivors were already admitted through the guard one-for-one in the
     // filter stage (plan rows map 1:1 onto result rows here), so the
     // projection only materializes them — re-admitting would double-count
-    // and empty out a partial result after a tripped max_rows.
+    // and empty out a partial result after a tripped max_rows. Each batch's
+    // `var.key` items are read with one copy.
+    PropBatch reads;
     for (const auto& item : plan.projection->projections) {
       out.columns.push_back(item.alias);
+      ev.add_reads(reads, *item.expr, scratch);
     }
-    RowSet scratch;
-    scratch.columns.push_back(plan.variable);
     std::vector<Value> srow(1);
-    out.rows.reserve(std::min<std::uint64_t>(survivors.size(), limit));
-    for (const graph::NodeId node : survivors) {
-      if (out.rows.size() >= limit) break;
-      srow[0] = Value(NodeRef{node});
-      std::vector<Value> projected;
-      projected.reserve(plan.projection->projections.size());
-      for (const auto& item : plan.projection->projections) {
-        projected.push_back(ev.eval_expr(*item.expr, scratch, srow));
+    const auto rows = static_cast<std::size_t>(
+        std::min<std::uint64_t>(survivors.size(), limit));
+    out.rows.reserve(rows);
+    for (std::size_t base = 0; base < rows; base += kReadBatch) {
+      const auto batch =
+          std::span(survivors).subspan(base, std::min(kReadBatch, rows - base));
+      reads.fetch(store, batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        srow[0] = Value(NodeRef{batch[i]});
+        std::vector<Value> projected;
+        projected.reserve(plan.projection->projections.size());
+        for (const auto& item : plan.projection->projections) {
+          projected.push_back(
+              ev.eval_expr(*item.expr, scratch, srow, &reads, i));
+        }
+        out.rows.push_back(std::move(projected));
       }
-      out.rows.push_back(std::move(projected));
     }
   } else if (!survivors.empty()) {
     out.columns.push_back(plan.variable);
     out.rows.reserve(survivors.size());
     for (const graph::NodeId node : survivors) {
-      out.rows.push_back({Value(NodeRef{node})});
+      out.rows.emplace_back(1, Value(NodeRef{node}));
     }
   }
   // No survivors and no projection: the legacy MATCH never bound the
@@ -373,7 +354,7 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
     report->ops[idx].actual_rows = static_cast<double>(candidates.size());
     report->ops[idx].seconds = secs(t_start, t_scan);
     ++idx;
-    for (std::size_t p = 0; p < preds.size() && idx < report->ops.size();
+    for (std::size_t p = 0; p < pred_count && idx < report->ops.size();
          ++p, ++idx) {
       report->ops[idx].actual_rows = static_cast<double>(pred_survivors[p]);
       if (p == 0) report->ops[idx].seconds = secs(t_scan, t_filter);
@@ -391,7 +372,7 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
     scan_stats.rows_out = candidates.size();
     scan_stats.seconds = secs(t_start, t_scan);
     profile->add_clause(std::move(scan_stats));
-    if (!preds.empty() || plan.check_label) {
+    if (pred_count > 0 || plan.check_label) {
       obs::QueryProfile::ClauseStats filter_stats;
       filter_stats.clause = "plan:filter";
       filter_stats.rows_in = candidates.size();

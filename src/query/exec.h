@@ -1,64 +1,19 @@
 // Batch executor for planned queries (src/query/planner.h): runs the
-// scan → filter → (project → limit) prefix of a Plan column-at-a-time and
-// hands any remaining clauses back to the legacy pipeline via
-// Evaluator::run_from. Row-for-row identical to the tuple-at-a-time
-// evaluator — tests/plan_differential_test.cpp is the oracle.
+// scan → filter → (project → limit) prefix of a Plan a read batch at a time
+// (one GraphStore::copy_nodes per batch of candidates) and hands any
+// remaining clauses back to the legacy pipeline via Evaluator::run_from.
+// Row-for-row identical to the tuple-at-a-time evaluator —
+// tests/plan_differential_test.cpp is the oracle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "query/eval_internal.h"
 #include "query/planner.h"
 
 namespace horus::query {
-
-/// Chunked bump allocator scoped to one query execution. Filter stages
-/// stream candidate node ids through arena-backed batches instead of
-/// allocating a Value per row; reset() recycles every chunk at once.
-class ChunkedArena {
- public:
-  static constexpr std::size_t kChunkBytes = 64 * 1024;
-
-  ChunkedArena() = default;
-
-  /// Uninitialized storage for `n` elements of a trivially-destructible T,
-  /// aligned for T. Valid until reset() or destruction.
-  template <typename T>
-  [[nodiscard]] T* alloc(std::size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>);
-    return static_cast<T*>(alloc_bytes(n * sizeof(T), alignof(T)));
-  }
-
-  /// Recycles all chunks without releasing them to the allocator.
-  void reset() noexcept {
-    current_ = 0;
-    offset_ = 0;
-  }
-
-  [[nodiscard]] std::size_t chunks_allocated() const noexcept {
-    return chunks_.size();
-  }
-  [[nodiscard]] std::size_t bytes_reserved() const noexcept {
-    std::size_t total = 0;
-    for (const auto& c : chunks_) total += c.size;
-    return total;
-  }
-
- private:
-  struct Chunk {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t size = 0;
-  };
-
-  void* alloc_bytes(std::size_t bytes, std::size_t align);
-
-  std::vector<Chunk> chunks_;
-  std::size_t current_ = 0;  // chunk being filled
-  std::size_t offset_ = 0;   // next free byte in it
-};
 
 /// Counters the engine folds into the obs registry after execution.
 struct ExecCounters {

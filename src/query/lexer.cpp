@@ -11,7 +11,8 @@
 namespace horus::query {
 
 namespace {
-constexpr std::array kKeywords = {
+// string_view entries: a compare checks the length before any byte.
+constexpr std::array<std::string_view, 24> kKeywords = {
     "MATCH",  "WHERE",    "WITH",  "RETURN", "ORDER",  "BY",
     "ASC",    "DESC",     "AS",    "AND",    "OR",     "NOT",
     "CONTAINS", "STARTS", "ENDS",  "UNWIND", "CALL",   "YIELD",
@@ -20,7 +21,7 @@ constexpr std::array kKeywords = {
 }  // namespace
 
 bool is_keyword(std::string_view upper) {
-  for (const char* k : kKeywords) {
+  for (const std::string_view k : kKeywords) {
     if (upper == k) return true;
   }
   return false;
@@ -28,6 +29,7 @@ bool is_keyword(std::string_view upper) {
 
 std::vector<Token> tokenize(std::string_view text) {
   std::vector<Token> out;
+  out.reserve(text.size() / 4 + 2);  // one allocation for typical queries
   std::size_t i = 0;
   const std::size_t n = text.size();
 
@@ -72,17 +74,23 @@ std::vector<Token> tokenize(std::string_view text) {
                        text[i] == '_')) {
         ++i;
       }
-      std::string word(text.substr(start, i - start));
-      std::string upper = word;
-      for (char& ch : upper) {
-        ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+      const std::string_view word = text.substr(start, i - start);
+      // No keyword is longer than eight letters.
+      char upper[8];
+      bool keyword = false;
+      if (word.size() <= sizeof(upper)) {
+        for (std::size_t k = 0; k < word.size(); ++k) {
+          upper[k] = static_cast<char>(
+              std::toupper(static_cast<unsigned char>(word[k])));
+        }
+        keyword = is_keyword(std::string_view(upper, word.size()));
       }
-      if (is_keyword(upper)) {
+      if (keyword) {
         tok.kind = TokenKind::kKeyword;
-        tok.text = upper;
+        tok.text.assign(upper, word.size());
       } else {
         tok.kind = TokenKind::kIdent;
-        tok.text = std::move(word);
+        tok.text = std::string(word);
       }
       out.push_back(std::move(tok));
       continue;

@@ -1,5 +1,8 @@
 #include "query/parser.h"
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 
 namespace horus::query {
@@ -245,13 +248,13 @@ class Parser {
         step.min_hops = 1;
         step.max_hops = 0;  // unbounded unless a range follows
         if (peek().kind == TokenKind::kInteger) {
-          step.min_hops = static_cast<std::uint32_t>(integer(next()));
+          step.min_hops = hop_bound("lower");
           step.max_hops = step.min_hops;  // -[*N]-> is exactly N hops
         }
         if (accept(TokenKind::kDotDot)) {
           step.max_hops = 0;
           if (peek().kind == TokenKind::kInteger) {
-            step.max_hops = static_cast<std::uint32_t>(integer(next()));
+            step.max_hops = hop_bound("upper");
           }
         }
         if (step.max_hops != 0 && step.max_hops < step.min_hops) {
@@ -292,6 +295,19 @@ class Parser {
     }
     expect(TokenKind::kRParen, "')' closing node pattern");
     return node;
+  }
+
+  /// A relationship hop bound: the next integer token, which must fit in
+  /// 32 bits. `which` names the bound in the error.
+  std::uint32_t hop_bound(const char* which) {
+    const std::int64_t v = integer(peek());
+    if (v < 0 || v > std::int64_t{std::numeric_limits<std::uint32_t>::max()}) {
+      fail(std::string("relationship hop ") + which + " bound " +
+           std::to_string(v) + " is out of range (at most " +
+           std::to_string(std::numeric_limits<std::uint32_t>::max()) + ")");
+    }
+    next();
+    return static_cast<std::uint32_t>(v);
   }
 
   /// The value of an integer token that is not negated: 2^63 has no

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include <limits>
 
 #include <memory>
@@ -244,6 +246,101 @@ TEST_F(QueryFixture, UnaryMinusNegatesLiteralsAndParentheses) {
         "MATCH (n) RETURN -(-9223372036854775808) AS m"}) {
     EXPECT_THROW((void)run(text), QueryError) << text;
   }
+}
+
+/// The QueryError message of `text`, or "" when it runs.
+std::string error_of(const std::function<query::QueryResult()>& run_it) {
+  try {
+    (void)run_it();
+  } catch (const QueryError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(QueryFixture, IntegerAdditionOverflowFailsTyped) {
+  EXPECT_EQ(run("MATCH (n {eventId: 5}) RETURN 9223372036854775806 + 1 AS x")
+                .rows[0][0]
+                .as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (n {eventId: 5}) "
+                         "RETURN 9223372036854775807 + 1 AS x");
+            }).find("integer overflow in '+'"),
+            std::string::npos);
+}
+
+TEST_F(QueryFixture, IntegerSubtractionOverflowFailsTyped) {
+  EXPECT_EQ(run("MATCH (n {eventId: 5}) RETURN -9223372036854775807 - 1 AS x")
+                .rows[0][0]
+                .as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (n {eventId: 5}) "
+                         "RETURN -9223372036854775808 - 1 AS x");
+            }).find("integer overflow in '-'"),
+            std::string::npos);
+}
+
+TEST_F(QueryFixture, IntegerMultiplicationOverflowFailsTyped) {
+  EXPECT_EQ(run("MATCH (n {eventId: 5}) RETURN 4611686018427387903 * 2 AS x")
+                .rows[0][0]
+                .as_int(),
+            std::numeric_limits<std::int64_t>::max() - 1);
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (n {eventId: 5}) "
+                         "RETURN 4611686018427387904 * 4 AS x");
+            }).find("integer overflow in '*'"),
+            std::string::npos);
+}
+
+TEST_F(QueryFixture, IntegerDivisionOverflowFailsTyped) {
+  // INT64_MIN / -1 traps with SIGFPE unless checked.
+  EXPECT_EQ(run("MATCH (n {eventId: 5}) RETURN -9223372036854775808 / 1 AS x")
+                .rows[0][0]
+                .as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (n {eventId: 5}) "
+                         "RETURN -9223372036854775808 / -1 AS x");
+            }).find("integer overflow in '/'"),
+            std::string::npos);
+}
+
+TEST_F(QueryFixture, IntegerModuloOverflowFailsTyped) {
+  // INT64_MIN % -1 traps like the division it is computed by.
+  EXPECT_EQ(run("MATCH (n {eventId: 5}) RETURN -9223372036854775808 % 7 AS x")
+                .rows[0][0]
+                .as_int(),
+            std::numeric_limits<std::int64_t>::min() % 7);
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (n {eventId: 5}) "
+                         "RETURN -9223372036854775808 % -1 AS x");
+            }).find("integer overflow in '%'"),
+            std::string::npos);
+}
+
+TEST_F(QueryFixture, HopBoundsPastThirtyTwoBitsAreRejected) {
+  // A bound narrowed unchecked to 32 bits would run [*1..4294967298] as
+  // [*1..2].
+  const auto two = run(
+      "MATCH (a:LOG {message: 'request start'})-[*1..2]->(b) "
+      "RETURN count(*) AS c");
+  const auto widest = run(
+      "MATCH (a:LOG {message: 'request start'})-[*1..4294967295]->(b) "
+      "RETURN count(*) AS c");
+  ASSERT_EQ(widest.rows.size(), 1u);
+  EXPECT_EQ(widest.rows[0][0].as_int(), 5);  // everything reachable
+  EXPECT_EQ(two.rows[0][0].as_int(), 3);
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (a:LOG {message: 'request start'})"
+                         "-[*1..4294967298]->(b) RETURN count(*) AS c");
+            }).find("hop upper bound 4294967298 is out of range"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (a)-[*4294967296]->(b) RETURN count(*) AS c");
+            }).find("hop lower bound 4294967296 is out of range"),
+            std::string::npos);
 }
 
 TEST_F(QueryFixture, ProcedureNodeIdsOutOfRangeAreRejected) {

@@ -469,7 +469,7 @@ TEST(ServiceFreshnessTest, EventsAreClockedWithoutWaitingForIntervals) {
 
 // Q2 against a live pipeline: the encoders append nodes and edges while
 // the query's induced-edge step reads the cut's out-lists and labels. The
-// engine copies them under the store lock (GraphStore::copy_adjacency), so
+// engine copies them under the store lock (GraphStore::copy_nodes), so
 // no reader walks an out-list a writer reallocates; the sanitize (TSan)
 // and asan presets run this as the race check of horusd's read path.
 TEST(ServiceLiveQueryTest, Q2WhileIngestWritesMatchesTheBatchAnswer) {
@@ -542,6 +542,102 @@ TEST(ServiceLiveQueryTest, Q2WhileIngestWritesMatchesTheBatchAnswer) {
       ref.query().get_causal_graph(*ref.node_of(first), *ref.node_of(last));
   EXPECT_EQ(event_set(live.nodes, graph), event_set(batch.nodes, ref.graph()));
   EXPECT_EQ(live.edges.size(), batch.edges.size());
+  daemon.stop();
+}
+
+// MATCH against a live pipeline: the encoders append nodes (growing every
+// column, bag and the label index) and the clock daemon writes Lamport
+// values while queries read labels and properties. The query engine copies
+// every per-node read under the store lock (GraphStore::copy_nodes), never
+// through a pointer into the store; the sanitize (TSan) and asan presets
+// run this as the race check of live MATCH.
+TEST(ServiceLiveQueryTest, MatchWhileIngestWritesMatchesTheBatchAnswer) {
+  const ScopedTempDir scratch("live-match");
+  queue::Broker broker;
+  ExecutionGraph graph;
+  service::HorusService daemon(broker, graph,
+                               fast_service_options(scratch.str()));
+  daemon.start();
+  const auto events = workload(6000);
+  const auto probe_text = [&](std::size_t k) {
+    return "MATCH (n:EVENT {eventId: " +
+           std::to_string(value_of(events[k].id)) + "}) RETURN n.host AS host";
+  };
+  const auto range_text = [](std::int64_t lo) {
+    return "MATCH (n) WHERE n.lamportLogicalTime >= " + std::to_string(lo) +
+           " AND n.lamportLogicalTime < " + std::to_string(lo + 4) +
+           " RETURN n.eventId AS id";
+  };
+  const std::string count_text = "MATCH (n:LOG {host: '" +
+                                 events.front().service +
+                                 "'}) RETURN count(*) AS logs";
+  std::atomic<bool> published{false};
+  std::thread publisher([&] {
+    for (const Event& e : events) daemon.publish(e);
+    published.store(true);
+  });
+
+  const service::HorusService::Session session = daemon.admit();
+  std::size_t queries = 0;
+  std::size_t rows = 0;
+  // Query until every event is stored, so the reads overlap the writes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((!published.load() || queries < 150 ||
+          graph.store().node_count() < events.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const std::size_t k = (queries * 7919) % events.size();
+    query::QueryResult r;
+    try {
+      switch (queries % 3) {
+        case 0:
+          r = daemon.run_query(session, probe_text(k));
+          ASSERT_LE(r.rows.size(), 1u);
+          if (!r.rows.empty() && !r.truncated) {
+            ASSERT_EQ(r.rows[0][0].as_string(), events[k].service);
+          }
+          break;
+        case 1:
+          r = daemon.run_query(session, range_text(1 + (queries / 3) % 64));
+          for (const auto& row : r.rows) ASSERT_TRUE(row[0].is_int());
+          break;
+        default:
+          r = daemon.run_query(session, count_text);
+          ASSERT_LE(r.rows.size(), 1u);
+          break;
+      }
+    } catch (const service::OverloadError&) {
+      // Shed by plan cost while the daemon is degraded; ask again.
+    }
+    rows += r.rows.size();
+    ++queries;
+  }
+  publisher.join();
+  EXPECT_GT(rows, 0u);
+
+  // Once drained and clocked, each answer is the batch facade's.
+  ASSERT_TRUE(daemon.pipeline().drain());
+  daemon.clock_daemon().tick();
+  const auto ref_ptr = reference_run(events);
+  const query::QueryEngine live(graph);
+  const query::QueryEngine batch(ref_ptr->graph());
+  const auto sorted_rows = [](query::QueryResult r) {
+    std::sort(r.rows.begin(), r.rows.end(),
+              [](const auto& x, const auto& y) {
+                return query::compare_values(x[0], y[0]) < 0;
+              });
+    return r.rows;
+  };
+  for (const std::size_t k : {std::size_t{0}, events.size() / 2,
+                              events.size() - 1}) {
+    EXPECT_EQ(live.run(probe_text(k)).rows, batch.run(probe_text(k)).rows);
+  }
+  for (const std::int64_t lo : {1, 17, 40}) {
+    const auto want = sorted_rows(batch.run(range_text(lo)));
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(sorted_rows(live.run(range_text(lo))), want);
+  }
+  EXPECT_EQ(live.run(count_text).rows, batch.run(count_text).rows);
   daemon.stop();
 }
 
