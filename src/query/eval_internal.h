@@ -98,36 +98,6 @@ struct RowSet {
   return b.is_null() ? 0 : -2;  // stored null (absent property)
 }
 
-/// compare_values semantics between two stored properties, in place.
-[[nodiscard]] inline int compare_properties(const graph::PropertyValue& a,
-                                            const graph::PropertyValue& b) {
-  const auto number =
-      [](const graph::PropertyValue& p) -> std::optional<double> {
-    if (const auto* i = std::get_if<std::int64_t>(&p)) {
-      return static_cast<double>(*i);
-    }
-    if (const auto* d = std::get_if<double>(&p)) return *d;
-    return std::nullopt;
-  };
-  const auto x = number(a);
-  const auto y = number(b);
-  if (x && y) return *x < *y ? -1 : (*x > *y ? 1 : 0);
-  const auto* sa = std::get_if<std::string>(&a);
-  const auto* sb = std::get_if<std::string>(&b);
-  if (sa != nullptr && sb != nullptr) {
-    const int c = sa->compare(*sb);
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  const auto* ba = std::get_if<bool>(&a);
-  const auto* bb = std::get_if<bool>(&b);
-  if (ba != nullptr && bb != nullptr) {
-    return static_cast<int>(*ba) - static_cast<int>(*bb);
-  }
-  const bool na = std::holds_alternative<std::monostate>(a);
-  const bool nb = std::holds_alternative<std::monostate>(b);
-  return na && nb ? 0 : -2;
-}
-
 [[nodiscard]] inline bool is_comparison_op(BinaryOp op) noexcept {
   switch (op) {
     case BinaryOp::kEq:
@@ -518,19 +488,14 @@ class Evaluator {
   }
 
   /// Comparison fast path over the batch's fetched values: `var.key <op>
-  /// constant` (either side) and `a.key <op> b.key` compare the fetched
-  /// properties in place, with no temporary Value. Returns false (c
-  /// untouched) when an operand is neither fetched nor constant; never
-  /// changes semantics.
+  /// constant` (either side) compares the fetched property in place, with no
+  /// temporary Value. Returns false (c untouched) when the shape does not
+  /// apply; never changes semantics.
   [[nodiscard]] bool try_compare_fast(const Expr& e, const PropBatch* props,
                                       std::size_t at, int& c) const {
     if (props == nullptr) return false;
     const graph::PropertyValue* l = props->value(*e.lhs, at);
     const graph::PropertyValue* r = props->value(*e.rhs, at);
-    if (l != nullptr && r != nullptr) {
-      c = compare_properties(*l, *r);
-      return true;
-    }
     if (l != nullptr) {
       const Value* rv = constant_operand(*e.rhs);
       if (rv == nullptr) return false;
@@ -828,61 +793,73 @@ class Evaluator {
     return out;
   }
 
-  /// Keeps, in order, the nodes of `nodes` that carry `pattern`'s label and
-  /// equal its inline properties, but for props[probed], which the caller's
-  /// index lookup already matched. Labels and values are copied kReadBatch
-  /// nodes at a time; the label, and a string under an interned column,
-  /// compare as integer ids.
-  void filter_matching(std::vector<graph::NodeId>& nodes,
-                       const NodePattern& pattern, const EvaluatedProps& props,
-                       std::size_t probed = SIZE_MAX) const {
+  /// A node pattern's label and inline properties, resolved for one row:
+  /// the label, and a string under an interned column, as integer ids, any
+  /// other property as the value to compare. Its reads are one PropBatch
+  /// over column 0 (the planned executor's filter reads the same way).
+  struct NodeFilter {
+    bool none = false;  // no stored node can match
+    std::optional<std::uint32_t> label;
+    std::vector<std::pair<std::size_t, std::uint32_t>> ids;    // column, id
+    std::vector<std::pair<std::size_t, const Value*>> values;  // column, want
+    PropBatch reads;
+  };
+
+  /// The filter of `pattern` with inline property values `props`, but for
+  /// props[probed], which the caller's index lookup already matched.
+  /// `props` must outlive the filter.
+  [[nodiscard]] NodeFilter node_filter(const NodePattern& pattern,
+                                       const EvaluatedProps& props,
+                                       std::size_t probed = SIZE_MAX) const {
     const graph::GraphStore& store = graph_.store();
-    const bool check_label = !pattern.label.empty() && pattern.label != "EVENT";
-    const std::size_t checked = props.size() - (probed < props.size() ? 1 : 0);
-    if (nodes.empty() || (!check_label && checked == 0)) return;
-    std::uint32_t label = 0;
-    if (check_label) {
-      const auto id = store.label_id(pattern.label);
-      if (!id) {
-        nodes.clear();
-        return;
+    NodeFilter f;
+    if (!pattern.label.empty() && pattern.label != "EVENT") {
+      f.label = store.label_id(pattern.label);
+      if (!f.label) {
+        f.none = true;
+        return f;
       }
-      label = *id;
+      f.reads.add_labels(0);
     }
-    std::vector<graph::PropKeyId> id_keys;
-    std::vector<std::uint32_t> want_ids;
-    std::vector<graph::PropKeyId> value_keys;
-    std::vector<const Value*> want_values;
     for (std::size_t p = 0; p < props.size(); ++p) {
       if (p == probed) continue;
       const auto& [key, want] = props[p];
       if (want.is_string() && store.interned_distinct(key) > 0) {
         const auto id = store.interned_value_id(key, want.as_string());
         if (!id) {  // never stored: no node holds it
-          nodes.clear();
-          return;
+          f.none = true;
+          return f;
         }
-        id_keys.push_back(key);
-        want_ids.push_back(*id);
+        f.ids.emplace_back(f.reads.add_ids(0, key), *id);
       } else {
-        value_keys.push_back(key);
-        want_values.push_back(&want);
+        f.values.emplace_back(f.reads.add_values(0, key), &want);
       }
     }
-    const graph::NodeReadSpec spec{.ids = id_keys, .values = value_keys};
-    graph::NodeCopy copy;
+    return f;
+  }
+
+  /// Keeps, in order, the nodes of `nodes` that pass `filter`, copying what
+  /// it reads kReadBatch nodes at a time.
+  void filter_matching(std::vector<graph::NodeId>& nodes,
+                       NodeFilter& filter) const {
+    if (filter.none) {
+      nodes.clear();
+      return;
+    }
+    if (!filter.label && filter.ids.empty() && filter.values.empty()) return;
     std::size_t kept = 0;
     for (std::size_t base = 0; base < nodes.size(); base += kReadBatch) {
       const std::size_t n = std::min(kReadBatch, nodes.size() - base);
-      store.copy_nodes(std::span(nodes).subspan(base, n), spec, copy);
+      filter.reads.fetch(graph_.store(), std::span(nodes).subspan(base, n));
+      const graph::NodeCopy& copy = filter.reads.copy(0);
       for (std::size_t i = 0; i < n; ++i) {
-        bool match = !check_label || copy.labels[i] == label;
-        for (std::size_t k = 0; match && k < id_keys.size(); ++k) {
-          match = copy.ids[k][i] == want_ids[k];
+        bool match = !filter.label || copy.labels[i] == *filter.label;
+        for (const auto& [column, id] : filter.ids) {
+          match = match && copy.ids[column][i] == id;
         }
-        for (std::size_t k = 0; match && k < value_keys.size(); ++k) {
-          match = compare_property_value(copy.values[k][i],
-                                         *want_values[k]) == 0;
+        for (const auto& [column, want] : filter.values) {
+          match = match &&
+                  compare_property_value(copy.values[column][i], *want) == 0;
         }
         // kept <= base + i: compaction never overwrites an unread node.
         if (match) nodes[kept++] = nodes[base + i];
@@ -922,75 +899,75 @@ class Evaluator {
                   ? store.nodes_with_label(pattern.label)
                   : store.all_nodes();
     }
-    filter_matching(found, pattern, props, probed);
+    NodeFilter filter = node_filter(pattern, props, probed);
+    filter_matching(found, filter);
     return found;
   }
 
   /// Nodes reachable from `from` within [min_hops, max_hops] hops along
   /// edges of the requested type/direction (max_hops == 0 = unbounded).
-  /// Level by level: each level's adjacency is copied kReadBatch nodes at a
-  /// time, and a node is queued at most once per level — polynomial even on
-  /// diamond-rich happens-before graphs.
+  /// BFS over (node, depth) states — polynomial even on diamond-rich
+  /// happens-before graphs. Each visited node's adjacency is copied.
   [[nodiscard]] std::vector<graph::NodeId> var_length_endpoints(
       graph::NodeId from, const PatternStep& step,
       std::optional<graph::EdgeTypeId> want_type, bool right) const {
     const graph::GraphStore& store = graph_.store();
+    const std::uint32_t max_hops =
+        step.max_hops == 0 ? std::numeric_limits<std::uint32_t>::max()
+                           : step.max_hops;
     const graph::NodeReadSpec spec{.edges = right ? graph::EdgeDirection::kOut
                                                   : graph::EdgeDirection::kIn};
-    graph::NodeCopy copy;
-    std::vector<graph::NodeId> level{from};
-    std::vector<graph::NodeId> next;
-    // Calls visit(target) for each wanted edge of the level's nodes.
-    const auto expand = [&](auto&& visit) {
-      next.clear();
-      for (std::size_t base = 0; base < level.size(); base += kReadBatch) {
-        const std::size_t n = std::min(kReadBatch, level.size() - base);
-        store.copy_nodes(std::span(level).subspan(base, n), spec, copy);
-        for (const graph::Edge& e : copy.edges) {
-          if (!want_type || e.type == *want_type) visit(e.to);
-        }
-      }
-      level.swap(next);
+    graph::NodeCopy adjacency;
+    const auto edges_of = [&](graph::NodeId v) {
+      const graph::NodeId one[] = {v};
+      store.copy_nodes(one, spec, adjacency);
+      return adjacency.of(0);
     };
 
     std::vector<graph::NodeId> result;
     if (step.min_hops <= 1 && step.max_hops == 0) {
       // Common fast path: plain reachability flood (any depth >= 1).
-      std::vector<bool> seen;
-      while (!level.empty()) {
-        expand([&](graph::NodeId to) {
-          if (to >= seen.size()) {
-            seen.resize(std::max<std::size_t>(to + 1, 2 * seen.size()));
+      std::vector<bool> seen(store.node_count(), false);
+      std::vector<graph::NodeId> stack;
+      auto expand = [&](graph::NodeId v) {
+        for (const graph::Edge& e : edges_of(v)) {
+          if (want_type && e.type != *want_type) continue;
+          // A writer may have appended the node since node_count().
+          if (e.to >= seen.size()) seen.resize(e.to + 1, false);
+          if (!seen[e.to]) {
+            seen[e.to] = true;
+            result.push_back(e.to);
+            stack.push_back(e.to);
           }
-          if (seen[to]) return;
-          seen[to] = true;
-          result.push_back(to);
-          next.push_back(to);
-        });
+        }
+      };
+      expand(from);
+      while (!stack.empty()) {
+        const graph::NodeId v = stack.back();
+        stack.pop_back();
+        expand(v);
       }
       return result;
     }
 
-    // General case: level d holds the nodes some walk of exactly d hops
-    // reaches; the endpoints are levels min_hops..max_hops.
-    const std::uint64_t max_hops =
-        step.max_hops == 0 ? std::numeric_limits<std::uint64_t>::max()
-                           : step.max_hops;
-    std::vector<std::uint64_t> queued;  // the last level a node joined
-    for (std::uint64_t depth = 1; depth <= max_hops && !level.empty();
-         ++depth) {
-      expand([&](graph::NodeId to) {
-        if (to >= queued.size()) {
-          queued.resize(std::max<std::size_t>(to + 1, 2 * queued.size()), 0);
+    // General case: BFS over (node, depth) states up to max_hops.
+    std::set<std::pair<graph::NodeId, std::uint32_t>> visited;
+    std::set<graph::NodeId> endpoints;
+    std::vector<std::pair<graph::NodeId, std::uint32_t>> frontier{{from, 0}};
+    while (!frontier.empty()) {
+      const auto [v, depth] = frontier.back();
+      frontier.pop_back();
+      if (depth >= max_hops) continue;
+      for (const graph::Edge& e : edges_of(v)) {
+        if (want_type && e.type != *want_type) continue;
+        const std::uint32_t next_depth = depth + 1;
+        if (next_depth >= step.min_hops) endpoints.insert(e.to);
+        if (visited.emplace(e.to, next_depth).second) {
+          frontier.emplace_back(e.to, next_depth);
         }
-        if (queued[to] == depth) return;
-        queued[to] = depth;
-        next.push_back(to);
-        if (depth >= step.min_hops) result.push_back(to);
-      });
+      }
     }
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
+    result.assign(endpoints.begin(), endpoints.end());
     return result;
   }
 
@@ -1044,7 +1021,7 @@ class Evaluator {
 
     // Pattern property expressions are evaluated once per incoming row (they
     // may reference variables from earlier clauses, not pattern-local ones).
-    // Edge types are resolved once per row too.
+    // Edge types and each step's node filter are resolved once per row too.
     const EvaluatedProps head_props = eval_pattern_props(path.head, schema, row);
     std::vector<EvaluatedProps> step_props;
     std::vector<std::optional<graph::EdgeTypeId>> step_types;
@@ -1059,10 +1036,15 @@ class Evaluator {
       missing_type =
           missing_type || (!step.edge_type.empty() && !step_types.back());
     }
+    std::vector<NodeFilter> step_filters;
+    step_filters.reserve(path.steps.size());
+    for (std::size_t i = 0; i < path.steps.size(); ++i) {
+      step_filters.push_back(node_filter(path.steps[i].node, step_props[i]));
+    }
 
     // Recursive step matcher. Each step copies the previous node's
-    // adjacency (never a span into the store), then filters the endpoints
-    // in one batched read.
+    // adjacency (never a span into the store) and keeps the endpoints its
+    // node filter passes, in edge order.
     graph::NodeCopy adjacency;
     std::function<void(std::size_t, graph::NodeId, std::vector<Value>&)>
         match_steps = [&](std::size_t step_index, graph::NodeId prev,
@@ -1098,7 +1080,7 @@ class Evaluator {
               next.push_back(endpoint);
             }
           }
-          filter_matching(next, step.node, step_props[step_index]);
+          filter_matching(next, step_filters[step_index]);
           for (const graph::NodeId node : next) {
             std::vector<Value> extended = current;
             bind(step.node.variable, node, extended);
@@ -1111,7 +1093,8 @@ class Evaluator {
     std::vector<graph::NodeId> heads;
     if (head_bound) {
       heads.push_back(*head_bound);
-      filter_matching(heads, path.head, head_props);
+      NodeFilter filter = node_filter(path.head, head_props);
+      filter_matching(heads, filter);
     } else {
       heads = candidates(path.head, head_props);
     }
@@ -1291,6 +1274,7 @@ class Evaluator {
     double sum = 0;
     std::int64_t sum_int = 0;
     bool all_int = true;
+    bool int_overflow = false;  // sum_int left the int64 range
     std::set<std::string> seen;  // for DISTINCT aggregates
   };
 
@@ -1343,11 +1327,8 @@ class Evaluator {
         ++state.count;
         state.sum += v.as_number();
         if (v.is_int()) {
-          if (__builtin_add_overflow(state.sum_int, v.as_int(),
-                                     &state.sum_int) &&
-              a.kind == AggKind::kSum) {
-            fail("integer overflow in sum");
-          }
+          state.int_overflow |=
+              __builtin_add_overflow(state.sum_int, v.as_int(), &state.sum_int);
         } else {
           state.all_int = false;
         }
@@ -1363,7 +1344,11 @@ class Evaluator {
       case AggKind::kMin: return std::move(state.min_value);
       case AggKind::kMax: return std::move(state.max_value);
       case AggKind::kSum:
-        return state.all_int ? Value(state.sum_int) : Value(state.sum);
+        // An all-integer sum is an integer and must fit; any double makes
+        // it a double sum, which the integer partial sum does not affect.
+        if (!state.all_int) return Value(state.sum);
+        if (state.int_overflow) fail("integer overflow in sum");
+        return Value(state.sum_int);
       case AggKind::kAvg:
         return state.count == 0 ? Value()
                                 : Value(state.sum / double(state.count));

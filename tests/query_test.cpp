@@ -320,6 +320,28 @@ TEST_F(QueryFixture, IntegerModuloOverflowFailsTyped) {
             std::string::npos);
 }
 
+TEST_F(QueryFixture, IntegerSumOverflowFailsTyped) {
+  EXPECT_NE(error_of([&] {
+              return run("MATCH (n {eventId: 5}) "
+                         "UNWIND [9223372036854775807, 1] AS x "
+                         "RETURN sum(x) AS s");
+            }).find("integer overflow in sum"),
+            std::string::npos);
+}
+
+TEST_F(QueryFixture, MixedSumPastTheIntegerRangeIsADouble) {
+  // A double makes the sum a double, so its integer part may leave the
+  // int64 range, before or after the double arrives.
+  for (const char* list : {"[9223372036854775807, 1, 0.5]",
+                           "[0.5, 9223372036854775807, 1]"}) {
+    const auto r = run(std::string("MATCH (n {eventId: 5}) UNWIND ") + list +
+                       " AS x RETURN sum(x) AS s");
+    ASSERT_EQ(r.rows.size(), 1u) << list;
+    ASSERT_TRUE(r.rows[0][0].is_double()) << list;
+    EXPECT_DOUBLE_EQ(r.rows[0][0].as_number(), 9223372036854775808.5) << list;
+  }
+}
+
 TEST_F(QueryFixture, HopBoundsPastThirtyTwoBitsAreRejected) {
   // A bound narrowed unchecked to 32 bits would run [*1..4294967298] as
   // [*1..2].
