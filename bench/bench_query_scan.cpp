@@ -1,16 +1,14 @@
-// MATCH/WHERE scan throughput with the query planner on vs off, across
-// graph sizes — the paired measurement behind DESIGN.md §12: the planner
-// must win on selective predicates (index/range scans replace the full
-// scan) and at worst tie on unselective ones (batch filtering replaces
-// per-row Value allocation).
+// MATCH/WHERE scan throughput across graph sizes — the measurement behind
+// DESIGN.md §12: selective predicates become index/range scans, and
+// unselective ones a batch filter over copied columns.
 //
-// Hand-rolled main: every query runs twice per size (planner on / planner
-// off) and both rows land in the JSON, tagged "planner": "on"|"off".
-// bench/run_all.sh fails the run if either tag is missing from
-// BENCH_query_scan.json.
+// Hand-rolled main: every query runs once per size (best of 3), and its
+// row count — for a count(*) query, the count — is checked against a count
+// over the stored values of the keys it reads; a mismatch fails the run.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -25,14 +23,13 @@ using namespace horus;
 
 struct Timing {
   double ms = 0.0;
-  std::size_t rows = 0;
+  std::size_t rows = 0;  // result rows, or the count of a count(*) query
 };
 
 Timing time_query(const ExecutionGraph& graph, const std::string& text,
-                  bool planner) {
+                  bool counted) {
   QueryOptions options;
   options.threads = 1;
-  options.use_planner = planner;
   const query::QueryEngine engine(graph, options);
   Timing best{1e300, 0};
   for (int i = 0; i < 3; ++i) {
@@ -40,7 +37,8 @@ Timing time_query(const ExecutionGraph& graph, const std::string& text,
     const auto result = engine.run(text);
     const double ms = bench::ms_since(start);
     if (ms < best.ms) best.ms = ms;
-    best.rows = result.rows.size();
+    best.rows = counted ? static_cast<std::size_t>(result.rows[0][0].as_int())
+                        : result.rows.size();
   }
   return best;
 }
@@ -90,54 +88,67 @@ int main(int argc, char** argv) {
       const char* name;
       std::string text;
       bool selective;
+      bool counted;  // RETURN count(*): one row holding the count
+      std::function<bool(graph::NodeId)> keeps;
     };
+    const auto& keys = graph.keys();
     const std::vector<Spec> specs{
         {"eq_eventId",
          "MATCH (e) WHERE e.eventId = " + std::to_string(event_id) +
              " RETURN e.eventId",
-         true},
+         true, false,
+         [&](graph::NodeId v) {
+           return int_property(store, v, keys.event_id) == event_id;
+         }},
         {"range_lamport",
          "MATCH (e) WHERE e.lamportLogicalTime >= " +
              std::to_string(lamport) + " AND e.lamportLogicalTime < " +
              std::to_string(lamport + 100) + " RETURN e.lamportLogicalTime",
-         true},
+         true, false,
+         [&](graph::NodeId v) {
+           const std::int64_t t = int_property(store, v, keys.lamport);
+           return t >= lamport && t < lamport + 100;
+         }},
         {"host_eq_count",
-         "MATCH (e) WHERE e.host = \"" + host + "\" RETURN count(*)", false},
+         "MATCH (e) WHERE e.host = \"" + host + "\" RETURN count(*)", false,
+         true,
+         [&](graph::NodeId v) {
+           return string_property(store, v, keys.host) == host;
+         }},
         {"unselective_inplace",
          "MATCH (e) WHERE e.host <> \"no-such-host\" AND "
          "e.lamportLogicalTime > 0 RETURN count(*)",
-         false},
+         false, true,
+         [&](graph::NodeId v) {
+           const auto& h = store.property(v, keys.host);
+           return std::holds_alternative<std::string>(h) &&
+                  std::get<std::string>(h) != "no-such-host" &&
+                  int_property(store, v, keys.lamport) > 0;
+         }},
     };
 
+    const auto nodes = static_cast<graph::NodeId>(store.node_count());
     for (const Spec& spec : specs) {
-      const Timing off = time_query(graph, spec.text, /*planner=*/false);
-      const Timing on = time_query(graph, spec.text, /*planner=*/true);
-      const double speedup = on.ms > 0 ? off.ms / on.ms : 0.0;
-      if (on.rows != off.rows) {
+      std::size_t want = 0;
+      for (graph::NodeId v = 0; v < nodes; ++v) want += spec.keeps(v) ? 1 : 0;
+      const Timing t = time_query(graph, spec.text, spec.counted);
+      if (t.rows != want) {
         std::fprintf(stderr,
-                     "MISMATCH %s/%zu: planner-on %zu rows, planner-off %zu "
-                     "rows\n",
-                     spec.name, size, on.rows, off.rows);
+                     "MISMATCH %s/%zu: %zu rows, the stored values hold "
+                     "%zu\n",
+                     spec.name, size, t.rows, want);
         status = 1;
       }
-      std::printf("%-22s %9zu nodes  off %10.3f ms  on %10.3f ms  %6.1fx  "
-                  "(%zu rows)%s\n",
-                  spec.name, size, off.ms, on.ms, speedup, on.rows,
-                  spec.selective ? "  [selective]" : "");
-      for (const bool planner : {false, true}) {
-        const Timing& t = planner ? on : off;
-        Json row = Json::object();
-        row["name"] = std::string(spec.name) + "/" + std::to_string(size) +
-                      "/planner=" + (planner ? "on" : "off");
-        row["query"] = spec.text;
-        row["nodes"] = static_cast<std::int64_t>(size);
-        row["planner"] = planner ? "on" : "off";
-        row["selective"] = spec.selective;
-        row["real_time_ms"] = t.ms;
-        row["rows"] = static_cast<std::int64_t>(t.rows);
-        if (planner) row["speedup_vs_legacy"] = speedup;
-        report.add_row(std::move(row));
-      }
+      std::printf("%-22s %9zu nodes  %10.3f ms  (%zu rows)%s\n", spec.name,
+                  size, t.ms, t.rows, spec.selective ? "  [selective]" : "");
+      Json row = Json::object();
+      row["name"] = std::string(spec.name) + "/" + std::to_string(size);
+      row["query"] = spec.text;
+      row["nodes"] = static_cast<std::int64_t>(size);
+      row["selective"] = spec.selective;
+      row["real_time_ms"] = t.ms;
+      row["rows"] = static_cast<std::int64_t>(t.rows);
+      report.add_row(std::move(row));
     }
   }
 

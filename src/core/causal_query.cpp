@@ -6,7 +6,6 @@
 #include <optional>
 #include <span>
 
-#include "graph/segment.h"
 #include "obs/metrics.h"
 
 namespace horus {
@@ -159,13 +158,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   const std::int64_t lc_b = clocks_.lamport(b);
   if (lc_a == 0 || lc_b == 0 || lc_a > lc_b) return result;
   if (a != b && !clocks_.happens_before(a, b)) return result;
-
-  // Segmented store: block eviction for the query's lifetime (spans into
-  // node payloads stay valid).
-  graph::SegmentManager::ReadHold hold;
-  if (graph::SegmentManager* segments = store.segments()) {
-    hold = segments->read_hold();
-  }
 
   // Stage wall times are taken only under --profile: a steady_clock read
   // between stages is an optimizer barrier, and four of them cost ~20% on

@@ -57,12 +57,6 @@ struct QueryOptions {
   /// partial result with `truncated` set instead of running away on
   /// adversarial graphs. Null keeps the hot paths at a single pointer test.
   QueryGuard* guard = nullptr;
-  /// Lower MATCH/WHERE query prefixes into a typed plan (src/query/planner.h)
-  /// executed batch-at-a-time over column spans. Query shapes the planner
-  /// cannot prove row-identical fall back to the tuple-at-a-time evaluator
-  /// automatically; false forces the legacy path everywhere (A/B benches,
-  /// the plan-differential oracle suite).
-  bool use_planner = true;
 
   [[nodiscard]] unsigned effective_threads() const {
     return threads == 0 ? ThreadPool::default_parallelism() : threads;

@@ -419,16 +419,6 @@ NodeId GraphStore::add_node_typed(std::string_view label,
   return add_node_locked(label, std::move(properties));
 }
 
-NodeId GraphStore::add_nodes_batch(std::string_view label,
-                                   std::vector<PropertyMap> batch) {
-  const std::unique_lock lock(mutex_);
-  const auto first = static_cast<NodeId>(nodes_.size());
-  for (auto& props : batch) {
-    add_node_locked(label, intern_map_locked(std::move(props)));
-  }
-  return first;
-}
-
 void GraphStore::add_edge_locked(NodeId from, NodeId to, EdgeTypeId type) {
   nodes_[from].out.push_back(Edge{to, type});
   nodes_[to].in.push_back(Edge{from, type});
@@ -1000,10 +990,8 @@ std::string GraphStore::interned_name(PropKeyId key,
 
 std::span<const Edge> GraphStore::out_edges(NodeId node) const {
   // Adjacency vectors are append-only and nodes_ never shrinks; the span
-  // stays valid as long as no concurrent writer reallocates. Callers running
-  // queries against a quiesced store (the Horus read path) rely on this;
-  // with segments enabled they additionally hold a SegmentManager::ReadHold
-  // so a concurrent evictor cannot free the vector under the span.
+  // stays valid as long as no concurrent writer reallocates or evicts the
+  // node's segment: the quiesced read path only (copy_nodes otherwise).
   return with_payload_locked(node, kNoPropKey, [&]() -> std::span<const Edge> {
     return nodes_[node].out;
   });
@@ -1133,16 +1121,6 @@ const std::string& GraphStore::edge_type_name(EdgeTypeId type) const {
 EdgeTypeId GraphStore::intern_edge_type(std::string_view type) {
   const std::unique_lock lock(mutex_);
   return intern_edge_type_locked(type);
-}
-
-std::vector<std::string> GraphStore::label_names() const {
-  const std::shared_lock lock(mutex_);
-  return labels_;
-}
-
-std::vector<std::string> GraphStore::edge_type_names() const {
-  const std::shared_lock lock(mutex_);
-  return edge_types_;
 }
 
 std::optional<EdgeTypeId> GraphStore::edge_type_id(

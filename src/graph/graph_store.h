@@ -190,11 +190,6 @@ class GraphStore {
   void set_property(NodeId node, std::string_view key, PropertyValue value);
   void set_property(NodeId node, PropKeyId key, PropertyValue value);
 
-  /// Batch insert of nodes sharing a label; returns first assigned id
-  /// (ids are consecutive). Used by the encoders' periodic flushes.
-  NodeId add_nodes_batch(std::string_view label,
-                         std::vector<PropertyMap> batch);
-
   /// Writes int64 values of `key` for many nodes under one write lock: the
   /// batched set_property of a pass that computes a whole column (the clock
   /// assigner's Lamport values). Indexes move as set_property moves them,
@@ -339,11 +334,6 @@ class GraphStore {
       std::string_view type) const;
   /// Interns an edge type name, returning its id (idempotent).
   EdgeTypeId intern_edge_type(std::string_view type);
-
-  /// Copies of the interned label and edge-type names, indexed by id
-  /// (NodeCopy::labels, Edge::type): the tables a snapshot writes.
-  [[nodiscard]] std::vector<std::string> label_names() const;
-  [[nodiscard]] std::vector<std::string> edge_type_names() const;
 
   /// All nodes carrying `label` (insertion order).
   [[nodiscard]] std::vector<NodeId> nodes_with_label(

@@ -391,26 +391,11 @@ void SegmentManager::unpin(SegmentId seg) {
   --segments_[seg].pins;
 }
 
-void SegmentManager::ReadHold::release() noexcept {
-  if (mgr_ != nullptr) {
-    mgr_->read_holds_.fetch_sub(1, std::memory_order_release);
-    mgr_ = nullptr;
-  }
-}
-
-SegmentManager::ReadHold SegmentManager::read_hold() const {
-  read_holds_.fetch_add(1, std::memory_order_acquire);
-  return ReadHold(this);
-}
-
 std::size_t SegmentManager::evict_locked(SegmentId seg) {
   Segment& s = segments_[seg];
   if (!s.sealed || !s.resident || s.pins > 0 || options_.spill_dir.empty()) {
     return 0;
   }
-  // Live spans (query paths holding adjacency/bag references) make freeing
-  // the payload unsafe; the budget is enforced again on the next attempt.
-  if (read_holds_.load(std::memory_order_acquire) > 0) return 0;
   if (!s.spill_clean) write_spill_locked(seg);
 
   const NodeId end = s.first + s.count;

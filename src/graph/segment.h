@@ -48,7 +48,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -163,37 +162,6 @@ class SegmentManager {
   SegmentManager(const SegmentManager&) = delete;
   SegmentManager& operator=(const SegmentManager&) = delete;
   ~SegmentManager();
-
-  /// RAII guard taken by query paths that hold spans into node payloads
-  /// (adjacency, bags). While any hold is live, eviction is refused —
-  /// fault-in still works — so a span obtained after taking the hold cannot
-  /// be invalidated by a concurrent evictor. Cheap: one atomic per query,
-  /// not per node.
-  class ReadHold {
-   public:
-    ReadHold() = default;
-    ReadHold(ReadHold&& other) noexcept : mgr_(other.mgr_) {
-      other.mgr_ = nullptr;
-    }
-    ReadHold& operator=(ReadHold&& other) noexcept {
-      if (this != &other) {
-        release();
-        mgr_ = other.mgr_;
-        other.mgr_ = nullptr;
-      }
-      return *this;
-    }
-    ~ReadHold() { release(); }
-
-   private:
-    friend class SegmentManager;
-    explicit ReadHold(const SegmentManager* mgr) : mgr_(mgr) {}
-    void release() noexcept;
-    const SegmentManager* mgr_ = nullptr;
-  };
-
-  /// Blocks eviction (not fault-in) for the hold's lifetime.
-  [[nodiscard]] ReadHold read_hold() const;
 
   [[nodiscard]] const SegmentOptions& options() const noexcept {
     return options_;
@@ -336,7 +304,6 @@ class SegmentManager {
   std::vector<Segment> segments_;  ///< last entry is the active tail
   std::uint64_t touch_clock_ = 0;
   std::size_t resident_bytes_ = 0;  ///< sealed-segment payload currently in RAM
-  mutable std::atomic<int> read_holds_{0};
 
   // Process-wide metrics; gauges are updated by delta (add/sub) so several
   // stores aggregate instead of overwriting each other, and the destructor

@@ -1,16 +1,15 @@
-// Internal row/expression machinery shared by the tuple-at-a-time evaluator
-// (evaluator.cpp) and the planned batch executor (exec.cpp). Not part of the
-// public query API — include only from src/query translation units.
+// Internal row/expression machinery shared by the clause pipeline
+// (evaluator.cpp) and the MATCH front end (exec.cpp). Not part of the
+// public query API — include only from src/query translation units and
+// the reference evaluator of the tests.
 //
-// The Evaluator here is the legacy clause pipeline: the planner's
-// differential oracle suite (tests/plan_differential_test.cpp) holds the
-// batch executor to row-for-row equality against it. Both engines read the
-// store the same way (DESIGN.md §12): a clause resolves the `var.key`
-// accesses of its expressions once (PropBatch) and copies what a batch of
-// up to kReadBatch rows needs under one store lock
-// (GraphStore::copy_nodes); MATCH filters candidates the same way, with
-// labels and interned strings compared as integer ids. No clause holds a
-// pointer into the store once the lock is released, so queries are safe
+// The Evaluator here runs the clause pipeline: WHERE, WITH/RETURN, UNWIND
+// and CALL, and hands MATCH to match_clause() (exec.cpp), which plans each
+// pattern node (src/query/planner.h). Every clause reads the store the
+// same way (DESIGN.md §12): it resolves the `var.key` accesses of its
+// expressions once (PropBatch) and copies what a batch of up to kReadBatch
+// rows needs under one store lock (GraphStore::copy_nodes). No clause holds
+// a pointer into the store once the lock is released, so queries are safe
 // while writers append.
 #pragma once
 
@@ -110,6 +109,29 @@ struct RowSet {
     default:
       return false;
   }
+}
+
+/// Row-independent operand: a literal, or a parameter bound in `params`.
+/// Returns a pointer into the AST/params (no copy), or nullptr.
+[[nodiscard]] inline const Value* constant_operand(const Expr& x,
+                                                   const QueryParams& params) {
+  if (x.kind == Expr::Kind::kLiteral) return &x.literal;
+  if (x.kind == Expr::Kind::kParameter) {
+    auto it = params.find(x.name);
+    if (it != params.end()) return &it->second;
+  }
+  return nullptr;
+}
+
+/// The stored form of a scalar constant, the key of an index probe;
+/// nullopt for null, nodes and lists.
+[[nodiscard]] inline std::optional<graph::PropertyValue> to_property(
+    const Value& v) {
+  if (v.is_bool()) return graph::PropertyValue(v.as_bool());
+  if (v.is_int()) return graph::PropertyValue(v.as_int());
+  if (v.is_double()) return graph::PropertyValue(v.as_number());
+  if (v.is_string()) return graph::PropertyValue(v.as_string());
+  return std::nullopt;
 }
 
 /// Maps a three-way comparison (-1/0/1, -2 incomparable) onto a comparison
@@ -274,8 +296,16 @@ class PropBatch {
 };
 
 // ---------------------------------------------------------------------------
-// Expression evaluation + legacy clause pipeline
+// Expression evaluation + clause pipeline
 // ---------------------------------------------------------------------------
+
+class Evaluator;
+
+/// Runs a MATCH clause over `rows` (exec.cpp): each pattern's head is a
+/// planned scan, or a bound node, and every pattern node passes one
+/// compiled filter of its label and inline properties.
+[[nodiscard]] RowSet match_clause(const Evaluator& ev, const Clause& clause,
+                                  RowSet rows);
 
 class Evaluator {
  public:
@@ -295,7 +325,7 @@ class Evaluator {
 
   /// Runs the clause pipeline starting at clause `first` over an existing
   /// RowSet — the planned executor's hand-off point: the plan covers
-  /// [0, first), the legacy pipeline finishes [first, end).
+  /// [0, first), the pipeline finishes [first, end).
   [[nodiscard]] RowSet run_from(const Query& query, std::size_t first,
                                 RowSet rows) const {
     QueryGuard* guard = options_.guard;
@@ -313,7 +343,7 @@ class Evaluator {
       const auto clause_start = std::chrono::steady_clock::now();
       switch (clause.kind) {
         case Clause::Kind::kMatch:
-          rows = eval_match(clause, std::move(rows));
+          rows = match_clause(*this, clause, std::move(rows));
           break;
         case Clause::Kind::kWhere:
           rows = eval_where(clause, std::move(rows));
@@ -476,17 +506,6 @@ class Evaluator {
     return Value();
   }
 
-  /// Row-independent operand: a literal, or a bound parameter. Returns a
-  /// pointer into the AST/params (no copy), or nullptr.
-  [[nodiscard]] const Value* constant_operand(const Expr& x) const {
-    if (x.kind == Expr::Kind::kLiteral) return &x.literal;
-    if (x.kind == Expr::Kind::kParameter) {
-      auto it = params_.find(x.name);
-      if (it != params_.end()) return &it->second;
-    }
-    return nullptr;
-  }
-
   /// Comparison fast path over the batch's fetched values: `var.key <op>
   /// constant` (either side) compares the fetched property in place, with no
   /// temporary Value. Returns false (c untouched) when the shape does not
@@ -497,14 +516,14 @@ class Evaluator {
     const graph::PropertyValue* l = props->value(*e.lhs, at);
     const graph::PropertyValue* r = props->value(*e.rhs, at);
     if (l != nullptr) {
-      const Value* rv = constant_operand(*e.rhs);
+      const Value* rv = constant_operand(*e.rhs, params_);
       if (rv == nullptr) return false;
       c = compare_property_value(*l, *rv);
       return true;
     }
     if (r != nullptr) {
       // constant <op> var.key — compare flipped, then negate.
-      const Value* lv = constant_operand(*e.lhs);
+      const Value* lv = constant_operand(*e.lhs, params_);
       if (lv == nullptr) return false;
       const int inner = compare_property_value(*r, *lv);
       c = inner == -2 ? -2 : -inner;
@@ -772,439 +791,6 @@ class Evaluator {
       return Value();
     }
     fail("unknown function '" + e.name + "'");
-  }
-
-  // ---- MATCH ----------------------------------------------------------------
-
-  /// Inline pattern properties, evaluated against the incoming row. Keys
-  /// are resolved to store ids here — candidate filtering below never hashes
-  /// a key string per node.
-  using EvaluatedProps = std::vector<std::pair<graph::PropKeyId, Value>>;
-
-  [[nodiscard]] EvaluatedProps eval_pattern_props(
-      const NodePattern& pattern, const RowSet& rows,
-      const std::vector<Value>& row) const {
-    const graph::GraphStore& store = graph_.store();
-    EvaluatedProps out;
-    out.reserve(pattern.properties.size());
-    for (const auto& [key, expr] : pattern.properties) {
-      out.emplace_back(store.prop_key_id(key), eval_expr(*expr, rows, row));
-    }
-    return out;
-  }
-
-  /// A node pattern's label and inline properties, resolved for one row:
-  /// the label, and a string under an interned column, as integer ids, any
-  /// other property as the value to compare. Its reads are one PropBatch
-  /// over column 0 (the planned executor's filter reads the same way).
-  struct NodeFilter {
-    bool none = false;  // no stored node can match
-    std::optional<std::uint32_t> label;
-    std::vector<std::pair<std::size_t, std::uint32_t>> ids;    // column, id
-    std::vector<std::pair<std::size_t, const Value*>> values;  // column, want
-    PropBatch reads;
-  };
-
-  /// The filter of `pattern` with inline property values `props`, but for
-  /// props[probed], which the caller's index lookup already matched.
-  /// `props` must outlive the filter.
-  [[nodiscard]] NodeFilter node_filter(const NodePattern& pattern,
-                                       const EvaluatedProps& props,
-                                       std::size_t probed = SIZE_MAX) const {
-    const graph::GraphStore& store = graph_.store();
-    NodeFilter f;
-    if (!pattern.label.empty() && pattern.label != "EVENT") {
-      f.label = store.label_id(pattern.label);
-      if (!f.label) {
-        f.none = true;
-        return f;
-      }
-      f.reads.add_labels(0);
-    }
-    for (std::size_t p = 0; p < props.size(); ++p) {
-      if (p == probed) continue;
-      const auto& [key, want] = props[p];
-      if (want.is_string() && store.interned_distinct(key) > 0) {
-        const auto id = store.interned_value_id(key, want.as_string());
-        if (!id) {  // never stored: no node holds it
-          f.none = true;
-          return f;
-        }
-        f.ids.emplace_back(f.reads.add_ids(0, key), *id);
-      } else {
-        f.values.emplace_back(f.reads.add_values(0, key), &want);
-      }
-    }
-    return f;
-  }
-
-  /// Keeps, in order, the nodes of `nodes` that pass `filter`, copying what
-  /// it reads kReadBatch nodes at a time.
-  void filter_matching(std::vector<graph::NodeId>& nodes,
-                       NodeFilter& filter) const {
-    if (filter.none) {
-      nodes.clear();
-      return;
-    }
-    if (!filter.label && filter.ids.empty() && filter.values.empty()) return;
-    std::size_t kept = 0;
-    for (std::size_t base = 0; base < nodes.size(); base += kReadBatch) {
-      const std::size_t n = std::min(kReadBatch, nodes.size() - base);
-      filter.reads.fetch(graph_.store(), std::span(nodes).subspan(base, n));
-      const graph::NodeCopy& copy = filter.reads.copy(0);
-      for (std::size_t i = 0; i < n; ++i) {
-        bool match = !filter.label || copy.labels[i] == *filter.label;
-        for (const auto& [column, id] : filter.ids) {
-          match = match && copy.ids[column][i] == id;
-        }
-        for (const auto& [column, want] : filter.values) {
-          match = match &&
-                  compare_property_value(copy.values[column][i], *want) == 0;
-        }
-        // kept <= base + i: compaction never overwrites an unread node.
-        if (match) nodes[kept++] = nodes[base + i];
-      }
-    }
-    nodes.resize(kept);
-  }
-
-  /// Candidate nodes for a pattern head: narrowest available index.
-  [[nodiscard]] std::vector<graph::NodeId> candidates(
-      const NodePattern& pattern, const EvaluatedProps& props) const {
-    const graph::GraphStore& store = graph_.store();
-    std::vector<graph::NodeId> found;
-    std::size_t probed = SIZE_MAX;
-    // Prefer an indexed property lookup (find_nodes scans when unindexed).
-    // Its nodes hold the probed value, so the filter skips that property.
-    for (std::size_t p = 0; p < props.size(); ++p) {
-      const auto& [key, want] = props[p];
-      graph::PropertyValue pv;
-      if (want.is_bool()) {
-        pv = want.as_bool();
-      } else if (want.is_int()) {
-        pv = want.as_int();
-      } else if (want.is_double()) {
-        pv = want.as_number();
-      } else if (want.is_string()) {
-        pv = want.as_string();
-      } else {
-        continue;
-      }
-      found = store.find_nodes(key, pv);
-      probed = p;
-      break;
-    }
-    if (probed == SIZE_MAX) {
-      found = !pattern.label.empty() && pattern.label != "EVENT"
-                  ? store.nodes_with_label(pattern.label)
-                  : store.all_nodes();
-    }
-    NodeFilter filter = node_filter(pattern, props, probed);
-    filter_matching(found, filter);
-    return found;
-  }
-
-  /// Nodes reachable from `from` within [min_hops, max_hops] hops along
-  /// edges of the requested type/direction (max_hops == 0 = unbounded).
-  /// BFS over (node, depth) states — polynomial even on diamond-rich
-  /// happens-before graphs. Each visited node's adjacency is copied.
-  [[nodiscard]] std::vector<graph::NodeId> var_length_endpoints(
-      graph::NodeId from, const PatternStep& step,
-      std::optional<graph::EdgeTypeId> want_type, bool right) const {
-    const graph::GraphStore& store = graph_.store();
-    const std::uint32_t max_hops =
-        step.max_hops == 0 ? std::numeric_limits<std::uint32_t>::max()
-                           : step.max_hops;
-    const graph::NodeReadSpec spec{.edges = right ? graph::EdgeDirection::kOut
-                                                  : graph::EdgeDirection::kIn};
-    graph::NodeCopy adjacency;
-    const auto edges_of = [&](graph::NodeId v) {
-      const graph::NodeId one[] = {v};
-      store.copy_nodes(one, spec, adjacency);
-      return adjacency.of(0);
-    };
-
-    std::vector<graph::NodeId> result;
-    if (step.min_hops <= 1 && step.max_hops == 0) {
-      // Common fast path: plain reachability flood (any depth >= 1).
-      std::vector<bool> seen(store.node_count(), false);
-      std::vector<graph::NodeId> stack;
-      auto expand = [&](graph::NodeId v) {
-        for (const graph::Edge& e : edges_of(v)) {
-          if (want_type && e.type != *want_type) continue;
-          // A writer may have appended the node since node_count().
-          if (e.to >= seen.size()) seen.resize(e.to + 1, false);
-          if (!seen[e.to]) {
-            seen[e.to] = true;
-            result.push_back(e.to);
-            stack.push_back(e.to);
-          }
-        }
-      };
-      expand(from);
-      while (!stack.empty()) {
-        const graph::NodeId v = stack.back();
-        stack.pop_back();
-        expand(v);
-      }
-      return result;
-    }
-
-    // General case: BFS over (node, depth) states up to max_hops.
-    std::set<std::pair<graph::NodeId, std::uint32_t>> visited;
-    std::set<graph::NodeId> endpoints;
-    std::vector<std::pair<graph::NodeId, std::uint32_t>> frontier{{from, 0}};
-    while (!frontier.empty()) {
-      const auto [v, depth] = frontier.back();
-      frontier.pop_back();
-      if (depth >= max_hops) continue;
-      for (const graph::Edge& e : edges_of(v)) {
-        if (want_type && e.type != *want_type) continue;
-        const std::uint32_t next_depth = depth + 1;
-        if (next_depth >= step.min_hops) endpoints.insert(e.to);
-        if (visited.emplace(e.to, next_depth).second) {
-          frontier.emplace_back(e.to, next_depth);
-        }
-      }
-    }
-    result.assign(endpoints.begin(), endpoints.end());
-    return result;
-  }
-
-  /// Extends bindings with one path pattern; appends complete rows to out.
-  void match_path(const PathPattern& path, const RowSet& schema,
-                  const std::vector<Value>& row,
-                  std::vector<std::string>& new_columns,
-                  std::vector<std::vector<Value>>& out) const {
-    // Binding map: variable -> column (existing schema or appended).
-    // We evaluate the head, then steps left-to-right.
-    auto bound_node = [&](const std::string& var,
-                          const std::vector<Value>& current)
-        -> std::optional<graph::NodeId> {
-      if (var.empty()) return std::nullopt;
-      const int idx = schema.column_index(var);
-      if (idx >= 0) {
-        const Value& v = current[static_cast<std::size_t>(idx)];
-        if (v.is_node()) return v.as_node().id;
-        if (!v.is_null()) fail("variable '" + var + "' is not a node");
-      }
-      // Check newly bound columns in this pattern.
-      for (std::size_t i = schema.columns.size(); i < current.size(); ++i) {
-        const std::size_t nc = i - schema.columns.size();
-        if (nc < new_columns.size() && new_columns[nc] == var &&
-            current[i].is_node()) {
-          return current[i].as_node().id;
-        }
-      }
-      return std::nullopt;
-    };
-
-    auto bind = [&](const std::string& var, graph::NodeId node,
-                    std::vector<Value>& current) {
-      if (var.empty()) return;
-      if (bound_node(var, current)) return;  // already bound (checked equal)
-      // Append as a new column if not yet present.
-      std::size_t col = std::string::npos;
-      for (std::size_t i = 0; i < new_columns.size(); ++i) {
-        if (new_columns[i] == var) col = i;
-      }
-      if (col == std::string::npos) {
-        new_columns.push_back(var);
-        col = new_columns.size() - 1;
-      }
-      const std::size_t abs = schema.columns.size() + col;
-      if (current.size() <= abs) current.resize(abs + 1);
-      current[abs] = Value(NodeRef{node});
-    };
-
-    const graph::GraphStore& store = graph_.store();
-
-    // Pattern property expressions are evaluated once per incoming row (they
-    // may reference variables from earlier clauses, not pattern-local ones).
-    // Edge types and each step's node filter are resolved once per row too.
-    const EvaluatedProps head_props = eval_pattern_props(path.head, schema, row);
-    std::vector<EvaluatedProps> step_props;
-    std::vector<std::optional<graph::EdgeTypeId>> step_types;
-    bool missing_type = false;  // a step names an edge type never stored
-    step_props.reserve(path.steps.size());
-    step_types.reserve(path.steps.size());
-    for (const PatternStep& step : path.steps) {
-      step_props.push_back(eval_pattern_props(step.node, schema, row));
-      step_types.push_back(step.edge_type.empty()
-                               ? std::nullopt
-                               : store.edge_type_id(step.edge_type));
-      missing_type =
-          missing_type || (!step.edge_type.empty() && !step_types.back());
-    }
-    std::vector<NodeFilter> step_filters;
-    step_filters.reserve(path.steps.size());
-    for (std::size_t i = 0; i < path.steps.size(); ++i) {
-      step_filters.push_back(node_filter(path.steps[i].node, step_props[i]));
-    }
-
-    // Recursive step matcher. Each step copies the previous node's
-    // adjacency (never a span into the store) and keeps the endpoints its
-    // node filter passes, in edge order.
-    graph::NodeCopy adjacency;
-    std::function<void(std::size_t, graph::NodeId, std::vector<Value>&)>
-        match_steps = [&](std::size_t step_index, graph::NodeId prev,
-                          std::vector<Value>& current) {
-          if (step_index == path.steps.size()) {
-            out.push_back(current);
-            return;
-          }
-          const PatternStep& step = path.steps[step_index];
-          const bool right = step.direction == PatternStep::Direction::kRight;
-          const auto want_type = step_types[step_index];
-          const auto pre_bound = bound_node(step.node.variable, current);
-
-          std::vector<graph::NodeId> next;
-          if (step.min_hops == 1 && step.max_hops == 1) {
-            const graph::NodeId one[] = {prev};
-            store.copy_nodes(one,
-                             {.edges = right ? graph::EdgeDirection::kOut
-                                             : graph::EdgeDirection::kIn},
-                             adjacency);
-            for (const graph::Edge& edge : adjacency.of(0)) {
-              if (want_type && edge.type != *want_type) continue;
-              if (pre_bound && *pre_bound != edge.to) continue;
-              next.push_back(edge.to);
-            }
-          } else {
-            // Variable-length relationship: endpoints reachable within the
-            // hop bounds. Dialect note: one row per *distinct endpoint* (not
-            // per path, as full Cypher would enumerate).
-            for (const graph::NodeId endpoint :
-                 var_length_endpoints(prev, step, want_type, right)) {
-              if (pre_bound && *pre_bound != endpoint) continue;
-              next.push_back(endpoint);
-            }
-          }
-          filter_matching(next, step_filters[step_index]);
-          for (const graph::NodeId node : next) {
-            std::vector<Value> extended = current;
-            bind(step.node.variable, node, extended);
-            match_steps(step_index + 1, node, extended);
-          }
-        };
-
-    // Head candidates: reuse a prior binding when available.
-    const auto head_bound = bound_node(path.head.variable, row);
-    std::vector<graph::NodeId> heads;
-    if (head_bound) {
-      heads.push_back(*head_bound);
-      NodeFilter filter = node_filter(path.head, head_props);
-      filter_matching(heads, filter);
-    } else {
-      heads = candidates(path.head, head_props);
-    }
-    if (missing_type) return;
-    for (const graph::NodeId head : heads) {
-      std::vector<Value> current = row;
-      bind(path.head.variable, head, current);
-      match_steps(0, head, current);
-    }
-  }
-
-  [[nodiscard]] RowSet eval_match(const Clause& clause, RowSet current) const {
-    QueryGuard* guard = options_.guard;
-    for (const PathPattern& path : clause.patterns) {
-      if (guard != nullptr && guard->stopped()) break;
-      RowSet next;
-      next.columns = current.columns;
-      std::vector<std::string> new_columns;
-      if (!fan_out(current.rows.size())) {
-        for (const auto& row : current.rows) {
-          const std::size_t before = next.rows.size();
-          match_path(path, current, row, new_columns, next.rows);
-          if (guard != nullptr &&
-              !guard->admit_rows(next.rows.size() - before)) {
-            break;
-          }
-        }
-      } else {
-        match_path_parallel(path, current, new_columns, next.rows);
-      }
-      for (const std::string& c : new_columns) next.columns.push_back(c);
-      // Normalize row widths (rows bound before later columns existed).
-      for (auto& row : next.rows) row.resize(next.columns.size());
-      current = std::move(next);
-    }
-    return current;
-  }
-
-  /// Parallel MATCH fan-out: each fixed chunk of input rows expands into a
-  /// chunk-local (new_columns, rows) pair; chunks are then merged in chunk
-  /// order. A pattern variable's merged column position is determined by
-  /// the first row (in input order) that binds it — exactly the sequential
-  /// accumulation order — so the merged RowSet is identical to the
-  /// sequential one for any thread count.
-  void match_path_parallel(const PathPattern& path, const RowSet& current,
-                           std::vector<std::string>& new_columns,
-                           std::vector<std::vector<Value>>& out) const {
-    struct ChunkOut {
-      std::vector<std::string> new_columns;
-      std::vector<std::vector<Value>> rows;
-    };
-    QueryGuard* guard = options_.guard;
-    const std::size_t n = current.rows.size();
-    const std::size_t grain = fan_out_grain(n);
-    std::vector<ChunkOut> chunks(ThreadPool::chunk_count(n, grain));
-    options_.effective_pool().parallel_for(
-        n, grain, options_.effective_threads(),
-        [&](ThreadPool::ChunkRange chunk) {
-          ChunkOut& local = chunks[chunk.index];
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            const std::size_t before = local.rows.size();
-            match_path(path, current, current.rows[i], local.new_columns,
-                       local.rows);
-            if (guard != nullptr &&
-                !guard->admit_rows(local.rows.size() - before)) {
-              return;
-            }
-          }
-        });
-
-    // Merged column order: first-seen across chunks in chunk order. A
-    // column's first-seen chunk is the chunk holding the first row that
-    // binds it, and within a chunk discovery follows row order, so this is
-    // the sequential discovery order.
-    for (const ChunkOut& chunk : chunks) {
-      for (const std::string& c : chunk.new_columns) {
-        if (std::find(new_columns.begin(), new_columns.end(), c) ==
-            new_columns.end()) {
-          new_columns.push_back(c);
-        }
-      }
-    }
-    const std::size_t base = current.columns.size();
-    for (ChunkOut& chunk : chunks) {
-      // Local column j lands at merged position mapping[j].
-      std::vector<std::size_t> mapping(chunk.new_columns.size());
-      bool identity = true;
-      for (std::size_t j = 0; j < chunk.new_columns.size(); ++j) {
-        const auto it = std::find(new_columns.begin(), new_columns.end(),
-                                  chunk.new_columns[j]);
-        mapping[j] = static_cast<std::size_t>(it - new_columns.begin());
-        identity = identity && mapping[j] == j;
-      }
-      if (identity) {
-        for (auto& row : chunk.rows) out.push_back(std::move(row));
-        continue;
-      }
-      for (auto& row : chunk.rows) {
-        std::vector<Value> remapped(base + new_columns.size());
-        for (std::size_t c = 0; c < base && c < row.size(); ++c) {
-          remapped[c] = std::move(row[c]);
-        }
-        for (std::size_t j = 0; j < mapping.size(); ++j) {
-          if (base + j < row.size()) {
-            remapped[base + mapping[j]] = std::move(row[base + j]);
-          }
-        }
-        out.push_back(std::move(remapped));
-      }
-    }
   }
 
   // ---- WHERE ----------------------------------------------------------------
@@ -1538,22 +1124,21 @@ class Evaluator {
         }
       };
 
-      // Groups in output order: one group when every item aggregates, else
-      // the key map's order (the display strings of the key values).
+      // Groups in output order: one group when every item aggregates — over
+      // no rows too, so count() and sum() give 0, collect() [] and min(),
+      // max() and avg() null — else the key map's order (the display
+      // strings of the key values), no group without a row.
       std::vector<Group> groups;
       if (std::find(aggregated.begin(), aggregated.end(), false) ==
           aggregated.end()) {
+        Group& all = groups.emplace_back();
+        all.agg_states.resize(aggregates.size());
+        all.sample_row.resize(input.columns.size());
         for_each_batched(props, input, 0, n, [&](std::size_t r,
                                                  std::size_t at) {
           if (guard != nullptr && !guard->keep_going()) return false;
-          if (groups.empty()) {
-            groups.emplace_back();
-            groups.back().agg_states.resize(aggregates.size());
-          }
-          fold(groups.back(), input.rows[r], at);
-          if (groups.back().sample_row.empty()) {
-            groups.back().sample_row = std::move(input.rows[r]);
-          }
+          fold(all, input.rows[r], at);
+          if (r == 0) all.sample_row = std::move(input.rows[r]);
           return true;
         });
       } else {

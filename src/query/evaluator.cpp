@@ -100,7 +100,7 @@ QueryResult QueryEngine::run_impl(const Query& query, const QueryParams& params,
       "Queries lowered into a logical plan (planned or fallback)");
   static obs::Counter& plan_fallbacks = obs::Registry::global().counter(
       "horus_query_plan_fallbacks_total",
-      "Queries the planner declined, executed by the legacy pipeline");
+      "Queries not lowered whole into a plan, run on the clause pipeline");
   static obs::Counter& predicates_pushed = obs::Registry::global().counter(
       "horus_query_predicates_pushed_total",
       "WHERE conjuncts pushed into planned scans/filters");
@@ -109,44 +109,37 @@ QueryResult QueryEngine::run_impl(const Query& query, const QueryParams& params,
       "Sealed segments skipped by planned range scans via summaries");
 
   const internal::Evaluator ev(graph_, procedures_, params, options_);
-  internal::RowSet rows;
-  bool planned_path = false;
-
-  // EXPLAIN always plans (to show why a query fell back) even when the
-  // planner is disabled; the disabled planner never *executes* the plan.
-  if (options_.use_planner || report != nullptr) {
-    const auto plan_start = std::chrono::steady_clock::now();
-    const Plan plan = Planner(graph_, params).plan(query);
-    const double plan_elapsed = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    plan_start)
-                                    .count();
-    plans_built.inc();
-    if (!plan.planned) plan_fallbacks.inc();
-    if (plan.predicates_pushed > 0) predicates_pushed.inc(plan.predicates_pushed);
-    if (options_.profile != nullptr) {
-      options_.profile->add_plan(
-          plan_elapsed,
-          plan.planned ? static_cast<std::uint64_t>(plan.scan_estimate) : 0);
-    }
-    if (report != nullptr) *report = describe_plan(plan);
-
-    if (plan.planned && options_.use_planner) {
-      ExecCounters counters;
-      rows = execute_plan(ev, plan, report, &counters);
-      if (counters.segments_pruned > 0) {
-        segments_pruned_total.inc(counters.segments_pruned);
-      }
-      if (plan.tail_begin < query.clauses.size()) {
-        rows = ev.run_from(query, plan.tail_begin, std::move(rows));
-      }
-      planned_path = true;
-      if (report != nullptr && options_.profile != nullptr) {
-        options_.profile->add_plan_text(report->to_text(/*include_timing=*/true));
-      }
-    }
+  const auto plan_start = std::chrono::steady_clock::now();
+  const Plan plan = Planner(graph_, params).plan(query);
+  const double plan_elapsed = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - plan_start)
+                                  .count();
+  plans_built.inc();
+  if (!plan.planned) plan_fallbacks.inc();
+  if (plan.predicates_pushed > 0) predicates_pushed.inc(plan.predicates_pushed);
+  if (options_.profile != nullptr) {
+    options_.profile->add_plan(
+        plan_elapsed,
+        plan.planned ? static_cast<std::uint64_t>(plan.scan_estimate) : 0);
   }
-  if (!planned_path) rows = ev.run(query);
+  if (report != nullptr) *report = describe_plan(plan);
+
+  internal::RowSet rows;
+  if (plan.planned) {
+    ExecCounters counters;
+    rows = execute_plan(ev, plan, report, &counters);
+    if (counters.segments_pruned > 0) {
+      segments_pruned_total.inc(counters.segments_pruned);
+    }
+    if (plan.tail_begin < query.clauses.size()) {
+      rows = ev.run_from(query, plan.tail_begin, std::move(rows));
+    }
+    if (report != nullptr && options_.profile != nullptr) {
+      options_.profile->add_plan_text(report->to_text(/*include_timing=*/true));
+    }
+  } else {
+    rows = ev.run(query);
+  }
 
   QueryResult result;
   result.columns = std::move(rows.columns);

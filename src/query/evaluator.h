@@ -2,8 +2,9 @@
 // over an ExecutionGraph.
 //
 // Each clause transforms a RowSet (named columns x rows of Values):
-//   MATCH   expands rows with all pattern assignments (backtracking over
-//           label/property-indexed candidates and adjacency)
+//   MATCH   expands rows with all pattern assignments (each head a planned
+//           scan, each pattern node through one compiled filter, steps
+//           over adjacency; src/query/exec.h)
 //   WHERE   filters rows
 //   WITH    projects (with grouping when aggregates are present)
 //   UNWIND  explodes a list column
@@ -54,7 +55,7 @@ struct ProcedureDef {
 };
 
 /// EXPLAIN output: the plan report (estimates, and actual per-operator row
-/// counts when the planned path executed) together with the query result.
+/// counts) together with the query result.
 struct ExplainResult {
   PlanReport report;
   QueryResult result;
@@ -92,14 +93,18 @@ class QueryEngine {
 
   /// EXPLAIN: plans the query and runs it, returning the chosen plan (with
   /// per-operator estimated vs actual rows) alongside the result. When the
-  /// query is unplannable — or options().use_planner is false — the report
-  /// carries the fallback reason and the legacy pipeline produces the rows.
+  /// query is not lowered whole into a plan, the report carries the reason
+  /// and the clause pipeline produces the rows.
   [[nodiscard]] ExplainResult explain(std::string_view text,
                                       const QueryParams& params = {}) const;
 
   [[nodiscard]] const ExecutionGraph& graph() const noexcept { return graph_; }
   [[nodiscard]] const QueryOptions& options() const noexcept {
     return options_;
+  }
+  [[nodiscard]] const std::map<std::string, ProcedureDef, std::less<>>&
+  procedures() const noexcept {
+    return procedures_;
   }
 
  private:

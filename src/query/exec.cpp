@@ -2,24 +2,27 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <functional>
+#include <limits>
+#include <set>
 #include <span>
 
 #include "graph/segment.h"
 
 namespace horus::query {
 
+namespace internal {
+
 namespace {
 
-using internal::Evaluator;
-using internal::kReadBatch;
-using internal::PropBatch;
-using internal::RowSet;
+using graph::NodeId;
 
-/// Per-predicate state resolved once per execution: the column of the
-/// batch's copy it reads, and for kInternedEq the constant's pool id. The
-/// per-row cost is then an integer compare (interned columns), an in-place
-/// typed compare (copied values), or — only for kGeneric — one expression
+constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
+
+/// Per-predicate state resolved once per filter: the column of the batch's
+/// copy it reads, and for kInternedEq the constant's pool id. The per-row
+/// cost is then an integer compare (interned columns), an in-place typed
+/// compare (copied values), or — only for kGeneric — one expression
 /// evaluation over a reused scratch row.
 struct CompiledPredicate {
   const PlannedPredicate* pp = nullptr;
@@ -28,19 +31,33 @@ struct CompiledPredicate {
   bool pool_present = false;
 };
 
-/// The filter's reads, all of the head variable (column 0): label ids for
-/// the label check, pool ids for kInternedEq, values for kPropCompare and
-/// the `var.key` accesses of kGeneric conjuncts — one copy per batch.
+/// A plan's label check and predicates, compiled: the one node filter of
+/// MATCH (planned scans, bound heads and relationship steps' endpoints).
+/// Its reads are all of the plan's variable (column 0): label ids for the
+/// label check, pool ids for kInternedEq, values for kPropCompare and the
+/// `var.key` accesses of kGeneric conjuncts — one copy per batch. It points
+/// into its plan, which must outlive it. A copy shares the compilation and
+/// owns its buffers (one per thread of a parallel filter).
 struct Filter {
+  bool check_label = false;
+  std::optional<std::uint32_t> label_id;  // nullopt: no node has the label
   PropBatch reads;
   std::vector<CompiledPredicate> preds;
+  std::vector<std::uint64_t> survivors;  // per predicate, for EXPLAIN
+  RowSet scratch;                        // binds the variable, for kGeneric
+  std::vector<Value> row = std::vector<Value>(1);
+  std::vector<std::uint32_t> alive;  // batch positions still passing
 };
 
-[[nodiscard]] Filter compile_filter(const Evaluator& ev, const Plan& plan,
-                                    const RowSet& scratch) {
+[[nodiscard]] Filter compile_filter(const Evaluator& ev, const Plan& plan) {
   const graph::GraphStore& store = ev.graph_.store();
   Filter out;
-  if (plan.check_label) out.reads.add_labels(0);
+  out.scratch.columns.push_back(plan.variable);
+  out.check_label = plan.check_label;
+  if (plan.check_label) {
+    out.label_id = store.label_id(plan.label);
+    out.reads.add_labels(0);
+  }
   out.preds.reserve(plan.predicates.size());
   for (const PlannedPredicate& pp : plan.predicates) {
     CompiledPredicate c;
@@ -58,62 +75,57 @@ struct Filter {
         c.column = out.reads.add_values(0, pp.key);
         break;
       case PlannedPredicate::Kind::kGeneric:
-        ev.add_reads(out.reads, *pp.expr, scratch);
+        ev.add_reads(out.reads, *pp.expr, out.scratch);
         break;
     }
     out.preds.push_back(c);
   }
+  out.survivors.assign(out.preds.size(), 0);
   return out;
 }
 
-/// One predicate against the batch's node `at`. `scratch`/`row` form a
-/// reusable single-row binding of the head variable for kGeneric conjuncts
-/// — the node slot is overwritten in place, no per-row allocation.
+/// One predicate against the batch's node `at`. For kGeneric conjuncts the
+/// filter's one-row binding of the variable is overwritten in place, no
+/// per-row allocation.
 [[nodiscard]] bool predicate_matches(const Evaluator& ev,
-                                     const CompiledPredicate& c,
-                                     const PropBatch& reads, std::size_t at,
-                                     graph::NodeId node, RowSet& scratch,
-                                     std::vector<Value>& row) {
+                                     const CompiledPredicate& c, Filter& f,
+                                     std::size_t at, NodeId node) {
   const PlannedPredicate& pp = *c.pp;
   switch (pp.kind) {
     case PlannedPredicate::Kind::kInternedEq: {
-      const std::uint32_t id = reads.copy(0).ids[c.column][at];
+      const std::uint32_t id = f.reads.copy(0).ids[c.column][at];
       if (pp.op == BinaryOp::kEq) return c.pool_present && id == c.pool_id;
       // <>: absent compares incomparable to a string (null-ish), so only
-      // present-and-different survives — same verdict the legacy
-      // compare_values path produces.
+      // present-and-different survives — the compare_values verdict.
       return id != graph::kNoPoolId && (!c.pool_present || id != c.pool_id);
     }
     case PlannedPredicate::Kind::kPropCompare:
       // pp.op is already normalized to property-on-the-left orientation.
-      return internal::compare_verdict(
-                 pp.op, internal::compare_property_value(
-                            reads.copy(0).values[c.column][at], pp.constant))
+      return compare_verdict(pp.op,
+                             compare_property_value(
+                                 f.reads.copy(0).values[c.column][at],
+                                 pp.constant))
           .truthy();
     case PlannedPredicate::Kind::kGeneric:
-      row[0] = Value(NodeRef{node});
-      return ev.eval_expr(*pp.expr, scratch, row, &reads, at).truthy();
+      f.row[0] = Value(NodeRef{node});
+      return ev.eval_expr(*pp.expr, f.scratch, f.row, &f.reads, at).truthy();
   }
   return false;
 }
 
-/// Filters `candidates` a read batch at a time: one copy of the
-/// batch's reads, then the label check and each predicate compact the
+/// Passes `candidates` through `filter` a read batch at a time: one copy of
+/// the batch's reads, then the label check and each predicate compact the
 /// batch in turn — the cheapest (most selective) predicates run first, so
 /// later ones see shrinking batches. Appends survivors to `out` until it
-/// holds `limit` or the guard stops it, counting each predicate's
-/// survivors.
-void filter_range(const Evaluator& ev, const Plan& plan,
-                  std::span<const graph::NodeId> candidates,
-                  std::optional<std::uint32_t> label_id, Filter& filter,
-                  std::uint64_t limit, std::vector<graph::NodeId>& out,
-                  std::vector<std::uint64_t>& pred_survivors) {
+/// holds `limit` or the guard stops it. With `admit`, each survivor is
+/// admitted as a row first (the planned prefix, whose nodes are its rows),
+/// so a tripped max_rows yields exactly the admitted prefix.
+void filter_range(const Evaluator& ev, std::span<const NodeId> candidates,
+                  Filter& filter, std::uint64_t limit, bool admit,
+                  std::vector<NodeId>& out) {
   QueryGuard* guard = ev.options_.guard;
-  if (plan.check_label && !label_id) return;  // no node has the label
-  RowSet scratch;
-  scratch.columns.push_back(plan.variable);
-  std::vector<Value> srow(1);
-  std::vector<std::uint32_t> alive(kReadBatch);  // batch positions
+  if (filter.check_label && !filter.label_id) return;
+  filter.alive.resize(std::min(kReadBatch, candidates.size()));
   for (std::size_t base = 0; base < candidates.size(); base += kReadBatch) {
     if (guard != nullptr && !guard->keep_going()) return;
     const auto batch = candidates.subspan(
@@ -121,37 +133,84 @@ void filter_range(const Evaluator& ev, const Plan& plan,
     filter.reads.fetch(ev.graph_.store(), batch);
     std::size_t n = 0;
     for (std::uint32_t i = 0; i < batch.size(); ++i) {
-      if (!plan.check_label || filter.reads.copy(0).labels[i] == *label_id) {
-        alive[n++] = i;
+      if (!filter.check_label ||
+          filter.reads.copy(0).labels[i] == *filter.label_id) {
+        filter.alive[n++] = i;
       }
     }
     for (std::size_t p = 0; p < filter.preds.size() && n > 0; ++p) {
       std::size_t m = 0;
       for (std::size_t j = 0; j < n; ++j) {
-        if (predicate_matches(ev, filter.preds[p], filter.reads, alive[j],
-                              batch[alive[j]], scratch, srow)) {
-          alive[m++] = alive[j];
+        const std::uint32_t at = filter.alive[j];
+        if (predicate_matches(ev, filter.preds[p], filter, at, batch[at])) {
+          filter.alive[m++] = at;
         }
       }
       n = m;
-      pred_survivors[p] += m;
+      filter.survivors[p] += m;
     }
     for (std::size_t j = 0; j < n; ++j) {
       if (out.size() >= limit) return;
-      // Admit before pushing so a tripped max_rows yields exactly the
-      // admitted prefix as the partial result.
-      if (guard != nullptr && !guard->admit_rows()) return;
-      out.push_back(batch[alive[j]]);
+      if (admit && guard != nullptr && !guard->admit_rows()) return;
+      out.push_back(batch[filter.alive[j]]);
     }
   }
 }
 
-/// Candidate node stream for the plan's scan, in exactly the order the
-/// legacy pipeline would emit MATCH rows (ascending node id for the
-/// index-backed scans — matching the full scan they replace — and the
-/// index's own order where legacy used that same index).
-[[nodiscard]] std::vector<graph::NodeId> gather_candidates(
-    const Evaluator& ev, const Plan& plan, ExecCounters* counters) {
+/// filter_range over all of `candidates`, fanned out over the pool when
+/// they are many: per-chunk survivors concatenate in chunk order, so the
+/// node stream is the sequential loop's for any thread count.
+[[nodiscard]] std::vector<NodeId> filter_nodes(
+    const Evaluator& ev, std::span<const NodeId> candidates, Filter& filter,
+    std::uint64_t limit, bool admit) {
+  std::vector<NodeId> survivors;
+  if (!ev.fan_out(candidates.size())) {
+    filter_range(ev, candidates, filter, limit, admit, survivors);
+    return survivors;
+  }
+  const std::size_t n = candidates.size();
+  const std::size_t grain = ev.fan_out_grain(n);
+  struct ChunkOut {
+    std::vector<NodeId> survivors;
+    std::vector<std::uint64_t> pred_survivors;
+  };
+  std::vector<ChunkOut> chunks(ThreadPool::chunk_count(n, grain));
+  ev.options_.effective_pool().parallel_for(
+      n, grain, ev.options_.effective_threads(),
+      [&](ThreadPool::ChunkRange chunk) {
+        Filter local = filter;
+        local.survivors.assign(local.preds.size(), 0);
+        filter_range(ev,
+                     candidates.subspan(chunk.begin, chunk.end - chunk.begin),
+                     local, kNoLimit, admit, chunks[chunk.index].survivors);
+        chunks[chunk.index].pred_survivors = std::move(local.survivors);
+      });
+  for (const ChunkOut& chunk : chunks) {
+    survivors.insert(survivors.end(), chunk.survivors.begin(),
+                     chunk.survivors.end());
+    for (std::size_t p = 0; p < chunk.pred_survivors.size(); ++p) {
+      filter.survivors[p] += chunk.pred_survivors[p];
+    }
+  }
+  if (survivors.size() > limit) {
+    survivors.resize(static_cast<std::size_t>(limit));
+  }
+  return survivors;
+}
+
+/// `nodes` in ascending order (an index bucket usually is already).
+[[nodiscard]] std::vector<NodeId> ascending(std::vector<NodeId> nodes) {
+  if (!std::is_sorted(nodes.begin(), nodes.end())) {
+    std::sort(nodes.begin(), nodes.end());
+  }
+  return nodes;
+}
+
+/// Candidate node stream for the plan's scan, in ascending node id: the
+/// index-backed scans re-sort into the order of the full scan they replace.
+[[nodiscard]] std::vector<NodeId> gather_candidates(const Evaluator& ev,
+                                                    const Plan& plan,
+                                                    ExecCounters* counters) {
   const graph::GraphStore& store = ev.graph_.store();
   switch (plan.scan) {
     case ScanKind::kAllNodes:
@@ -159,38 +218,16 @@ void filter_range(const Evaluator& ev, const Plan& plan,
     case ScanKind::kLabel:
       return store.nodes_with_label(plan.label);
     case ScanKind::kIndexEq: {
-      // Probe every bucket whose stored type can compare equal to the
-      // constant: exact-typed plus the cross-typed numeric bucket (the
-      // WHERE compare is numeric, the hash index is typed).
-      std::vector<graph::NodeId> found;
-      auto probe = [&](const graph::PropertyValue& pv) {
-        auto bucket = store.find_nodes(plan.scan_key, pv);
-        found.insert(found.end(), bucket.begin(), bucket.end());
-      };
-      const Value& v = plan.scan_eq;
-      if (v.is_bool()) {
-        probe(graph::PropertyValue(v.as_bool()));
-      } else if (v.is_string()) {
-        probe(graph::PropertyValue(v.as_string()));
-      } else if (v.is_number()) {
-        const double d = v.as_number();
-        probe(graph::PropertyValue(d));
-        if (std::floor(d) == d &&
-            d >= static_cast<double>(std::numeric_limits<std::int64_t>::min()) &&
-            d <= static_cast<double>(std::numeric_limits<std::int64_t>::max())) {
-          probe(graph::PropertyValue(static_cast<std::int64_t>(d)));
-        }
-      }
-      std::sort(found.begin(), found.end());
-      found.erase(std::unique(found.begin(), found.end()), found.end());
-      return found;
+      // One bucket: the index hashes and compares numbers by value, as the
+      // WHERE equality does.
+      const auto probe = to_property(plan.scan_eq);
+      if (!probe) return {};
+      return ascending(store.find_nodes(plan.scan_key, *probe));
     }
-    case ScanKind::kRange: {
+    case ScanKind::kRange:
       if (plan.range_lo > plan.range_hi) return {};
-      auto found = store.range_scan(plan.scan_key, plan.range_lo, plan.range_hi);
-      std::sort(found.begin(), found.end());
-      return found;
-    }
+      return ascending(
+          store.range_scan(plan.scan_key, plan.range_lo, plan.range_hi));
     case ScanKind::kSegmentSkip: {
       graph::SegmentManager* segments = store.segments();
       if (segments == nullptr) return store.all_nodes();
@@ -201,103 +238,455 @@ void filter_range(const Evaluator& ev, const Plan& plan,
       if (counters != nullptr) counters->segments_pruned += skipped;
       std::size_t total = 0;
       for (const auto& [begin, end] : ranges) total += end - begin;
-      std::vector<graph::NodeId> found;
+      std::vector<NodeId> found;
       found.reserve(total);
       for (const auto& [begin, end] : ranges) {
-        for (graph::NodeId n = begin; n < end; ++n) found.push_back(n);
+        for (NodeId n = begin; n < end; ++n) found.push_back(n);
       }
       return found;
-    }
-    case ScanKind::kPatternProps: {
-      RowSet bootstrap;
-      bootstrap.rows.push_back({});
-      const auto props = ev.eval_pattern_props(plan.head->head, bootstrap,
-                                               bootstrap.rows.front());
-      return ev.candidates(plan.head->head, props);
     }
   }
   return {};
 }
 
+// ---------------------------------------------------------------------------
+// MATCH
+// ---------------------------------------------------------------------------
+
+/// A pattern node's plan with its compiled filter.
+struct NodeMatch {
+  Plan plan;
+  Filter filter;
+};
+
+[[nodiscard]] NodeMatch node_match(const Evaluator& ev,
+                                   const NodePattern& node,
+                                   std::span<const Value> props, bool scan) {
+  NodeMatch m;
+  m.plan = Planner(ev.graph_, ev.params_).plan_node(node, props, scan);
+  m.filter = compile_filter(ev, m.plan);
+  return m;
+}
+
+/// Keeps, in order, the nodes of `nodes` that pass `m`'s filter.
+void keep_matching(const Evaluator& ev, NodeMatch& m,
+                   std::vector<NodeId>& nodes) {
+  if (!m.filter.check_label && m.filter.preds.empty()) return;
+  std::vector<NodeId> kept;
+  filter_range(ev, nodes, m.filter, kNoLimit, /*admit=*/false, kept);
+  nodes = std::move(kept);
+}
+
+/// The nodes of `head`'s planned scan whose inline properties are `props`.
+[[nodiscard]] std::vector<NodeId> scan_heads(const Evaluator& ev,
+                                             const NodePattern& head,
+                                             std::span<const Value> props) {
+  NodeMatch scan = node_match(ev, head, props, /*scan=*/true);
+  return filter_nodes(ev, gather_candidates(ev, scan.plan, nullptr),
+                      scan.filter, kNoLimit, /*admit=*/false);
+}
+
+/// True when every inline property of `path` is a constant (a literal or
+/// a bound parameter), so its values do not depend on the row.
+[[nodiscard]] bool constant_props(const Evaluator& ev,
+                                  const PathPattern& path) {
+  const auto constant = [&](const NodePattern& node) {
+    return std::all_of(node.properties.begin(), node.properties.end(),
+                       [&](const auto& prop) {
+                         return constant_operand(*prop.second, ev.params_) !=
+                                nullptr;
+                       });
+  };
+  return constant(path.head) &&
+         std::all_of(path.steps.begin(), path.steps.end(),
+                     [&](const PatternStep& s) { return constant(s.node); });
+}
+
+/// The inline property values of `node` for `row`.
+[[nodiscard]] std::vector<Value> node_props(const Evaluator& ev,
+                                            const NodePattern& node,
+                                            const RowSet& schema,
+                                            const std::vector<Value>& row) {
+  std::vector<Value> out;
+  out.reserve(node.properties.size());
+  for (const auto& [key, expr] : node.properties) {
+    out.push_back(ev.eval_expr(*expr, schema, row));
+  }
+  return out;
+}
+
+/// A path pattern resolved for one set of inline property values: the
+/// head's values and filter (built for the first bound head), and each
+/// step's edge type and endpoint filter.
+struct PathMatch {
+  std::vector<Value> head_props;
+  std::optional<NodeMatch> head;
+  std::vector<NodeMatch> steps;
+  std::vector<std::optional<graph::EdgeTypeId>> types;
+  bool missing_type = false;  // a step names an edge type never stored
+};
+
+[[nodiscard]] PathMatch path_match(const Evaluator& ev,
+                                   const PathPattern& path,
+                                   const RowSet& schema,
+                                   const std::vector<Value>& row) {
+  const graph::GraphStore& store = ev.graph_.store();
+  PathMatch m;
+  m.head_props = node_props(ev, path.head, schema, row);
+  m.steps.reserve(path.steps.size());
+  for (const PatternStep& step : path.steps) {
+    m.steps.push_back(node_match(ev, step.node,
+                                 node_props(ev, step.node, schema, row),
+                                 /*scan=*/false));
+    m.types.push_back(step.edge_type.empty()
+                          ? std::nullopt
+                          : store.edge_type_id(step.edge_type));
+    m.missing_type =
+        m.missing_type || (!step.edge_type.empty() && !m.types.back());
+  }
+  return m;
+}
+
+/// Nodes reachable from `from` within [min_hops, max_hops] hops along
+/// edges of the requested type/direction (max_hops == 0 = unbounded).
+/// BFS over (node, depth) states — polynomial even on diamond-rich
+/// happens-before graphs. Each visited node's adjacency is copied.
+[[nodiscard]] std::vector<NodeId> var_length_endpoints(
+    const graph::GraphStore& store, NodeId from, const PatternStep& step,
+    std::optional<graph::EdgeTypeId> want_type, bool right) {
+  const std::uint32_t max_hops =
+      step.max_hops == 0 ? std::numeric_limits<std::uint32_t>::max()
+                         : step.max_hops;
+  const graph::NodeReadSpec spec{.edges = right ? graph::EdgeDirection::kOut
+                                                : graph::EdgeDirection::kIn};
+  graph::NodeCopy adjacency;
+  const auto edges_of = [&](NodeId v) {
+    const NodeId one[] = {v};
+    store.copy_nodes(one, spec, adjacency);
+    return adjacency.of(0);
+  };
+
+  std::vector<NodeId> result;
+  if (step.min_hops <= 1 && step.max_hops == 0) {
+    // Common fast path: plain reachability flood (any depth >= 1).
+    std::vector<bool> seen(store.node_count(), false);
+    std::vector<NodeId> stack;
+    auto expand = [&](NodeId v) {
+      for (const graph::Edge& e : edges_of(v)) {
+        if (want_type && e.type != *want_type) continue;
+        // A writer may have appended the node since node_count().
+        if (e.to >= seen.size()) seen.resize(e.to + 1, false);
+        if (!seen[e.to]) {
+          seen[e.to] = true;
+          result.push_back(e.to);
+          stack.push_back(e.to);
+        }
+      }
+    };
+    expand(from);
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      expand(v);
+    }
+    return result;
+  }
+
+  // General case: BFS over (node, depth) states up to max_hops.
+  std::set<std::pair<NodeId, std::uint32_t>> visited;
+  std::set<NodeId> endpoints;
+  std::vector<std::pair<NodeId, std::uint32_t>> frontier{{from, 0}};
+  while (!frontier.empty()) {
+    const auto [v, depth] = frontier.back();
+    frontier.pop_back();
+    if (depth >= max_hops) continue;
+    for (const graph::Edge& e : edges_of(v)) {
+      if (want_type && e.type != *want_type) continue;
+      const std::uint32_t next_depth = depth + 1;
+      if (next_depth >= step.min_hops) endpoints.insert(e.to);
+      if (visited.emplace(e.to, next_depth).second) {
+        frontier.emplace_back(e.to, next_depth);
+      }
+    }
+  }
+  result.assign(endpoints.begin(), endpoints.end());
+  return result;
+}
+
+/// Extends `row` with one path pattern; appends complete rows to `out`.
+/// `heads` is the head scan's nodes when gathered once for every row, else
+/// nullptr (the head is bound, or scanned for this row).
+void match_path(const Evaluator& ev, const PathPattern& path, PathMatch& m,
+                const std::vector<NodeId>* heads, const RowSet& schema,
+                const std::vector<Value>& row,
+                std::vector<std::string>& new_columns,
+                std::vector<std::vector<Value>>& out) {
+  // Binding map: variable -> column (existing schema or appended).
+  auto bound_node = [&](const std::string& var,
+                        const std::vector<Value>& current)
+      -> std::optional<NodeId> {
+    if (var.empty()) return std::nullopt;
+    const int idx = schema.column_index(var);
+    if (idx >= 0) {
+      const Value& v = current[static_cast<std::size_t>(idx)];
+      if (v.is_node()) return v.as_node().id;
+      if (!v.is_null()) Evaluator::fail("variable '" + var + "' is not a node");
+    }
+    // Check newly bound columns in this pattern.
+    for (std::size_t i = schema.columns.size(); i < current.size(); ++i) {
+      const std::size_t nc = i - schema.columns.size();
+      if (nc < new_columns.size() && new_columns[nc] == var &&
+          current[i].is_node()) {
+        return current[i].as_node().id;
+      }
+    }
+    return std::nullopt;
+  };
+
+  auto bind = [&](const std::string& var, NodeId node,
+                  std::vector<Value>& current) {
+    if (var.empty()) return;
+    if (bound_node(var, current)) return;  // already bound (checked equal)
+    // Append as a new column if not yet present.
+    std::size_t col = std::string::npos;
+    for (std::size_t i = 0; i < new_columns.size(); ++i) {
+      if (new_columns[i] == var) col = i;
+    }
+    if (col == std::string::npos) {
+      new_columns.push_back(var);
+      col = new_columns.size() - 1;
+    }
+    const std::size_t abs = schema.columns.size() + col;
+    if (current.size() <= abs) current.resize(abs + 1);
+    current[abs] = Value(NodeRef{node});
+  };
+
+  const graph::GraphStore& store = ev.graph_.store();
+
+  // Recursive step matcher. Each step copies the previous node's adjacency
+  // (never a span into the store) and keeps the endpoints its node filter
+  // passes, in edge order.
+  graph::NodeCopy adjacency;
+  std::function<void(std::size_t, NodeId, std::vector<Value>&)> match_steps =
+      [&](std::size_t step_index, NodeId prev, std::vector<Value>& current) {
+        if (step_index == path.steps.size()) {
+          out.push_back(current);
+          return;
+        }
+        const PatternStep& step = path.steps[step_index];
+        const bool right = step.direction == PatternStep::Direction::kRight;
+        const auto want_type = m.types[step_index];
+        const auto pre_bound = bound_node(step.node.variable, current);
+
+        std::vector<NodeId> next;
+        if (step.min_hops == 1 && step.max_hops == 1) {
+          const NodeId one[] = {prev};
+          store.copy_nodes(one,
+                           {.edges = right ? graph::EdgeDirection::kOut
+                                           : graph::EdgeDirection::kIn},
+                           adjacency);
+          for (const graph::Edge& edge : adjacency.of(0)) {
+            if (want_type && edge.type != *want_type) continue;
+            if (pre_bound && *pre_bound != edge.to) continue;
+            next.push_back(edge.to);
+          }
+        } else {
+          // Variable-length relationship: endpoints reachable within the
+          // hop bounds. Dialect note: one row per *distinct endpoint* (not
+          // per path, as full Cypher would enumerate).
+          for (const NodeId endpoint :
+               var_length_endpoints(store, prev, step, want_type, right)) {
+            if (pre_bound && *pre_bound != endpoint) continue;
+            next.push_back(endpoint);
+          }
+        }
+        keep_matching(ev, m.steps[step_index], next);
+        for (const NodeId node : next) {
+          std::vector<Value> extended = current;
+          bind(step.node.variable, node, extended);
+          match_steps(step_index + 1, node, extended);
+        }
+      };
+
+  // Head candidates: a prior binding when available, else the head scan.
+  std::vector<NodeId> own;
+  if (const auto head_bound = bound_node(path.head.variable, row)) {
+    own.push_back(*head_bound);
+    if (!m.head) m.head = node_match(ev, path.head, m.head_props, false);
+    keep_matching(ev, *m.head, own);
+    heads = &own;
+  } else if (heads == nullptr) {
+    own = scan_heads(ev, path.head, m.head_props);
+    heads = &own;
+  }
+  if (m.missing_type) return;
+  for (const NodeId head : *heads) {
+    std::vector<Value> current = row;
+    bind(path.head.variable, head, current);
+    match_steps(0, head, current);
+  }
+}
+
+/// Matches `path` for rows [begin, end) of `current`. With constant inline
+/// properties the pattern is resolved once for the rows, else once per row.
+/// Stops once the guard refuses a row's output.
+void match_rows(const Evaluator& ev, const PathPattern& path,
+                const RowSet& current, std::size_t begin, std::size_t end,
+                const std::vector<NodeId>* heads,
+                std::vector<std::string>& new_columns,
+                std::vector<std::vector<Value>>& out) {
+  QueryGuard* guard = ev.options_.guard;
+  std::optional<PathMatch> shared;
+  if (constant_props(ev, path)) shared = path_match(ev, path, current, {});
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::vector<Value>& row = current.rows[i];
+    std::optional<PathMatch> own;
+    PathMatch& m =
+        shared ? *shared : own.emplace(path_match(ev, path, current, row));
+    const std::size_t before = out.size();
+    match_path(ev, path, m, heads, current, row, new_columns, out);
+    if (guard != nullptr && !guard->admit_rows(out.size() - before)) return;
+  }
+}
+
+/// Parallel MATCH fan-out: each fixed chunk of input rows expands into a
+/// chunk-local (new_columns, rows) pair; chunks are then merged in chunk
+/// order. A pattern variable's merged column position is determined by the
+/// first row (in input order) that binds it — exactly the sequential
+/// accumulation order — so the merged RowSet is identical to the sequential
+/// one for any thread count.
+void match_rows_parallel(const Evaluator& ev, const PathPattern& path,
+                         const RowSet& current,
+                         const std::vector<NodeId>* heads,
+                         std::vector<std::string>& new_columns,
+                         std::vector<std::vector<Value>>& out) {
+  struct ChunkOut {
+    std::vector<std::string> new_columns;
+    std::vector<std::vector<Value>> rows;
+  };
+  const std::size_t n = current.rows.size();
+  const std::size_t grain = ev.fan_out_grain(n);
+  std::vector<ChunkOut> chunks(ThreadPool::chunk_count(n, grain));
+  ev.options_.effective_pool().parallel_for(
+      n, grain, ev.options_.effective_threads(),
+      [&](ThreadPool::ChunkRange chunk) {
+        ChunkOut& local = chunks[chunk.index];
+        match_rows(ev, path, current, chunk.begin, chunk.end, heads,
+                   local.new_columns, local.rows);
+      });
+
+  // Merged column order: first-seen across chunks in chunk order. A
+  // column's first-seen chunk is the chunk holding the first row that binds
+  // it, and within a chunk discovery follows row order, so this is the
+  // sequential discovery order.
+  for (const ChunkOut& chunk : chunks) {
+    for (const std::string& c : chunk.new_columns) {
+      if (std::find(new_columns.begin(), new_columns.end(), c) ==
+          new_columns.end()) {
+        new_columns.push_back(c);
+      }
+    }
+  }
+  const std::size_t base = current.columns.size();
+  for (ChunkOut& chunk : chunks) {
+    // Local column j lands at merged position mapping[j].
+    std::vector<std::size_t> mapping(chunk.new_columns.size());
+    bool identity = true;
+    for (std::size_t j = 0; j < chunk.new_columns.size(); ++j) {
+      const auto it = std::find(new_columns.begin(), new_columns.end(),
+                                chunk.new_columns[j]);
+      mapping[j] = static_cast<std::size_t>(it - new_columns.begin());
+      identity = identity && mapping[j] == j;
+    }
+    if (identity) {
+      for (auto& row : chunk.rows) out.push_back(std::move(row));
+      continue;
+    }
+    for (auto& row : chunk.rows) {
+      std::vector<Value> remapped(base + new_columns.size());
+      for (std::size_t c = 0; c < base && c < row.size(); ++c) {
+        remapped[c] = std::move(row[c]);
+      }
+      for (std::size_t j = 0; j < mapping.size(); ++j) {
+        if (base + j < row.size()) {
+          remapped[base + mapping[j]] = std::move(row[base + j]);
+        }
+      }
+      out.push_back(std::move(remapped));
+    }
+  }
+}
+
 }  // namespace
 
-RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
-                    ExecCounters* counters) {
+RowSet match_clause(const Evaluator& ev, const Clause& clause,
+                    RowSet current) {
+  QueryGuard* guard = ev.options_.guard;
+  for (const PathPattern& path : clause.patterns) {
+    if (guard != nullptr && guard->stopped()) break;
+    RowSet next;
+    next.columns = current.columns;
+    std::vector<std::string> new_columns;
+    // A head no earlier clause binds, with constant inline properties, is
+    // scanned once for every input row.
+    std::optional<std::vector<NodeId>> heads;
+    if (!current.rows.empty() && constant_props(ev, path) &&
+        current.column_index(path.head.variable) < 0) {
+      heads = scan_heads(ev, path.head,
+                         node_props(ev, path.head, current, {}));
+    }
+    const std::vector<NodeId>* shared = heads ? &*heads : nullptr;
+    if (!ev.fan_out(current.rows.size())) {
+      match_rows(ev, path, current, 0, current.rows.size(), shared,
+                 new_columns, next.rows);
+    } else {
+      match_rows_parallel(ev, path, current, shared, new_columns, next.rows);
+    }
+    for (const std::string& c : new_columns) next.columns.push_back(c);
+    // Normalize row widths (rows bound before later columns existed).
+    for (auto& row : next.rows) row.resize(next.columns.size());
+    current = std::move(next);
+  }
+  return current;
+}
+
+}  // namespace internal
+
+using internal::PropBatch;
+using internal::RowSet;
+
+RowSet execute_plan(const internal::Evaluator& ev, const Plan& plan,
+                    PlanReport* report, ExecCounters* counters) {
+  using internal::kNoLimit;
   const graph::GraphStore& store = ev.graph_.store();
   QueryGuard* guard = ev.options_.guard;
   const auto t_start = std::chrono::steady_clock::now();
 
   if (guard != nullptr && guard->stopped()) {
-    RowSet rows;  // legacy run(): guard tripped before the first clause
+    RowSet rows;  // run(): guard tripped before the first clause
     rows.rows.push_back({});
     return rows;
   }
 
   // ---- scan -----------------------------------------------------------------
 
-  std::vector<graph::NodeId> candidates =
-      gather_candidates(ev, plan, counters);
+  const std::vector<graph::NodeId> candidates =
+      internal::gather_candidates(ev, plan, counters);
   const auto t_scan = std::chrono::steady_clock::now();
 
   // ---- filter ---------------------------------------------------------------
 
-  std::optional<std::uint32_t> label_id;
-  if (plan.check_label) label_id = store.label_id(plan.label);
-  RowSet scratch;
-  scratch.columns.push_back(plan.variable);
-  Filter filter = compile_filter(ev, plan, scratch);
-  const std::size_t pred_count = filter.preds.size();
-  std::vector<std::uint64_t> pred_survivors(pred_count, 0);
-
+  internal::Filter filter = internal::compile_filter(ev, plan);
   // LIMIT folds into the filter only when the projection did too (then the
   // plan's rows map 1:1 onto result rows). A negative literal matches the
-  // legacy size_t-cast behavior: no truncation.
-  std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+  // pipeline's size_t-cast behavior: no truncation.
+  std::uint64_t limit = kNoLimit;
   if (plan.projection != nullptr && plan.limit && *plan.limit >= 0) {
     limit = static_cast<std::uint64_t>(*plan.limit);
   }
-
   if (guard != nullptr) guard->begin_rows_section();
-
-  std::vector<graph::NodeId> survivors;
-  if (!ev.fan_out(candidates.size())) {
-    filter_range(ev, plan, candidates, label_id, filter, limit, survivors,
-                 pred_survivors);
-  } else {
-    // Chunk-order-deterministic fan-out, same shape as the legacy WHERE:
-    // per-chunk survivor lists concatenate in chunk order, so the row
-    // stream is identical to the sequential loop for any thread count.
-    const std::size_t n = candidates.size();
-    const std::size_t grain = ev.fan_out_grain(n);
-    struct ChunkOut {
-      std::vector<graph::NodeId> survivors;
-      std::vector<std::uint64_t> pred_survivors;
-    };
-    std::vector<ChunkOut> chunks(ThreadPool::chunk_count(n, grain));
-    ev.options_.effective_pool().parallel_for(
-        n, grain, ev.options_.effective_threads(),
-        [&](ThreadPool::ChunkRange chunk) {
-          ChunkOut& local = chunks[chunk.index];
-          local.pred_survivors.assign(pred_count, 0);
-          Filter local_filter = filter;
-          filter_range(ev, plan,
-                       std::span(candidates)
-                           .subspan(chunk.begin, chunk.end - chunk.begin),
-                       label_id, local_filter,
-                       std::numeric_limits<std::uint64_t>::max(),
-                       local.survivors, local.pred_survivors);
-        });
-    for (const ChunkOut& chunk : chunks) {
-      survivors.insert(survivors.end(), chunk.survivors.begin(),
-                       chunk.survivors.end());
-      for (std::size_t p = 0; p < chunk.pred_survivors.size(); ++p) {
-        pred_survivors[p] += chunk.pred_survivors[p];
-      }
-    }
-    if (survivors.size() > limit) {
-      survivors.resize(static_cast<std::size_t>(limit));
-    }
-  }
+  const std::vector<graph::NodeId> survivors =
+      internal::filter_nodes(ev, candidates, filter, limit, /*admit=*/true);
   const auto t_filter = std::chrono::steady_clock::now();
 
   // ---- output / projection --------------------------------------------------
@@ -312,15 +701,14 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
     PropBatch reads;
     for (const auto& item : plan.projection->projections) {
       out.columns.push_back(item.alias);
-      ev.add_reads(reads, *item.expr, scratch);
+      ev.add_reads(reads, *item.expr, filter.scratch);
     }
     std::vector<Value> srow(1);
-    const auto rows = static_cast<std::size_t>(
-        std::min<std::uint64_t>(survivors.size(), limit));
+    const std::size_t rows = survivors.size();
     out.rows.reserve(rows);
-    for (std::size_t base = 0; base < rows; base += kReadBatch) {
-      const auto batch =
-          std::span(survivors).subspan(base, std::min(kReadBatch, rows - base));
+    for (std::size_t base = 0; base < rows; base += internal::kReadBatch) {
+      const auto batch = std::span(survivors).subspan(
+          base, std::min(internal::kReadBatch, rows - base));
       reads.fetch(store, batch);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         srow[0] = Value(NodeRef{batch[i]});
@@ -328,7 +716,7 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
         projected.reserve(plan.projection->projections.size());
         for (const auto& item : plan.projection->projections) {
           projected.push_back(
-              ev.eval_expr(*item.expr, scratch, srow, &reads, i));
+              ev.eval_expr(*item.expr, filter.scratch, srow, &reads, i));
         }
         out.rows.push_back(std::move(projected));
       }
@@ -340,12 +728,13 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
       out.rows.emplace_back(1, Value(NodeRef{node}));
     }
   }
-  // No survivors and no projection: the legacy MATCH never bound the
-  // variable, so the hand-off RowSet has no columns either (RETURN * parity).
+  // No survivors and no projection: MATCH bound no row, so the hand-off
+  // RowSet has no columns either (what RETURN * sees).
   const auto t_end = std::chrono::steady_clock::now();
 
   // ---- instrumentation ------------------------------------------------------
 
+  const std::size_t pred_count = filter.preds.size();
   auto secs = [](auto a, auto b) {
     return std::chrono::duration<double>(b - a).count();
   };
@@ -356,7 +745,7 @@ RowSet execute_plan(const Evaluator& ev, const Plan& plan, PlanReport* report,
     ++idx;
     for (std::size_t p = 0; p < pred_count && idx < report->ops.size();
          ++p, ++idx) {
-      report->ops[idx].actual_rows = static_cast<double>(pred_survivors[p]);
+      report->ops[idx].actual_rows = static_cast<double>(filter.survivors[p]);
       if (p == 0) report->ops[idx].seconds = secs(t_scan, t_filter);
     }
     if (plan.projection != nullptr && idx < report->ops.size()) {

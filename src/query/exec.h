@@ -1,9 +1,11 @@
-// Batch executor for planned queries (src/query/planner.h): runs the
-// scan → filter → (project → limit) prefix of a Plan a read batch at a time
-// (one GraphStore::copy_nodes per batch of candidates) and hands any
-// remaining clauses back to the legacy pipeline via Evaluator::run_from.
-// Row-for-row identical to the tuple-at-a-time evaluator —
-// tests/plan_differential_test.cpp is the oracle.
+// The MATCH front end (src/query/planner.h plans, this file runs): the
+// batch executor of a planned query's scan → filter → (project → limit)
+// prefix, and the pipeline's MATCH clause (internal::match_clause). Both
+// gather a pattern head's candidates from its planned scan and pass every
+// pattern node through one compiled filter, a read batch at a time (one
+// GraphStore::copy_nodes per batch of candidates). Remaining clauses run on
+// the pipeline via Evaluator::run_from. tests/plan_differential_test.cpp
+// holds both to row-for-row equality with a brute-force reference.
 #pragma once
 
 #include <cstddef>

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/segment.h"
+#include "query/eval_internal.h"
 
 namespace horus::query {
 
@@ -14,18 +15,6 @@ namespace {
 
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
-
-[[nodiscard]] std::string clause_name(const Clause& clause) {
-  switch (clause.kind) {
-    case Clause::Kind::kMatch: return "MATCH";
-    case Clause::Kind::kWhere: return "WHERE";
-    case Clause::Kind::kWith: return "WITH";
-    case Clause::Kind::kReturn: return "RETURN";
-    case Clause::Kind::kUnwind: return "UNWIND";
-    case Clause::Kind::kCall: return "CALL " + clause.call_procedure;
-  }
-  return "?";
-}
 
 [[nodiscard]] std::string value_to_text(const Value& v) {
   if (v.is_string()) return '"' + v.as_string() + '"';
@@ -55,20 +44,6 @@ constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
   return "?";
 }
 
-[[nodiscard]] bool is_comparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNeq:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// a <op> b written as b <op'> a.
 [[nodiscard]] BinaryOp flip_comparison(BinaryOp op) {
   switch (op) {
@@ -90,17 +65,6 @@ void flatten_and(const Expr* e, std::vector<const Expr*>& out) {
     return;
   }
   out.push_back(e);
-}
-
-/// Row-independent constant: a literal, or a parameter present in `params`.
-[[nodiscard]] std::optional<Value> const_value(const Expr& e,
-                                               const QueryParams& params) {
-  if (e.kind == Expr::Kind::kLiteral) return e.literal;
-  if (e.kind == Expr::Kind::kParameter) {
-    auto it = params.find(e.name);
-    if (it != params.end()) return it->second;
-  }
-  return std::nullopt;
 }
 
 /// True when evaluating `e` over a row binding only `head_var` (to a node)
@@ -166,7 +130,8 @@ struct CmpShape {
 [[nodiscard]] std::optional<CmpShape> comparison_shape(
     const Expr& e, const std::string& head_var, const QueryParams& params,
     const graph::GraphStore& store) {
-  if (e.kind != Expr::Kind::kBinary || !is_comparison(e.binary_op)) {
+  if (e.kind != Expr::Kind::kBinary ||
+      !internal::is_comparison_op(e.binary_op)) {
     return std::nullopt;
   }
   auto head_prop = [&](const Expr& x) -> const Expr* {
@@ -178,14 +143,14 @@ struct CmpShape {
   };
   CmpShape shape;
   if (const Expr* p = head_prop(*e.lhs)) {
-    const auto c = const_value(*e.rhs, params);
-    if (!c) return std::nullopt;
+    const Value* c = internal::constant_operand(*e.rhs, params);
+    if (c == nullptr) return std::nullopt;
     shape.prop = p;
     shape.op = e.binary_op;
     shape.constant = *c;
   } else if (const Expr* q = head_prop(*e.rhs)) {
-    const auto c = const_value(*e.lhs, params);
-    if (!c) return std::nullopt;
+    const Value* c = internal::constant_operand(*e.lhs, params);
+    if (c == nullptr) return std::nullopt;
     shape.prop = q;
     shape.op = flip_comparison(e.binary_op);
     shape.constant = *c;
@@ -265,6 +230,41 @@ struct Bounds {
   }
 }
 
+/// `var.key = value`: the WHERE equality an inline property means.
+[[nodiscard]] ExprPtr inline_equality(const std::string& var,
+                                      const std::string& key, Value value) {
+  auto node = std::make_unique<Expr>();
+  node->kind = Expr::Kind::kVariable;
+  node->name = var;
+  auto prop = std::make_unique<Expr>();
+  prop->kind = Expr::Kind::kProperty;
+  prop->name = key;
+  prop->lhs = std::move(node);
+  auto constant = std::make_unique<Expr>();
+  constant->literal = std::move(value);
+  auto eq = std::make_unique<Expr>();
+  eq->kind = Expr::Kind::kBinary;
+  eq->binary_op = BinaryOp::kEq;
+  eq->lhs = std::move(prop);
+  eq->rhs = std::move(constant);
+  return eq;
+}
+
+/// Starts `p` as the plan of `node`, whose inline properties evaluated to
+/// `props`; returns their equalities, the first conjuncts.
+std::vector<const Expr*> start_node(Plan& p, const NodePattern& node,
+                                    std::span<const Value> props) {
+  p.variable = node.variable;
+  p.label = node.label;
+  std::vector<const Expr*> conjuncts;
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    p.inline_conjuncts.push_back(
+        inline_equality(node.variable, node.properties[i].first, props[i]));
+    conjuncts.push_back(p.inline_conjuncts.back().get());
+  }
+  return conjuncts;
+}
+
 [[nodiscard]] std::string bounds_to_text(std::int64_t lo, std::int64_t hi) {
   std::string out = "[";
   out += lo == kInt64Min ? std::string("-inf") : std::to_string(lo);
@@ -293,7 +293,6 @@ std::string_view scan_kind_name(ScanKind kind) noexcept {
     case ScanKind::kIndexEq: return "index-eq";
     case ScanKind::kRange: return "range";
     case ScanKind::kSegmentSkip: return "segment-skip";
-    case ScanKind::kPatternProps: return "pattern-props";
   }
   return "?";
 }
@@ -341,14 +340,13 @@ std::string expr_to_string(const Expr& e) {
 }
 
 Plan Planner::plan(const Query& query) const {
-  const graph::GraphStore& store = graph_.store();
   Plan p;
   p.query = &query;
 
   auto fallback = [&](std::string reason) {
     p.planned = false;
     p.fallback_reason = std::move(reason);
-    return p;
+    return std::move(p);
   };
 
   if (query.clauses.empty()) return fallback("empty query");
@@ -366,34 +364,71 @@ Plan Planner::plan(const Query& query) const {
   if (path.head.variable.empty()) {
     return fallback("anonymous pattern head");
   }
-  p.variable = path.head.variable;
-  p.label = path.head.label;
-  p.head = &path;
 
-  // Inline pattern properties must be row-independent constants — the first
-  // clause's input is the bootstrap row, so anything else (a function call,
-  // a missing parameter) must keep legacy evaluation order.
+  // Inline pattern properties must be row-independent constants here; any
+  // other (a function call, a missing parameter) is evaluated, in clause
+  // order, by the pipeline's MATCH.
+  std::vector<Value> props;
   for (const auto& [key, expr] : path.head.properties) {
-    if (expr == nullptr || !const_value(*expr, params_)) {
+    const Value* c = expr != nullptr
+                         ? internal::constant_operand(*expr, params_)
+                         : nullptr;
+    if (c == nullptr) {
       return fallback("non-constant inline property '" + key + "'");
     }
+    props.push_back(*c);
   }
-  const bool has_props = !path.head.properties.empty();
-
-  // Gather the WHERE prefix as one conjunct list, in evaluation order.
+  // The inline equalities, then the WHERE prefix, as one conjunct list in
+  // evaluation order.
+  std::vector<const Expr*> conjuncts = start_node(p, path.head, props);
   std::size_t ci = 1;
-  std::vector<const Expr*> conjuncts;
   while (ci < query.clauses.size() &&
          query.clauses[ci].kind == Clause::Kind::kWhere) {
     flatten_and(query.clauses[ci].predicate.get(), conjuncts);
     ++ci;
   }
   p.tail_begin = ci;
+  plan_filter(p, conjuncts, /*scan=*/true);
+
+  // ---- projection / limit pushdown ------------------------------------------
+
+  if (p.tail_begin + 1 == query.clauses.size()) {
+    const Clause& tail = query.clauses[p.tail_begin];
+    bool simple = tail.kind == Clause::Kind::kReturn && !tail.distinct &&
+                  tail.order_by.empty();
+    for (const auto& item : tail.projections) {
+      if (!simple) break;
+      simple = item.expr != nullptr &&
+               item.expr->kind != Expr::Kind::kStar &&
+               is_safe_expr(*item.expr, p.variable, params_);
+    }
+    if (simple && !tail.projections.empty()) {
+      p.projection = &tail;
+      p.limit = tail.limit;
+      p.tail_begin = query.clauses.size();
+    }
+  }
+
+  p.planned = true;
+  return p;
+}
+
+Plan Planner::plan_node(const NodePattern& node, std::span<const Value> props,
+                        bool scan) const {
+  Plan p;
+  plan_filter(p, start_node(p, node, props), scan);
+  p.planned = true;
+  return p;
+}
+
+void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
+                          bool scan) const {
+  const graph::GraphStore& store = graph_.store();
 
   // Conjuncts up to the first unsafe one may be reordered and pushed into
   // the scan; the unsafe conjunct and everything after it keep their source
-  // order so the same rows reach them as under the legacy engine (error
-  // parity: a throwing conjunct must see exactly the legacy survivor set).
+  // order so the same rows reach them as under clause-by-clause evaluation
+  // (a throwing conjunct must see exactly that survivor set).
   std::size_t first_unsafe = conjuncts.size();
   for (std::size_t i = 0; i < conjuncts.size(); ++i) {
     if (!is_safe_expr(*conjuncts[i], p.variable, params_)) {
@@ -426,70 +461,26 @@ Plan Planner::plan(const Query& query) const {
   };
   std::vector<ScanChoice> choices;
 
-  if (has_props) {
-    // Legacy candidates() already narrows via inline props (hash index,
-    // label, segment pruning, in its own precedence and output order) —
-    // reproduce it verbatim instead of competing with it.
-    ScanChoice c;
-    c.kind = ScanKind::kPatternProps;
-    c.precedence = 0;
-    c.estimate = node_count;
-    for (const auto& [key_name, expr] : path.head.properties) {
-      const graph::PropKeyId key = store.prop_key_id(key_name);
-      const Value want = *const_value(*expr, params_);
-      graph::PropertyValue pv;
-      if (want.is_bool()) pv = want.as_bool();
-      else if (want.is_int()) pv = want.as_int();
-      else if (want.is_double()) pv = want.as_number();
-      else if (want.is_string()) pv = want.as_string();
-      else continue;
-      if (const auto bucket = store.index_count(key, pv)) {
-        c.estimate = static_cast<double>(*bucket);
-        break;
-      }
-    }
-    if (c.estimate == node_count && real_label) {
-      c.estimate = static_cast<double>(store.label_count(p.label));
-    }
-    choices.push_back(std::move(c));
-  } else {
-    // Hash-index equality: one conjunct becomes the whole scan. The
-    // executor probes both the exact-typed bucket and the cross-typed
-    // numeric bucket (int64 5 vs double 5.0 compare equal in WHERE but
-    // hash separately), so consuming the conjunct is exact.
+  if (scan) {
+    // Hash-index equality: one conjunct becomes the whole scan. The index
+    // hashes and compares numbers by value (5 and 5.0 share a bucket), as
+    // the WHERE comparison does, so one bucket is exactly the conjunct's
+    // rows.
     for (std::size_t i = 0; i < first_unsafe; ++i) {
       if (!shapes[i] || shapes[i]->op != BinaryOp::kEq) continue;
       const CmpShape& s = *shapes[i];
       if (s.key == graph::kNoPropKey || !store.has_index(s.key)) continue;
-      const Value& v = s.constant;
-      double estimate = 0.0;
-      if (v.is_bool()) {
-        estimate = static_cast<double>(
-            store.index_count(s.key, graph::PropertyValue(v.as_bool()))
-                .value_or(0));
-      } else if (v.is_string()) {
-        estimate = static_cast<double>(
-            store.index_count(s.key, graph::PropertyValue(v.as_string()))
-                .value_or(0));
-      } else if (v.is_number()) {
-        const double d = v.as_number();
-        estimate = static_cast<double>(
-            store.index_count(s.key, graph::PropertyValue(d)).value_or(0));
-        if (std::floor(d) == d) {
-          estimate += static_cast<double>(
-              store.index_count(s.key, graph::PropertyValue(clamp_to_int64(d)))
-                  .value_or(0));
-        }
-      } else {
-        continue;  // null / node / list equality never uses the index
-      }
+      // Null, node and list equality never uses the index.
+      const auto probe = internal::to_property(s.constant);
+      if (!probe) continue;
       ScanChoice c;
       c.kind = ScanKind::kIndexEq;
       c.precedence = 1;
       c.key = s.key;
       c.key_name = s.key_name;
       c.eq = s.constant;
-      c.estimate = estimate;
+      c.estimate =
+          static_cast<double>(store.index_count(s.key, *probe).value_or(0));
       c.consumed = i;
       c.pushed = 1;
       choices.push_back(std::move(c));
@@ -575,13 +566,13 @@ Plan Planner::plan(const Query& query) const {
       c.estimate = static_cast<double>(store.label_count(p.label));
       choices.push_back(std::move(c));
     }
-    {
-      ScanChoice c;
-      c.kind = ScanKind::kAllNodes;
-      c.precedence = 5;
-      c.estimate = node_count;
-      choices.push_back(std::move(c));
-    }
+  }
+  {
+    ScanChoice c;
+    c.kind = ScanKind::kAllNodes;
+    c.precedence = 5;
+    c.estimate = node_count;
+    choices.push_back(std::move(c));
   }
 
   const ScanChoice* best = &choices.front();
@@ -599,8 +590,7 @@ Plan Planner::plan(const Query& query) const {
   p.range_hi = best->hi;
   p.scan_estimate = best->estimate;
   p.predicates_pushed = best->pushed;
-  p.check_label = real_label && p.scan != ScanKind::kLabel &&
-                  p.scan != ScanKind::kPatternProps;
+  p.check_label = real_label && p.scan != ScanKind::kLabel;
 
   // ---- residual filter ------------------------------------------------------
 
@@ -667,28 +657,6 @@ Plan Planner::plan(const Query& query) const {
   for (const PlannedPredicate& pp : p.predicates) {
     p.estimated_rows *= pp.selectivity;
   }
-
-  // ---- projection / limit pushdown ------------------------------------------
-
-  if (p.tail_begin + 1 == query.clauses.size()) {
-    const Clause& tail = query.clauses[p.tail_begin];
-    bool simple = tail.kind == Clause::Kind::kReturn && !tail.distinct &&
-                  tail.order_by.empty();
-    for (const auto& item : tail.projections) {
-      if (!simple) break;
-      simple = item.expr != nullptr &&
-               item.expr->kind != Expr::Kind::kStar &&
-               is_safe_expr(*item.expr, p.variable, params_);
-    }
-    if (simple && !tail.projections.empty()) {
-      p.projection = &tail;
-      p.limit = tail.limit;
-      p.tail_begin = query.clauses.size();
-    }
-  }
-
-  p.planned = true;
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -716,20 +684,6 @@ PlanReport describe_plan(const Plan& plan) {
       detail += " " + plan.scan_key_name + " in " +
                 bounds_to_text(plan.range_lo, plan.range_hi);
       break;
-    case ScanKind::kPatternProps: {
-      detail += " {";
-      if (plan.head != nullptr) {
-        for (std::size_t i = 0; i < plan.head->head.properties.size(); ++i) {
-          if (i > 0) detail += ", ";
-          detail += plan.head->head.properties[i].first;
-        }
-      }
-      detail += '}';
-      if (!plan.label.empty() && plan.label != "EVENT") {
-        detail += " :" + plan.label;
-      }
-      break;
-    }
     case ScanKind::kAllNodes:
       break;
   }
@@ -779,7 +733,8 @@ PlanReport describe_plan(const Plan& plan) {
     op.op = "tail";
     std::string d = "legacy:";
     for (std::size_t i = plan.tail_begin; i < plan.query->clauses.size(); ++i) {
-      d += " " + clause_name(plan.query->clauses[i]);
+      d += " " +
+           internal::Evaluator::clause_display_name(plan.query->clauses[i]);
     }
     op.detail = std::move(d);
     report.ops.push_back(std::move(op));

@@ -1,26 +1,29 @@
-// Query planner: lowers a MATCH/WHERE query prefix into a typed logical
-// plan — scan → filter → (project → limit) — that the batch executor
-// (src/query/exec.h) runs column-at-a-time. Planning is deliberately
-// conservative: any shape the planner cannot prove row-identical to the
-// tuple-at-a-time evaluator becomes a fallback (Plan::planned == false) and
-// the legacy pipeline runs instead. tests/plan_differential_test.cpp holds
-// planned execution to row-for-row equality with the legacy path.
+// Query planner: the front end of every MATCH. Each pattern node is planned
+// as a scan and a filter: its label, and its inline properties as the
+// equality conjuncts `var.key = value` they mean. A query whose first clause
+// is a single-node MATCH is lowered whole into a typed logical plan — scan →
+// filter → (project → limit) — over its inline properties and WHERE prefix,
+// which the batch executor (src/query/exec.h) runs a read batch at a time;
+// any other query runs on the clause pipeline (Plan::planned == false names
+// why), whose MATCH plans each pattern node with plan_node().
+// tests/plan_differential_test.cpp holds both to row-for-row equality with
+// a brute-force reference (tests/query_reference.h).
 //
 // What the planner does:
-//  * Scan selection — picks the cheapest access path for the MATCH head by
+//  * Scan selection — picks the cheapest access path for a pattern head by
 //    estimated candidate count: hash-index equality lookup, ordered-index
 //    range scan, segment-summary range pruning, label scan, or full scan.
-//    Index-backed scans re-sort candidates into ascending node-id order so
-//    downstream rows match the legacy full-scan order exactly.
+//    Index-backed scans re-sort candidates into ascending node-id order, the
+//    order of the full scan they replace.
 //  * Predicate pushdown — equality and range conjuncts on indexed keys move
-//    out of the WHERE filter and into the scan; range conjuncts on the same
-//    key intersect into one [lo, hi] window.
+//    out of the filter and into the scan; range conjuncts on the same key
+//    intersect into one [lo, hi] window.
 //  * Conjunct reordering — remaining WHERE conjuncts are ranked by estimated
 //    selectivity (cheap per-column stats: index bucket sizes, interned-pool
 //    cardinality) so the cheapest, most selective filters run first.
 //    Conjuncts that can throw (unknown functions, missing parameters,
-//    arithmetic) are never moved ahead of their source position, preserving
-//    the legacy engine's error behavior.
+//    arithmetic) are never moved ahead of their source position, so the
+//    same rows reach them as under plain clause-by-clause evaluation.
 //  * Limit/projection pushdown — a trailing plain RETURN (no aggregates, no
 //    ORDER BY, no DISTINCT) folds into the executor so a LIMIT stops the
 //    scan early.
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,14 +44,13 @@
 
 namespace horus::query {
 
-/// Access path for the MATCH head's candidate stream.
+/// Access path for a pattern head's candidate stream.
 enum class ScanKind {
-  kAllNodes,      // full scan, ascending node id
-  kLabel,         // label index (insertion order == ascending id)
-  kIndexEq,       // hash index equality bucket, re-sorted ascending
-  kRange,         // ordered index [lo, hi], re-sorted ascending
-  kSegmentSkip,   // full scan minus segments excluded by range summaries
-  kPatternProps,  // inline pattern properties via the legacy candidates()
+  kAllNodes,     // full scan, ascending node id
+  kLabel,        // label index (insertion order == ascending id)
+  kIndexEq,      // hash index equality bucket, re-sorted ascending
+  kRange,        // ordered index [lo, hi], re-sorted ascending
+  kSegmentSkip,  // full scan minus segments excluded by range summaries
 };
 
 [[nodiscard]] std::string_view scan_kind_name(ScanKind kind) noexcept;
@@ -71,16 +74,16 @@ struct PlannedPredicate {
   std::size_t source_order = 0;     // position among the original conjuncts
 };
 
-/// Typed logical plan for a query's MATCH/WHERE prefix.
+/// Typed logical plan of one pattern node — and, from Planner::plan(), of
+/// a query's MATCH/WHERE prefix.
 struct Plan {
   bool planned = false;
   std::string fallback_reason;  // set when !planned
 
   // Scan.
   ScanKind scan = ScanKind::kAllNodes;
-  std::string variable;              // MATCH head variable
+  std::string variable;              // pattern node variable
   std::string label;                 // pattern label ("" or "EVENT" = any)
-  const PathPattern* head = nullptr;       // kPatternProps: legacy candidates
   graph::PropKeyId scan_key = graph::kNoPropKey;
   std::string scan_key_name;
   Value scan_eq;                     // kIndexEq: the equality constant
@@ -94,8 +97,11 @@ struct Plan {
   // Filter.
   std::vector<PlannedPredicate> predicates;  // execution order
   std::size_t predicates_pushed = 0;  // conjuncts consumed by the scan
+  /// The inline properties as `var.key = value` conjuncts, ahead of the
+  /// WHERE conjuncts; predicates point into them.
+  std::vector<ExprPtr> inline_conjuncts;
 
-  // Tail hand-off: clauses [tail_begin, end) run on the legacy pipeline.
+  // Tail hand-off: clauses [tail_begin, end) run on the clause pipeline.
   std::size_t tail_begin = 0;
   const Query* query = nullptr;  // the planned statement (borrowed)
 
@@ -143,11 +149,24 @@ class Planner {
   Planner(const ExecutionGraph& graph, const QueryParams& params)
       : graph_(graph), params_(params) {}
 
-  /// Never throws: unplannable queries come back with planned == false and
-  /// a human-readable fallback_reason.
+  /// Never throws: queries the batch executor does not run whole come back
+  /// with planned == false and a human-readable fallback_reason.
   [[nodiscard]] Plan plan(const Query& query) const;
 
+  /// One MATCH pattern node whose inline properties evaluated to `props`
+  /// (in pattern order). With `scan`, the plan sources the node's
+  /// candidates and filters them; without, it is the filter alone — label
+  /// and every property — for nodes found another way (a head bound by an
+  /// earlier clause, a relationship step's endpoints).
+  [[nodiscard]] Plan plan_node(const NodePattern& node,
+                               std::span<const Value> props, bool scan) const;
+
  private:
+  /// Scan selection (when `scan`) and the residual filter of `p`'s pattern
+  /// node over `conjuncts`, in evaluation order.
+  void plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
+                   bool scan) const;
+
   const ExecutionGraph& graph_;
   const QueryParams& params_;
 };

@@ -131,16 +131,6 @@ TEST(GraphStoreTest, OrderedIndexTracksUpdates) {
   EXPECT_EQ(g.range_scan("lc", 9, 9), (std::vector<NodeId>{a}));
 }
 
-TEST(GraphStoreTest, BatchInsertAssignsConsecutiveIds) {
-  GraphStore g;
-  g.add_node("X", {});
-  std::vector<PropertyMap> batch(3);
-  const NodeId first = g.add_nodes_batch("B", std::move(batch));
-  EXPECT_EQ(first, 1u);
-  EXPECT_EQ(g.node_count(), 4u);
-  EXPECT_EQ(g.nodes_with_label("B").size(), 3u);
-}
-
 TEST(GraphStoreTest, SetPropertyAddsNewKey) {
   GraphStore g;
   const NodeId a = g.add_node("A", {});

@@ -1,15 +1,16 @@
 // Plan-differential oracle suite (ctest label `plan`): every corpus query
-// must return row-for-row identical results from the planned batch executor
-// and the legacy tuple-at-a-time pipeline — across chaos topologies, over
-// monolithic, segmented and fully-evicted stores, at 1/2/8 threads. The
-// legacy engine (use_planner=false, threads=1, monolithic store) is the
-// reference; everything else must agree with it exactly, including column
-// names and row order.
+// must return row-for-row what the brute-force reference of
+// tests/query_reference.h returns — MATCH by a walk over every node id,
+// checking labels and inline properties one node at a time — across chaos
+// topologies, over resident, segmented and fully-evicted stores, at 1/2/8
+// threads, including column names and row order. The corpus covers every
+// scan kind, inline properties, relationship steps, `[*]`, comma-separated
+// patterns, later MATCH clauses and the Fig. 4a CALL.
 //
 // A second set of tests pins the *plan shapes*: the planner must actually
 // choose the index/range/segment-skip scans the differential rows prove
-// correct, and must fall back (with a reason) on the clauses it cannot
-// lower.
+// correct, plan inline properties as the WHERE equalities they mean, and
+// name its reason when a query runs clause by clause.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -28,6 +29,8 @@
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "query/planner.h"
+#include "query/procedures.h"
+#include "query_reference.h"
 #include "scoped_temp_dir.h"
 
 namespace horus {
@@ -96,6 +99,16 @@ std::vector<std::string> build_corpus(const ExecutionGraph& graph) {
   const std::string mid_lamport = probe_int(graph.keys().lamport);
   const std::string mid_ts = probe_int(graph.keys().timestamp);
   const std::string host = string_property(store, probe, graph.keys().host);
+  // Two LOG anchors a few requests apart for the Fig. 4a CALL.
+  std::vector<std::string> logs;
+  for (graph::NodeId v = 0; v < store.node_count(); ++v) {
+    if (store.node_label(v) == "LOG") {
+      logs.push_back(
+          std::to_string(int_property(store, v, graph.keys().event_id)));
+    }
+  }
+  const std::string log_a = logs.empty() ? "0" : logs[logs.size() / 4];
+  const std::string log_b = logs.empty() ? "0" : logs[logs.size() / 2];
   return {
       // Scan kinds: all-nodes, label, hash-index eq (both orientations),
       // ordered-index range, timestamp window (segment-skip when
@@ -140,20 +153,53 @@ std::vector<std::string> build_corpus(const ExecutionGraph& graph) {
       "MATCH (a:SND)-[:HB]->(b:RCV) RETURN a.eventId, b.eventId "
       "ORDER BY a.eventId, b.eventId",
       "MATCH (n) WHERE n.lamportLogicalTime > 100000000 RETURN n.eventId",
+      // Inline properties: the equalities they mean, with a label, typed
+      // numbers, a null and a key never stored; an empty aggregate.
+      "MATCH (n:EVENT {eventId: " + mid_id + "}) RETURN n.host AS host",
+      "MATCH (n {eventId: " + mid_id + ".0}) RETURN n.eventId",
+      "MATCH (n) WHERE n.eventId = " + mid_id + ".0 RETURN n.eventId",
+      "MATCH (n:LOG {host: '" + host + "'}) RETURN count(*) AS logs",
+      "MATCH (n:LOG {host: 'no-such-host'}) RETURN count(*) AS logs",
+      "MATCH (n:RCV {host: '" + host + "', eventType: 'RCV'}) "
+      "RETURN n.eventId",
+      "MATCH (n {neverSetKey: null}) WHERE n.eventId < 9 RETURN n.eventId",
+      "MATCH (n {neverSetKey: 1}) RETURN n",
+      // Heads the clause pipeline matches: relationship steps with inline
+      // properties on either end, `[*]` and bounded ranges, an anonymous
+      // head, comma-separated patterns, later MATCH clauses over bound and
+      // row-dependent heads, and the Fig. 4a CALL.
+      "MATCH (a:SND {host: '" + host + "'})-[:HB]->(b:RCV) "
+      "RETURN a.eventId, b.eventId",
+      "MATCH (a:SND)-->(b:RCV {host: '" + host + "'}) RETURN a.eventId, "
+      "b.eventId",
+      "MATCH (a {eventId: " + mid_id + "})-[*]->(b) RETURN b.eventId",
+      "MATCH (a {eventId: " + mid_id + "})<-[*1..3]-(b:SND) RETURN b.eventId",
+      "MATCH ({eventId: " + mid_id + "})-->(b) RETURN b.eventId",
+      "MATCH (a:SND {host: '" + host + "'}), (b:RCV {host: '" + host +
+          "'}) RETURN a.eventId, b.eventId",
+      "MATCH (a:SND) MATCH (a)-[:HB]->(b) RETURN a.eventId, b.eventId",
+      "MATCH (a {eventId: " + mid_id + "}) MATCH (a:EVENT {host: '" + host +
+          "'}) RETURN a.eventId",
+      "MATCH (a:SND {host: '" + host + "'}) MATCH (b:RCV {host: a.host}) "
+      "RETURN a.eventId, b.eventId",
+      "MATCH (a:LOG {eventId: " + log_a + "}), (b:LOG {eventId: " + log_b +
+          "}) CALL horus.getCausalGraph(a, b, TRUE) YIELD node "
+          "WITH node ORDER BY node.lamportLogicalTime ASC "
+          "RETURN count(node) AS logs, collect(node.eventId) AS ids",
   };
 }
 
-query::QueryResult run_with(const ExecutionGraph& graph,
-                            const std::string& text, bool planner,
-                            unsigned threads) {
+/// An engine over `h` with the horus.* procedures registered.
+std::unique_ptr<query::QueryEngine> engine_for(const Horus& h,
+                                               unsigned threads) {
   QueryOptions options;
-  options.use_planner = planner;
   options.threads = threads;
   // The chaos graphs are small; force real fan-out at threads > 1 so the
   // parallel merge path is actually exercised.
   options.min_parallel_items = 2;
-  const query::QueryEngine engine(graph, options);
-  return engine.run(text);
+  auto engine = std::make_unique<query::QueryEngine>(h.graph(), options);
+  query::register_horus_procedures(*engine, h.graph(), h.clocks(), options);
+  return engine;
 }
 
 void expect_identical(const query::QueryResult& want,
@@ -167,28 +213,22 @@ void expect_identical(const query::QueryResult& want,
 void expect_differential(const Pair& p, const std::string& tag,
                          bool evict_between_queries = false) {
   const std::vector<std::string> corpus = build_corpus(p.mono->graph());
+  const auto reference = engine_for(*p.mono, 1);
   for (const std::string& q : corpus) {
-    // Reference: legacy pipeline, monolithic store, sequential.
-    const query::QueryResult want =
-        run_with(p.mono->graph(), q, /*planner=*/false, /*threads=*/1);
+    // Reference: brute-force MATCH over the resident store, sequential.
+    const query::QueryResult want = query::reference::run(*reference, q);
+    ASSERT_FALSE(want.truncated) << tag << ": " << q;
     for (const unsigned threads : {1u, 2u, 8u}) {
       const std::string t = tag + "/t" + std::to_string(threads);
-      expect_identical(want,
-                       run_with(p.mono->graph(), q, /*planner=*/true, threads),
-                       t + "/mono", q);
+      expect_identical(want, engine_for(*p.mono, threads)->run(q),
+                       t + "/resident", q);
       if (evict_between_queries) {
         p.segments->evict_all();
         ASSERT_GT(p.segments->evicted_count(), 0u) << tag;
       }
-      expect_identical(want,
-                       run_with(p.seg->graph(), q, /*planner=*/true, threads),
+      expect_identical(want, engine_for(*p.seg, threads)->run(q),
                        t + "/seg", q);
     }
-    // Legacy over the segmented store must agree too (the planner is not
-    // allowed to be the only correct path).
-    expect_identical(want,
-                     run_with(p.seg->graph(), q, /*planner=*/false, 1),
-                     tag + "/seg-legacy", q);
   }
 }
 
@@ -348,15 +388,44 @@ TEST_F(PlanShapeTest, ExplainReportsActualRowCounts) {
   EXPECT_NE(text.find("act="), std::string::npos) << text;
 }
 
-TEST_F(PlanShapeTest, DisabledPlannerStillExplainsButRunsLegacy) {
-  QueryOptions options;
-  options.use_planner = false;
-  const query::QueryEngine engine(horus_->graph(), options);
-  const auto explained = engine.explain("MATCH (n:SND) RETURN n.eventId");
-  ASSERT_TRUE(explained.report.planned);
-  // Planned but not executed: actuals stay unfilled.
-  EXPECT_LT(explained.report.ops.front().actual_rows, 0);
-  EXPECT_FALSE(explained.result.rows.empty());
+TEST_F(PlanShapeTest, EqualityScanEstimatesOneBucket) {
+  // The index hashes numbers by value: `= 4` and `= 4.0` probe one bucket,
+  // and the estimate is that bucket's size.
+  const query::QueryEngine engine(horus_->graph(), {});
+  for (const std::string constant : {"4", "4.0"}) {
+    const std::string text =
+        "MATCH (n) WHERE n.eventId = " + constant + " RETURN n.eventId";
+    const auto plan = plan_of(text);
+    ASSERT_EQ(plan.scan, query::ScanKind::kIndexEq) << text;
+    const auto bucket = horus_->graph().store().index_count(
+        plan.scan_key, graph::PropertyValue(std::int64_t{4}));
+    ASSERT_TRUE(bucket.has_value());
+    EXPECT_EQ(plan.scan_estimate, static_cast<double>(*bucket)) << text;
+    const auto explained = engine.explain(text);
+    EXPECT_EQ(explained.report.ops.front().estimated_rows,
+              explained.report.ops.front().actual_rows)
+        << explained.plan_text();
+  }
+}
+
+TEST_F(PlanShapeTest, InlinePropertiesPlanAsWhereEqualities) {
+  const query::QueryEngine engine(horus_->graph(), {});
+  const std::string inline_text =
+      engine.explain("MATCH (n:EVENT {eventId: 4}) RETURN n.eventId")
+          .plan_text();
+  EXPECT_EQ(inline_text,
+            engine.explain("MATCH (n) WHERE n.eventId = 4 RETURN n.eventId")
+                .plan_text());
+  EXPECT_NE(inline_text.find("scan[index-eq eventId = 4"), std::string::npos)
+      << inline_text;
+  // An inline property joins the WHERE conjuncts, ahead of them: the
+  // label scan keeps the label, the host equality becomes the scan.
+  const auto plan = plan_of(
+      "MATCH (n:SND {host: \"svc-host0\"}) WHERE n.lamportLogicalTime >= 2 "
+      "RETURN n.eventId");
+  ASSERT_TRUE(plan.planned);
+  ASSERT_EQ(plan.inline_conjuncts.size(), 1u);
+  EXPECT_EQ(plan.predicates.size() + plan.predicates_pushed, 2u);
 }
 
 }  // namespace

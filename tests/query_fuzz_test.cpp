@@ -13,10 +13,10 @@
 // overflowing the C++ call stack (found by exactly this fuzzer).
 //
 // The execution tests push every mutant that still parses through the full
-// engine — planner on AND planner off — over a small real graph under tight
-// QueryLimits. Contract: run() either returns or throws QueryError (never
-// crashes, never blows past the guard), and whenever both arms complete
-// untruncated they must agree row-for-row.
+// engine and through the brute-force reference of tests/query_reference.h
+// over a small real graph under tight QueryLimits. Contract: run() either
+// returns or throws QueryError (never crashes, never blows past the guard),
+// and whenever both complete untruncated they agree row-for-row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +29,7 @@
 #include "gen/topology.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
+#include "query_reference.h"
 
 namespace horus::query {
 namespace {
@@ -139,21 +140,21 @@ struct RunOutcome {
   QueryResult result;
 };
 
-/// Runs `text` end to end (parse + plan + execute) under tight limits.
-/// The no-crash contract mirrors parse_survives(): QueryError is the only
-/// acceptable throw.
-RunOutcome run_survives(const std::string& text, bool planner) {
+/// Runs `text` end to end (parse + plan + execute) under tight limits, on
+/// the engine or the reference. The no-crash contract mirrors
+/// parse_survives(): QueryError is the only acceptable throw.
+RunOutcome run_survives(const std::string& text, bool reference) {
   RunOutcome outcome;
   horus::QueryLimits limits;
   limits.max_rows = 50;
   limits.max_visited_nodes = 5'000;
   horus::QueryGuard guard(limits);
   QueryOptions options;
-  options.use_planner = planner;
   options.guard = &guard;
   const QueryEngine engine(fuzz_graph(), options);
   try {
-    outcome.result = engine.run(text);
+    outcome.result =
+        reference ? reference::run(engine, text) : engine.run(text);
     outcome.ok = true;
     outcome.truncated = outcome.result.truncated;
   } catch (const QueryError&) {
@@ -162,19 +163,19 @@ RunOutcome run_survives(const std::string& text, bool planner) {
   return outcome;
 }
 
-/// Both engine arms over one input; equality asserted only when both
-/// completed untruncated (guard truncation admits rows at different stages,
-/// so truncated prefixes may legitimately differ).
+/// The engine and the reference over one input; equality asserted only
+/// when both completed untruncated (guard truncation admits rows at
+/// different stages, so truncated prefixes may legitimately differ).
 void expect_arms_agree(const std::string& text) {
-  const RunOutcome off = run_survives(text, /*planner=*/false);
-  const RunOutcome on = run_survives(text, /*planner=*/true);
-  if (off.ok && on.ok && !off.truncated && !on.truncated) {
-    EXPECT_EQ(off.result.columns, on.result.columns) << text;
-    EXPECT_EQ(off.result.rows, on.result.rows) << text;
+  const RunOutcome want = run_survives(text, /*reference=*/true);
+  const RunOutcome got = run_survives(text, /*reference=*/false);
+  if (want.ok && got.ok && !want.truncated && !got.truncated) {
+    EXPECT_EQ(want.result.columns, got.result.columns) << text;
+    EXPECT_EQ(want.result.rows, got.result.rows) << text;
   }
 }
 
-TEST(QueryFuzzTest, CorpusExecutesIdenticallyPlannedAndLegacy) {
+TEST(QueryFuzzTest, CorpusExecutesLikeTheReference) {
   for (const std::string& text : corpus()) {
     expect_arms_agree(text);
   }

@@ -150,6 +150,26 @@ TEST_F(QueryFixture, MinMaxCollect) {
   EXPECT_EQ(r.rows[0][2].as_list().size(), 4u);
 }
 
+TEST_F(QueryFixture, AggregateOverNoRowsReturnsOneRow) {
+  const auto r = run(
+      "MATCH (n:LOG {host: 'no-such-host'}) RETURN count(*) AS c, "
+      "count(n) AS cn, sum(n.timestamp) AS s, collect(n.message) AS msgs, "
+      "min(n.timestamp) AS lo, max(n.timestamp) AS hi, avg(n.timestamp) AS a");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0], Value(0));
+  EXPECT_EQ(r.rows[0][1], Value(0));
+  EXPECT_EQ(r.rows[0][2], Value(0));
+  EXPECT_EQ(r.rows[0][3], Value(ValueList{}));
+  EXPECT_TRUE(r.rows[0][4].is_null());
+  EXPECT_TRUE(r.rows[0][5].is_null());
+  EXPECT_TRUE(r.rows[0][6].is_null());
+  // A grouped projection has no group without a row.
+  EXPECT_TRUE(run("MATCH (n:NOSUCH) RETURN n.host AS h, count(*) AS c")
+                  .rows.empty());
+  EXPECT_TRUE(run("MATCH (n:NOSUCH) WITH count(*) AS c WHERE c > 0 RETURN c")
+                  .rows.empty());
+}
+
 TEST_F(QueryFixture, UnwindExplodesLists) {
   const auto r = run(
       "MATCH (n:LOG {host: 'Payment'}) WITH collect(n.message) AS msgs "

@@ -591,20 +591,5 @@ TEST(SegmentStoreTest, IndexBuildsAndLookupsSurviveEviction) {
   EXPECT_EQ(store.find_nodes("host", std::string("alpha")), alphas);
 }
 
-TEST(SegmentStoreTest, ReadHoldBlocksEvictionNotFaultIn) {
-  ScopedTempDir dir("hold");
-  GraphStore store;
-  SegmentManager& segments = store.enable_segments(small_segments(dir.str()));
-  fill(store, 20);
-  ASSERT_GT(segments.evict(0), 0u);
-  {
-    const SegmentManager::ReadHold hold = segments.read_hold();
-    EXPECT_EQ(segments.evict(1), 0u);      // eviction refused under hold
-    segments.reload(0);                    // fault-in still allowed
-    EXPECT_TRUE(segments.is_resident(0));
-  }
-  EXPECT_GT(segments.evict(1), 0u);  // hold released
-}
-
 }  // namespace
 }  // namespace horus::graph

@@ -191,8 +191,8 @@ const std::map<std::string, std::set<std::string>> kCommandFlags = {
     {"stats", {"graph", "metrics", "segment-nodes", "shards"}},
     {"validate", {"graph"}},
     {"query",
-     {"graph", "threads", "profile", "explain", "no-planner", "deadline-ms",
-      "max-rows", "max-visited"}},
+     {"graph", "threads", "profile", "explain", "deadline-ms", "max-rows",
+      "max-visited"}},
     {"shiviz", {"graph", "only-logs", "out"}},
     {"dot",
      {"graph", "from", "to", "out", "threads", "deadline-ms", "max-visited"}},
@@ -234,13 +234,13 @@ int usage() {
                        per-segment table and per-shard rollup)
   horus_cli validate  --graph FILE
   horus_cli query     --graph FILE [--threads N] [--profile] [--explain]
-                      [--no-planner] [--deadline-ms N] [--max-rows N]
-                      [--max-visited N] 'MATCH ... RETURN ...'
+                      [--deadline-ms N] [--max-rows N] [--max-visited N]
+                      'MATCH ... RETURN ...'
                       (query text also accepted on stdin; --profile prints a
                        per-stage cost breakdown after the result; --explain
-                       prints the chosen plan — pushed predicates, estimated
-                       vs actual rows — before the result; --no-planner
-                       forces the legacy tuple-at-a-time pipeline)
+                       prints the chosen plan — scan, pushed predicates,
+                       estimated vs actual rows — before the result, or why
+                       the query runs clause by clause)
   horus_cli shiviz    --graph FILE [--only-logs] [--out FILE]
   horus_cli dot       --graph FILE --from EVENTID --to EVENTID [--out FILE]
                       [--threads N] [--deadline-ms N] [--max-visited N]
@@ -560,7 +560,6 @@ int cmd_query(const Args& args) {
   if (limits.any()) options.guard = &guard;
   obs::QueryProfile profile;
   if (args.has("profile")) options.profile = &profile;
-  if (args.has("no-planner")) options.use_planner = false;
   query::QueryEngine engine(*graph, options);
   query::register_horus_procedures(engine, *graph, assigner->clocks(),
                                    options);
