@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "graph/segment.h"
@@ -460,6 +459,7 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
     std::size_t pushed = 0;               // conjuncts that shaped the scan
   };
   std::vector<ScanChoice> choices;
+  choices.reserve(8);
 
   if (scan) {
     // Hash-index equality: one conjunct becomes the whole scan. The index
@@ -490,27 +490,35 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
     // into one [lo, hi] window. The conjuncts stay in the residual filter —
     // the index is the candidate source, the filter remains the authority
     // (see DESIGN.md §12 for the int64-typed-key assumption).
-    std::map<graph::PropKeyId, std::pair<Bounds, std::size_t>> windows;
-    std::map<graph::PropKeyId, std::string> window_names;
+    struct Window {
+      graph::PropKeyId key = graph::kNoPropKey;
+      const std::string* name = nullptr;
+      Bounds bounds;
+      std::size_t contributors = 0;
+    };
+    std::vector<Window> windows;  // in key order
     for (std::size_t i = 0; i < first_unsafe; ++i) {
       if (!shapes[i]) continue;
       const CmpShape& s = *shapes[i];
       if (s.key == graph::kNoPropKey || !s.constant.is_number()) continue;
-      auto& [bounds, contributors] = windows[s.key];
-      if (apply_bound(bounds, s.op, s.constant)) {
-        ++contributors;
-        window_names[s.key] = s.key_name;
+      auto w = std::find_if(windows.begin(), windows.end(),
+                            [&](const Window& x) { return x.key >= s.key; });
+      if (w == windows.end() || w->key != s.key) {
+        w = windows.insert(w, Window{s.key, nullptr, Bounds{}, 0});
+      }
+      if (apply_bound(w->bounds, s.op, s.constant)) {
+        ++w->contributors;
+        w->name = &s.key_name;
       }
     }
-    for (const auto& [key, window] : windows) {
-      const auto& [bounds, contributors] = window;
+    for (const auto& [key, name, bounds, contributors] : windows) {
       if (!bounds.constrained) continue;
       if (store.has_ordered_index(key)) {
         ScanChoice c;
         c.kind = ScanKind::kRange;
         c.precedence = 2;
         c.key = key;
-        c.key_name = window_names[key];
+        c.key_name = *name;
         c.lo = bounds.empty ? std::int64_t{1} : bounds.lo;
         c.hi = bounds.empty ? std::int64_t{0} : bounds.hi;
         c.pushed = contributors;
@@ -545,7 +553,7 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
           c.kind = ScanKind::kSegmentSkip;
           c.precedence = 3;
           c.key = key;
-          c.key_name = window_names[key];
+          c.key_name = *name;
           c.lo = bounds.empty ? std::int64_t{1} : bounds.lo;
           c.hi = bounds.empty ? std::int64_t{0} : bounds.hi;
           c.pushed = contributors;
