@@ -970,6 +970,24 @@ class Evaluator {
     return eval_expr(e, rows, sample_row);
   }
 
+  /// True when `e` reads a variable, other than one of `aliases`, outside
+  /// its aggregate calls.
+  [[nodiscard]] static bool reads_variable(
+      const Expr& e, std::span<const std::string> aliases) {
+    if (e.kind == Expr::Kind::kFunction && is_aggregate_function(e.name)) {
+      return false;
+    }
+    if (e.kind == Expr::Kind::kVariable) {
+      return std::find(aliases.begin(), aliases.end(), e.name) ==
+             aliases.end();
+    }
+    if (e.lhs && reads_variable(*e.lhs, aliases)) return true;
+    if (e.rhs && reads_variable(*e.rhs, aliases)) return true;
+    return std::any_of(e.args.begin(), e.args.end(), [&](const ExprPtr& a) {
+      return a && reads_variable(*a, aliases);
+    });
+  }
+
   /// Collects pointers to all aggregate calls within an expression.
   static void collect_aggregates(const Expr& e,
                                  std::vector<const Expr*>& out) {
@@ -1124,13 +1142,27 @@ class Evaluator {
         }
       };
 
-      // Groups in output order: one group when every item aggregates — over
-      // no rows too, so count() and sum() give 0, collect() [] and min(),
-      // max() and avg() null — else the key map's order (the display
-      // strings of the key values), no group without a row.
+      // Groups in output order. When every item aggregates, one group —
+      // over no rows too (count() and sum() give 0, collect() [] and min(),
+      // max() and avg() null), unless an item, or a sort key other than an
+      // alias, reads a variable outside its aggregates, which no row binds.
+      // Else the key map's order (the display strings of the key values),
+      // and no group without a row.
+      const bool grouped = std::find(aggregated.begin(), aggregated.end(),
+                                     false) != aggregated.end();
+      const auto reads_row = [&] {
+        return std::any_of(clause.projections.begin(),
+                           clause.projections.end(),
+                           [&](const ProjectionItem& item) {
+                             return reads_variable(*item.expr, {});
+                           }) ||
+               std::any_of(clause.order_by.begin(), clause.order_by.end(),
+                           [&](const SortItem& item) {
+                             return reads_variable(*item.expr, out.columns);
+                           });
+      };
       std::vector<Group> groups;
-      if (std::find(aggregated.begin(), aggregated.end(), false) ==
-          aggregated.end()) {
+      if (!grouped && (n > 0 || !reads_row())) {
         Group& all = groups.emplace_back();
         all.agg_states.resize(aggregates.size());
         all.sample_row.resize(input.columns.size());
@@ -1141,7 +1173,7 @@ class Evaluator {
           if (r == 0) all.sample_row = std::move(input.rows[r]);
           return true;
         });
-      } else {
+      } else if (grouped) {
         std::map<std::string, Group> keyed;
         for_each_batched(props, input, 0, n, [&](std::size_t r,
                                                  std::size_t at) {

@@ -286,22 +286,6 @@ void keep_matching(const Evaluator& ev, NodeMatch& m,
                       scan.filter, kNoLimit, /*admit=*/false);
 }
 
-/// True when every inline property of `path` is a constant (a literal or
-/// a bound parameter), so its values do not depend on the row.
-[[nodiscard]] bool constant_props(const Evaluator& ev,
-                                  const PathPattern& path) {
-  const auto constant = [&](const NodePattern& node) {
-    return std::all_of(node.properties.begin(), node.properties.end(),
-                       [&](const auto& prop) {
-                         return constant_operand(*prop.second, ev.params_) !=
-                                nullptr;
-                       });
-  };
-  return constant(path.head) &&
-         std::all_of(path.steps.begin(), path.steps.end(),
-                     [&](const PatternStep& s) { return constant(s.node); });
-}
-
 /// The inline property values of `node` for `row`.
 [[nodiscard]] std::vector<Value> node_props(const Evaluator& ev,
                                             const NodePattern& node,
@@ -315,12 +299,10 @@ void keep_matching(const Evaluator& ev, NodeMatch& m,
   return out;
 }
 
-/// A path pattern resolved for one set of inline property values: the
-/// head's values and filter (built for the first bound head), and each
-/// step's edge type and endpoint filter.
+/// A path pattern resolved for one row: the head's inline property values,
+/// and each step's edge type and endpoint filter.
 struct PathMatch {
   std::vector<Value> head_props;
-  std::optional<NodeMatch> head;
   std::vector<NodeMatch> steps;
   std::vector<std::optional<graph::EdgeTypeId>> types;
   bool missing_type = false;  // a step names an edge type never stored
@@ -413,12 +395,10 @@ struct PathMatch {
   return result;
 }
 
-/// Extends `row` with one path pattern; appends complete rows to `out`.
-/// `heads` is the head scan's nodes when gathered once for every row, else
-/// nullptr (the head is bound, or scanned for this row).
-void match_path(const Evaluator& ev, const PathPattern& path, PathMatch& m,
-                const std::vector<NodeId>* heads, const RowSet& schema,
-                const std::vector<Value>& row,
+/// Extends `row` with one path pattern, resolved for this row; appends
+/// complete rows to `out`.
+void match_path(const Evaluator& ev, const PathPattern& path,
+                const RowSet& schema, const std::vector<Value>& row,
                 std::vector<std::string>& new_columns,
                 std::vector<std::vector<Value>>& out) {
   // Binding map: variable -> column (existing schema or appended).
@@ -462,6 +442,7 @@ void match_path(const Evaluator& ev, const PathPattern& path, PathMatch& m,
   };
 
   const graph::GraphStore& store = ev.graph_.store();
+  PathMatch m = path_match(ev, path, schema, row);
 
   // Recursive step matcher. Each step copies the previous node's adjacency
   // (never a span into the store) and keeps the endpoints its node filter
@@ -509,42 +490,33 @@ void match_path(const Evaluator& ev, const PathPattern& path, PathMatch& m,
       };
 
   // Head candidates: a prior binding when available, else the head scan.
-  std::vector<NodeId> own;
+  std::vector<NodeId> heads;
   if (const auto head_bound = bound_node(path.head.variable, row)) {
-    own.push_back(*head_bound);
-    if (!m.head) m.head = node_match(ev, path.head, m.head_props, false);
-    keep_matching(ev, *m.head, own);
-    heads = &own;
-  } else if (heads == nullptr) {
-    own = scan_heads(ev, path.head, m.head_props);
-    heads = &own;
+    heads.push_back(*head_bound);
+    NodeMatch head = node_match(ev, path.head, m.head_props, /*scan=*/false);
+    keep_matching(ev, head, heads);
+  } else {
+    heads = scan_heads(ev, path.head, m.head_props);
   }
   if (m.missing_type) return;
-  for (const NodeId head : *heads) {
+  for (const NodeId head : heads) {
     std::vector<Value> current = row;
     bind(path.head.variable, head, current);
     match_steps(0, head, current);
   }
 }
 
-/// Matches `path` for rows [begin, end) of `current`. With constant inline
-/// properties the pattern is resolved once for the rows, else once per row.
-/// Stops once the guard refuses a row's output.
+/// Matches `path` for rows [begin, end) of `current`, resolving the
+/// pattern once per row. Stops once the guard refuses a row's output.
 void match_rows(const Evaluator& ev, const PathPattern& path,
                 const RowSet& current, std::size_t begin, std::size_t end,
-                const std::vector<NodeId>* heads,
                 std::vector<std::string>& new_columns,
                 std::vector<std::vector<Value>>& out) {
   QueryGuard* guard = ev.options_.guard;
-  std::optional<PathMatch> shared;
-  if (constant_props(ev, path)) shared = path_match(ev, path, current, {});
   for (std::size_t i = begin; i < end; ++i) {
     const std::vector<Value>& row = current.rows[i];
-    std::optional<PathMatch> own;
-    PathMatch& m =
-        shared ? *shared : own.emplace(path_match(ev, path, current, row));
     const std::size_t before = out.size();
-    match_path(ev, path, m, heads, current, row, new_columns, out);
+    match_path(ev, path, current, row, new_columns, out);
     if (guard != nullptr && !guard->admit_rows(out.size() - before)) return;
   }
 }
@@ -557,7 +529,6 @@ void match_rows(const Evaluator& ev, const PathPattern& path,
 /// one for any thread count.
 void match_rows_parallel(const Evaluator& ev, const PathPattern& path,
                          const RowSet& current,
-                         const std::vector<NodeId>* heads,
                          std::vector<std::string>& new_columns,
                          std::vector<std::vector<Value>>& out) {
   struct ChunkOut {
@@ -571,7 +542,7 @@ void match_rows_parallel(const Evaluator& ev, const PathPattern& path,
       n, grain, ev.options_.effective_threads(),
       [&](ThreadPool::ChunkRange chunk) {
         ChunkOut& local = chunks[chunk.index];
-        match_rows(ev, path, current, chunk.begin, chunk.end, heads,
+        match_rows(ev, path, current, chunk.begin, chunk.end,
                    local.new_columns, local.rows);
       });
 
@@ -627,20 +598,11 @@ RowSet match_clause(const Evaluator& ev, const Clause& clause,
     RowSet next;
     next.columns = current.columns;
     std::vector<std::string> new_columns;
-    // A head no earlier clause binds, with constant inline properties, is
-    // scanned once for every input row.
-    std::optional<std::vector<NodeId>> heads;
-    if (!current.rows.empty() && constant_props(ev, path) &&
-        current.column_index(path.head.variable) < 0) {
-      heads = scan_heads(ev, path.head,
-                         node_props(ev, path.head, current, {}));
-    }
-    const std::vector<NodeId>* shared = heads ? &*heads : nullptr;
     if (!ev.fan_out(current.rows.size())) {
-      match_rows(ev, path, current, 0, current.rows.size(), shared,
-                 new_columns, next.rows);
+      match_rows(ev, path, current, 0, current.rows.size(), new_columns,
+                 next.rows);
     } else {
-      match_rows_parallel(ev, path, current, shared, new_columns, next.rows);
+      match_rows_parallel(ev, path, current, new_columns, next.rows);
     }
     for (const std::string& c : new_columns) next.columns.push_back(c);
     // Normalize row widths (rows bound before later columns existed).

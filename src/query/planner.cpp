@@ -116,13 +116,14 @@ void flatten_and(const Expr* e, std::vector<const Expr*>& out) {
 
 /// `head.key <cmp> constant` (either side), normalized so the property is
 /// on the left. `flipped` records that the source had the constant first;
-/// `op` is already flipped to match the normalized orientation.
+/// `op` is already flipped to match the normalized orientation. The key name
+/// and the constant point into the query, its parameters or the inline
+/// property values.
 struct CmpShape {
-  const Expr* prop = nullptr;  // the property access
   graph::PropKeyId key = graph::kNoPropKey;
-  std::string key_name;
+  std::string_view key_name;
   BinaryOp op = BinaryOp::kEq;
-  Value constant;
+  const Value* constant = nullptr;
   bool flipped = false;
 };
 
@@ -141,23 +142,17 @@ struct CmpShape {
     return nullptr;
   };
   CmpShape shape;
-  if (const Expr* p = head_prop(*e.lhs)) {
-    const Value* c = internal::constant_operand(*e.rhs, params);
-    if (c == nullptr) return std::nullopt;
-    shape.prop = p;
+  const Expr* prop = head_prop(*e.lhs);
+  if (prop != nullptr) {
     shape.op = e.binary_op;
-    shape.constant = *c;
-  } else if (const Expr* q = head_prop(*e.rhs)) {
-    const Value* c = internal::constant_operand(*e.lhs, params);
-    if (c == nullptr) return std::nullopt;
-    shape.prop = q;
+    shape.constant = internal::constant_operand(*e.rhs, params);
+  } else if ((prop = head_prop(*e.rhs)) != nullptr) {
     shape.op = flip_comparison(e.binary_op);
-    shape.constant = *c;
+    shape.constant = internal::constant_operand(*e.lhs, params);
     shape.flipped = true;
-  } else {
-    return std::nullopt;
   }
-  shape.key_name = shape.prop->name;
+  if (shape.constant == nullptr) return std::nullopt;
+  shape.key_name = prop->name;
   shape.key = store.prop_key_id(shape.key_name);
   return shape;
 }
@@ -227,41 +222,6 @@ struct Bounds {
       return true;
     default: return false;
   }
-}
-
-/// `var.key = value`: the WHERE equality an inline property means.
-[[nodiscard]] ExprPtr inline_equality(const std::string& var,
-                                      const std::string& key, Value value) {
-  auto node = std::make_unique<Expr>();
-  node->kind = Expr::Kind::kVariable;
-  node->name = var;
-  auto prop = std::make_unique<Expr>();
-  prop->kind = Expr::Kind::kProperty;
-  prop->name = key;
-  prop->lhs = std::move(node);
-  auto constant = std::make_unique<Expr>();
-  constant->literal = std::move(value);
-  auto eq = std::make_unique<Expr>();
-  eq->kind = Expr::Kind::kBinary;
-  eq->binary_op = BinaryOp::kEq;
-  eq->lhs = std::move(prop);
-  eq->rhs = std::move(constant);
-  return eq;
-}
-
-/// Starts `p` as the plan of `node`, whose inline properties evaluated to
-/// `props`; returns their equalities, the first conjuncts.
-std::vector<const Expr*> start_node(Plan& p, const NodePattern& node,
-                                    std::span<const Value> props) {
-  p.variable = node.variable;
-  p.label = node.label;
-  std::vector<const Expr*> conjuncts;
-  for (std::size_t i = 0; i < props.size(); ++i) {
-    p.inline_conjuncts.push_back(
-        inline_equality(node.variable, node.properties[i].first, props[i]));
-    conjuncts.push_back(p.inline_conjuncts.back().get());
-  }
-  return conjuncts;
 }
 
 [[nodiscard]] std::string bounds_to_text(std::int64_t lo, std::int64_t hi) {
@@ -377,17 +337,17 @@ Plan Planner::plan(const Query& query) const {
     }
     props.push_back(*c);
   }
-  // The inline equalities, then the WHERE prefix, as one conjunct list in
-  // evaluation order.
-  std::vector<const Expr*> conjuncts = start_node(p, path.head, props);
+  // The WHERE prefix's conjuncts, in evaluation order, after the inline
+  // equalities.
+  std::vector<const Expr*> where;
   std::size_t ci = 1;
   while (ci < query.clauses.size() &&
          query.clauses[ci].kind == Clause::Kind::kWhere) {
-    flatten_and(query.clauses[ci].predicate.get(), conjuncts);
+    flatten_and(query.clauses[ci].predicate.get(), where);
     ++ci;
   }
   p.tail_begin = ci;
-  plan_filter(p, conjuncts, /*scan=*/true);
+  plan_filter(p, path.head, props, where, /*scan=*/true);
 
   // ---- projection / limit pushdown ------------------------------------------
 
@@ -415,30 +375,49 @@ Plan Planner::plan(const Query& query) const {
 Plan Planner::plan_node(const NodePattern& node, std::span<const Value> props,
                         bool scan) const {
   Plan p;
-  plan_filter(p, start_node(p, node, props), scan);
+  plan_filter(p, node, props, {}, scan);
   p.planned = true;
   return p;
 }
 
-void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
+void Planner::plan_filter(Plan& p, const NodePattern& node,
+                          std::span<const Value> props,
+                          std::span<const Expr* const> where,
                           bool scan) const {
   const graph::GraphStore& store = graph_.store();
+  p.variable = node.variable;
+  p.label = node.label;
 
-  // Conjuncts up to the first unsafe one may be reordered and pushed into
-  // the scan; the unsafe conjunct and everything after it keep their source
-  // order so the same rows reach them as under clause-by-clause evaluation
-  // (a throwing conjunct must see exactly that survivor set).
-  std::size_t first_unsafe = conjuncts.size();
-  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-    if (!is_safe_expr(*conjuncts[i], p.variable, params_)) {
+  // Conjunct i < props.size() is the inline equality `var.key = props[i]`
+  // (no expression); the rest are the WHERE conjuncts. Conjuncts up to the
+  // first unsafe one may be reordered and pushed into the scan; the unsafe
+  // conjunct and everything after it keep their source order so the same
+  // rows reach them as under clause-by-clause evaluation (a throwing
+  // conjunct must see exactly that survivor set).
+  const std::size_t count = props.size() + where.size();
+  const auto expr_of = [&](std::size_t i) -> const Expr* {
+    return i < props.size() ? nullptr : where[i - props.size()];
+  };
+  std::size_t first_unsafe = count;
+  for (std::size_t i = props.size(); i < count; ++i) {
+    if (!is_safe_expr(*expr_of(i), p.variable, params_)) {
       first_unsafe = i;
       break;
     }
   }
 
-  std::vector<std::optional<CmpShape>> shapes(conjuncts.size());
-  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-    shapes[i] = comparison_shape(*conjuncts[i], p.variable, params_, store);
+  std::vector<std::optional<CmpShape>> shapes(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i < props.size()) {
+      const std::string& key = node.properties[i].first;
+      shapes[i] = CmpShape{.key = store.prop_key_id(key),
+                           .key_name = key,
+                           .op = BinaryOp::kEq,
+                           .constant = &props[i],
+                           .flipped = false};
+    } else {
+      shapes[i] = comparison_shape(*expr_of(i), p.variable, params_, store);
+    }
   }
 
   const auto node_count = static_cast<double>(store.node_count());
@@ -446,20 +425,28 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
 
   // ---- scan selection -------------------------------------------------------
 
+  // The cheapest access path seen so far; the full scan until another is
+  // cheaper, or as cheap with a lower precedence.
   struct ScanChoice {
     ScanKind kind = ScanKind::kAllNodes;
     int precedence = 5;  // tie-break: lower wins at equal estimate
     graph::PropKeyId key = graph::kNoPropKey;
-    std::string key_name;
-    Value eq;
+    std::string_view key_name;
+    const Value* eq = nullptr;
     std::int64_t lo = kInt64Min;
     std::int64_t hi = kInt64Max;
     double estimate = 0.0;
     std::optional<std::size_t> consumed;  // conjunct folded into the scan
     std::size_t pushed = 0;               // conjuncts that shaped the scan
   };
-  std::vector<ScanChoice> choices;
-  choices.reserve(8);
+  ScanChoice best;
+  best.estimate = node_count;
+  const auto consider = [&best](const ScanChoice& c) {
+    if (c.estimate < best.estimate ||
+        (c.estimate == best.estimate && c.precedence < best.precedence)) {
+      best = c;
+    }
+  };
 
   if (scan) {
     // Hash-index equality: one conjunct becomes the whole scan. The index
@@ -469,21 +456,22 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
     for (std::size_t i = 0; i < first_unsafe; ++i) {
       if (!shapes[i] || shapes[i]->op != BinaryOp::kEq) continue;
       const CmpShape& s = *shapes[i];
-      if (s.key == graph::kNoPropKey || !store.has_index(s.key)) continue;
+      if (s.key == graph::kNoPropKey) continue;
       // Null, node and list equality never uses the index.
-      const auto probe = internal::to_property(s.constant);
+      const auto probe = internal::to_property(*s.constant);
       if (!probe) continue;
+      const auto bucket = store.index_count(s.key, *probe);
+      if (!bucket) continue;  // no hash index on the key
       ScanChoice c;
       c.kind = ScanKind::kIndexEq;
       c.precedence = 1;
       c.key = s.key;
       c.key_name = s.key_name;
       c.eq = s.constant;
-      c.estimate =
-          static_cast<double>(store.index_count(s.key, *probe).value_or(0));
+      c.estimate = static_cast<double>(*bucket);
       c.consumed = i;
       c.pushed = 1;
-      choices.push_back(std::move(c));
+      consider(c);
     }
 
     // Ordered-index range scan: intersect every range conjunct on the key
@@ -492,7 +480,7 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
     // (see DESIGN.md §12 for the int64-typed-key assumption).
     struct Window {
       graph::PropKeyId key = graph::kNoPropKey;
-      const std::string* name = nullptr;
+      std::string_view name;
       Bounds bounds;
       std::size_t contributors = 0;
     };
@@ -500,69 +488,57 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
     for (std::size_t i = 0; i < first_unsafe; ++i) {
       if (!shapes[i]) continue;
       const CmpShape& s = *shapes[i];
-      if (s.key == graph::kNoPropKey || !s.constant.is_number()) continue;
+      if (s.key == graph::kNoPropKey || !s.constant->is_number()) continue;
       auto w = std::find_if(windows.begin(), windows.end(),
                             [&](const Window& x) { return x.key >= s.key; });
       if (w == windows.end() || w->key != s.key) {
-        w = windows.insert(w, Window{s.key, nullptr, Bounds{}, 0});
+        w = windows.insert(w, Window{s.key, {}, Bounds{}, 0});
       }
-      if (apply_bound(w->bounds, s.op, s.constant)) {
+      if (apply_bound(w->bounds, s.op, *s.constant)) {
         ++w->contributors;
-        w->name = &s.key_name;
+        w->name = s.key_name;
       }
     }
     for (const auto& [key, name, bounds, contributors] : windows) {
       if (!bounds.constrained) continue;
-      if (store.has_ordered_index(key)) {
-        ScanChoice c;
+      ScanChoice c;
+      c.key = key;
+      c.key_name = name;
+      c.lo = bounds.empty ? std::int64_t{1} : bounds.lo;
+      c.hi = bounds.empty ? std::int64_t{0} : bounds.hi;
+      c.pushed = contributors;
+      // nullopt: no ordered index on the key, or an empty one.
+      const auto stats = store.ordered_index_stats(key);
+      if (stats || store.has_ordered_index(key)) {
         c.kind = ScanKind::kRange;
         c.precedence = 2;
-        c.key = key;
-        c.key_name = *name;
-        c.lo = bounds.empty ? std::int64_t{1} : bounds.lo;
-        c.hi = bounds.empty ? std::int64_t{0} : bounds.hi;
-        c.pushed = contributors;
-        if (bounds.empty) {
-          c.estimate = 0.0;
-        } else if (const auto stats = store.ordered_index_stats(key)) {
-          const double span_lo =
-              std::max(static_cast<double>(c.lo),
-                       static_cast<double>(stats->min_value));
-          const double span_hi =
-              std::min(static_cast<double>(c.hi),
-                       static_cast<double>(stats->max_value));
-          if (span_lo > span_hi) {
-            c.estimate = 0.0;
-          } else {
-            const double index_span =
-                static_cast<double>(stats->max_value) -
-                static_cast<double>(stats->min_value) + 1.0;
+        c.estimate = 0.0;  // an empty window or index
+        if (stats && !bounds.empty) {
+          const double span_lo = std::max(
+              static_cast<double>(c.lo), static_cast<double>(stats->min_value));
+          const double span_hi = std::min(
+              static_cast<double>(c.hi), static_cast<double>(stats->max_value));
+          const double index_span = static_cast<double>(stats->max_value) -
+                                    static_cast<double>(stats->min_value) +
+                                    1.0;
+          if (span_lo <= span_hi) {
             c.estimate = std::min(
                 node_count,
                 node_count * ((span_hi - span_lo + 1.0) / index_span));
           }
-        } else {
-          c.estimate = 0.0;  // index exists but is empty
         }
-        choices.push_back(std::move(c));
+        consider(c);
       }
       if (graph::SegmentManager* segments = store.segments()) {
         const auto& opts = segments->options();
         if (key == opts.lamport_key || key == opts.timestamp_key) {
-          ScanChoice c;
           c.kind = ScanKind::kSegmentSkip;
           c.precedence = 3;
-          c.key = key;
-          c.key_name = *name;
-          c.lo = bounds.empty ? std::int64_t{1} : bounds.lo;
-          c.hi = bounds.empty ? std::int64_t{0} : bounds.hi;
-          c.pushed = contributors;
-          double kept = 0.0;
+          c.estimate = 0.0;
           for (const auto& [begin, end] : segments->scan_ranges(key, c.lo, c.hi)) {
-            kept += static_cast<double>(end - begin);
+            c.estimate += static_cast<double>(end - begin);
           }
-          c.estimate = kept;
-          choices.push_back(std::move(c));
+          consider(c);
         }
       }
     }
@@ -572,60 +548,45 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
       c.kind = ScanKind::kLabel;
       c.precedence = 4;
       c.estimate = static_cast<double>(store.label_count(p.label));
-      choices.push_back(std::move(c));
+      consider(c);
     }
-  }
-  {
-    ScanChoice c;
-    c.kind = ScanKind::kAllNodes;
-    c.precedence = 5;
-    c.estimate = node_count;
-    choices.push_back(std::move(c));
   }
 
-  const ScanChoice* best = &choices.front();
-  for (const ScanChoice& c : choices) {
-    if (c.estimate < best->estimate ||
-        (c.estimate == best->estimate && c.precedence < best->precedence)) {
-      best = &c;
-    }
-  }
-  p.scan = best->kind;
-  p.scan_key = best->key;
-  p.scan_key_name = best->key_name;
-  p.scan_eq = best->eq;
-  p.range_lo = best->lo;
-  p.range_hi = best->hi;
-  p.scan_estimate = best->estimate;
-  p.predicates_pushed = best->pushed;
+  p.scan = best.kind;
+  p.scan_key = best.key;
+  p.scan_key_name = best.key_name;
+  if (best.eq != nullptr) p.scan_eq = *best.eq;
+  p.range_lo = best.lo;
+  p.range_hi = best.hi;
+  p.scan_estimate = best.estimate;
+  p.predicates_pushed = best.pushed;
   p.check_label = real_label && p.scan != ScanKind::kLabel;
 
   // ---- residual filter ------------------------------------------------------
 
   std::vector<PlannedPredicate> reorderable;
   std::vector<PlannedPredicate> pinned;
-  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-    if (best->consumed && *best->consumed == i) continue;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (best.consumed && *best.consumed == i) continue;
     PlannedPredicate pp;
-    pp.expr = conjuncts[i];
+    pp.expr = expr_of(i);
     pp.source_order = i;
     pp.reorderable = i < first_unsafe;
     if (shapes[i]) {
       const CmpShape& s = *shapes[i];
-      const bool interned_eq =
+      const std::size_t distinct =
           (s.op == BinaryOp::kEq || s.op == BinaryOp::kNeq) &&
-          s.constant.is_string() && s.key != graph::kNoPropKey &&
-          store.interned_distinct(s.key) > 0;
+                  s.constant->is_string() && s.key != graph::kNoPropKey
+              ? store.interned_distinct(s.key)
+              : 0;
       pp.key = s.key;
       pp.key_name = s.key_name;
       pp.op = s.op;
-      pp.constant = s.constant;
+      pp.constant = *s.constant;
       pp.flipped = s.flipped;
-      if (interned_eq) {
+      if (distinct > 0) {
         pp.kind = PlannedPredicate::Kind::kInternedEq;
-        const double eq_frac =
-            1.0 / static_cast<double>(
-                      std::max<std::size_t>(1, store.interned_distinct(s.key)));
+        const double eq_frac = 1.0 / static_cast<double>(distinct);
         pp.selectivity = s.op == BinaryOp::kEq ? eq_frac : 1.0 - eq_frac;
       } else {
         pp.kind = PlannedPredicate::Kind::kPropCompare;
@@ -633,9 +594,9 @@ void Planner::plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
           case BinaryOp::kEq: {
             pp.selectivity = 0.10;
             if (s.key != graph::kNoPropKey && node_count > 0 &&
-                s.constant.is_string()) {
+                s.constant->is_string()) {
               if (const auto bucket = store.index_count(
-                      s.key, graph::PropertyValue(s.constant.as_string()))) {
+                      s.key, graph::PropertyValue(s.constant->as_string()))) {
                 pp.selectivity = static_cast<double>(*bucket) / node_count;
               }
             }
@@ -717,7 +678,12 @@ PlanReport describe_plan(const Plan& plan) {
       case PlannedPredicate::Kind::kGeneric: kind = "generic"; break;
     }
     if (!pp.reorderable) kind += ", pinned";
-    op.detail = expr_to_string(*pp.expr) + "  [" + kind + "]";
+    // An inline property prints as the WHERE equality it means.
+    op.detail = pp.expr != nullptr
+                    ? expr_to_string(*pp.expr)
+                    : "(" + plan.variable + "." + pp.key_name + " = " +
+                          value_to_text(pp.constant) + ")";
+    op.detail += "  [" + kind + "]";
     op.estimated_rows = running;
     report.ops.push_back(std::move(op));
   }

@@ -63,9 +63,11 @@ struct PlannedPredicate {
     kGeneric,      // anything else: full expression evaluation per row
   };
   Kind kind = Kind::kGeneric;
-  const Expr* expr = nullptr;       // the conjunct (borrowed from the AST)
+  /// The WHERE conjunct (borrowed from the AST); nullptr for an inline
+  /// property, the equality `key_name = constant` (never kGeneric).
+  const Expr* expr = nullptr;
   graph::PropKeyId key = graph::kNoPropKey;  // kInternedEq / kPropCompare
-  std::string key_name;             // for EXPLAIN
+  std::string key_name;
   BinaryOp op = BinaryOp::kEq;      // kPropCompare: comparison operator
   Value constant;                   // kInternedEq / kPropCompare: rhs value
   bool flipped = false;             // constant was on the left
@@ -95,11 +97,10 @@ struct Plan {
   bool check_label = false;
 
   // Filter.
-  std::vector<PlannedPredicate> predicates;  // execution order
+  /// Execution order. The inline properties are the first conjuncts, as
+  /// `var.key = value` equalities, ahead of the WHERE conjuncts.
+  std::vector<PlannedPredicate> predicates;
   std::size_t predicates_pushed = 0;  // conjuncts consumed by the scan
-  /// The inline properties as `var.key = value` conjuncts, ahead of the
-  /// WHERE conjuncts; predicates point into them.
-  std::vector<ExprPtr> inline_conjuncts;
 
   // Tail hand-off: clauses [tail_begin, end) run on the clause pipeline.
   std::size_t tail_begin = 0;
@@ -162,10 +163,12 @@ class Planner {
                                std::span<const Value> props, bool scan) const;
 
  private:
-  /// Scan selection (when `scan`) and the residual filter of `p`'s pattern
-  /// node over `conjuncts`, in evaluation order.
-  void plan_filter(Plan& p, const std::vector<const Expr*>& conjuncts,
-                   bool scan) const;
+  /// Scan selection (when `scan`) and the residual filter of `node`, whose
+  /// inline properties evaluated to `props`: their equalities, then the
+  /// `where` conjuncts, in evaluation order.
+  void plan_filter(Plan& p, const NodePattern& node,
+                   std::span<const Value> props,
+                   std::span<const Expr* const> where, bool scan) const;
 
   const ExecutionGraph& graph_;
   const QueryParams& params_;

@@ -418,13 +418,15 @@ TEST_F(PlanShapeTest, InlinePropertiesPlanAsWhereEqualities) {
                 .plan_text());
   EXPECT_NE(inline_text.find("scan[index-eq eventId = 4"), std::string::npos)
       << inline_text;
-  // An inline property joins the WHERE conjuncts, ahead of them: the
-  // label scan keeps the label, the host equality becomes the scan.
+  // An inline property joins the WHERE conjuncts, ahead of them: the host
+  // equality becomes the scan, the label and the WHERE range stay checks.
   const auto plan = plan_of(
       "MATCH (n:SND {host: \"svc-host0\"}) WHERE n.lamportLogicalTime >= 2 "
       "RETURN n.eventId");
   ASSERT_TRUE(plan.planned);
-  ASSERT_EQ(plan.inline_conjuncts.size(), 1u);
+  EXPECT_EQ(plan.scan, query::ScanKind::kIndexEq);
+  EXPECT_EQ(plan.scan_key_name, "host");
+  EXPECT_TRUE(plan.check_label);
   EXPECT_EQ(plan.predicates.size() + plan.predicates_pushed, 2u);
 }
 

@@ -168,6 +168,21 @@ TEST_F(QueryFixture, AggregateOverNoRowsReturnsOneRow) {
                   .rows.empty());
   EXPECT_TRUE(run("MATCH (n:NOSUCH) WITH count(*) AS c WHERE c > 0 RETURN c")
                   .rows.empty());
+  // An item or sort key that reads a variable outside its aggregates has no
+  // row to read it from: no row, as with a grouped projection.
+  EXPECT_TRUE(run("MATCH (n:NOSUCH) RETURN n.eventId + count(*) AS x")
+                  .rows.empty());
+  EXPECT_TRUE(
+      run("MATCH (n:NOSUCH) RETURN count(*) AS c ORDER BY n.eventId")
+          .rows.empty());
+  EXPECT_TRUE(run("MATCH (n:LOG {host: 'no-such-host'}) "
+                  "RETURN n.timestamp + count(*) AS x")
+                  .rows.empty());
+  // Sorting on an alias keeps the row.
+  const auto sorted =
+      run("MATCH (n:NOSUCH) RETURN count(*) AS c ORDER BY c DESC");
+  ASSERT_EQ(sorted.rows.size(), 1u);
+  EXPECT_EQ(sorted.rows[0][0], Value(0));
 }
 
 TEST_F(QueryFixture, UnwindExplodesLists) {
