@@ -97,7 +97,7 @@ struct Plan {
   bool check_label = false;
 
   // Filter.
-  /// Execution order. The inline properties are the first conjuncts, as
+  /// Execution order. In source order the inline properties come first, as
   /// `var.key = value` equalities, ahead of the WHERE conjuncts.
   std::vector<PlannedPredicate> predicates;
   std::size_t predicates_pushed = 0;  // conjuncts consumed by the scan
